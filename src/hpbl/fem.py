@@ -12,7 +12,10 @@ The assembled problem is
 
     eps^2 (A grad u, grad v) + (c u, v) = (f, v),   u = 0 on the boundary,
 
-with A a symmetric 2x2 diffusion field (identity when omitted).
+with A a symmetric 2x2 diffusion field (identity when omitted).  Element
+geometry comes batched per shape from ``macro.element_geometry``, the
+only place element maps and Jacobians are computed, and ``_integrate``
+is the one norm kernel behind every error and energy norm.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .macro import Mesh
+from .interp import placement_for
+from .macro import Mesh, element_geometry
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
@@ -105,14 +109,19 @@ class DofMap:
     def nfree(self) -> int:
         return len(self.free)
 
+    def stacked_dofs(self, ids: np.ndarray, nbasis: int) -> np.ndarray:
+        """Global dofs of same-shape elements ``ids``, (len(ids), nbasis)."""
+        stacked = np.array([self.elem_dofs[ei] for ei in ids], dtype=np.int64)
+        return stacked.reshape(len(ids), nbasis)
+
     def dof_points(self) -> np.ndarray:
         """Physical coordinates of every degree of freedom."""
         if self._points is None:
             pts = np.empty((self.ndofs, 2))
-            for ei, el in enumerate(self.mesh.elements):
-                basis = _basis_for(el.shape, self.q)
-                emap = self.mesh.element_map(ei)
-                pts[self.elem_dofs[ei]] = emap.points(basis.nodes)
+            for shape in ("r", "t"):
+                nodes = _basis_for(shape, self.q).nodes
+                ids, _, phys, _, _ = element_geometry(self.mesh, shape, nodes)
+                pts[self.stacked_dofs(ids, len(nodes))] = phys
             self._points = pts
         return self._points
 
@@ -122,17 +131,6 @@ def _field_at(fn, pts: np.ndarray) -> np.ndarray:
     if callable(fn):
         return np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float) * np.ones(len(pts))
     return float(fn) * np.ones(len(pts))
-
-
-def _inv_jacobians(J: np.ndarray):
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 0, 1]
-    inv[:, 1, 0] = -J[:, 1, 0]
-    inv[:, 1, 1] = J[:, 0, 0]
-    inv /= det[:, None, None]
-    return det, inv
 
 
 @dataclass
@@ -176,38 +174,42 @@ def assemble(
     m = quad_order if quad_order is not None else q + 2
     eps2 = eps * eps
 
+    geo = {shape: element_geometry(mesh, shape, _tables(shape, q, m)[0]) for shape in ("r", "t")}
+    bad = [ei for ids, _, _, det, _ in geo.values() for ei in ids[np.any(det <= 0.0, axis=1)]]
+    if bad:
+        raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
+
     rows, cols, vals = [], [], []
     b = np.zeros(dofmap.ndofs)
-    for ei, el in enumerate(mesh.elements):
-        pts, w, B, G = _tables(el.shape, q, m)
-        emap = mesh.element_map(ei)
-        det, invJ = _inv_jacobians(emap.jacobian(pts))
-        if np.any(det <= 0.0):
-            raise ValueError(f"element {ei} has a non-positive Jacobian")
-        phys = emap.points(pts)
+    for shape, (ids, _, phys, det, invJ) in geo.items():
+        _, w, B, G = _tables(shape, q, m)
+        ne, (npts, nb) = len(ids), B.shape
         wdet = w * det
-
-        Gp = G @ invJ  # physical gradients, (npts, nbasis, 2)
-        if diffusion is None:
-            flux = Gp
-        else:
-            flux = Gp @ np.asarray(diffusion(phys), dtype=float)
-        K = np.tensordot(flux * wdet[:, None, None], Gp, axes=([0, 2], [0, 2]))
-        cw = _field_at(c, phys) * wdet
-        M = B.T @ (B * cw[:, None])
+        flat = phys.reshape(-1, 2)
+        # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
+        wJ = wdet[..., None, None] * invJ
+        if diffusion is not None:
+            wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+        coef = wJ @ np.swapaxes(invJ, -1, -2)
+        Gs = np.swapaxes(G, 1, 2)
+        K = Gs.reshape(2 * npts, nb).T @ (coef @ Gs).reshape(ne, 2 * npts, nb)
+        cw = _field_at(c, flat).reshape(ne, npts) * wdet
+        M = (B.T * cw[:, None, :]) @ B
         S = eps2 * K + M
-        S = 0.5 * (S + S.T)
+        S = 0.5 * (S + np.swapaxes(S, 1, 2))
 
-        gd = dofmap.elem_dofs[ei]
-        nb = len(gd)
-        rows.append(np.repeat(gd, nb))
-        cols.append(np.tile(gd, nb))
+        gd = dofmap.stacked_dofs(ids, nb)
+        rows.append(np.broadcast_to(gd[:, :, None], S.shape).ravel())
+        cols.append(np.broadcast_to(gd[:, None, :], S.shape).ravel())
         vals.append(S.ravel())
-        b[gd] += B.T @ (_field_at(f, phys) * wdet)
+        load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
+        b += np.bincount(gd.ravel(), weights=load.ravel(), minlength=dofmap.ndofs)
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(b))):
+        raise ValueError("assembled matrix or load vector is not finite; check c, f and diffusion")
     fi = dofmap.free_index
     keep = (fi[rows] >= 0) & (fi[cols] >= 0)
     A = sp.coo_matrix(
@@ -221,7 +223,8 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):
     """Jacobi-preconditioned conjugate gradients.
 
     Returns (x, iterations, relative residual); raises if the tolerance
-    is not reached within the iteration cap.
+    is not reached within the iteration cap, and at once on breakdown
+    (a non-finite residual or p.Ap <= 0).
     """
     n = len(b)
     if maxiter is None:
@@ -240,10 +243,17 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):
     relres = 1.0
     for it in range(1, maxiter + 1):
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:
+            raise RuntimeError(
+                f"cg breakdown at iteration {it}: p.Ap = {pAp:.3e}, matrix not positive definite"
+            )
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         relres = float(np.linalg.norm(r)) / bnorm
+        if not math.isfinite(relres):
+            raise RuntimeError(f"cg breakdown at iteration {it}: residual is not finite")
         if relres <= tol:
             return x, it, relres
         z = r / diag
@@ -266,15 +276,6 @@ class DiscreteField:
         el = self.mesh.elements[ei]
         basis = _basis_for(el.shape, self.q)
         return basis.eval(ref_pts) @ self.coeffs[self.dofmap.elem_dofs[ei]]
-
-    def element_gradients(self, ei: int, ref_pts: np.ndarray) -> np.ndarray:
-        """Physical gradients at reference points of element ei."""
-        el = self.mesh.elements[ei]
-        basis = _basis_for(el.shape, self.q)
-        emap = self.mesh.element_map(ei)
-        _, invJ = _inv_jacobians(emap.jacobian(ref_pts))
-        G = basis.grad(np.atleast_2d(ref_pts)) @ invJ
-        return np.einsum("pnd,n->pd", G, self.coeffs[self.dofmap.elem_dofs[ei]])
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at physical points (slow; point location by search)."""
@@ -310,7 +311,7 @@ def locate_point(mesh: Mesh, p, tol: float = 1e-10):
         for ei, el in enumerate(mesh.elements):
             if el.macro_id != qid:
                 continue
-            place = mesh.element_map(ei).placement
+            place = placement_for(el.shape, el.ref_coords)
             ref = place.to_reference(st[None, :])[0]
             if el.shape == "r":
                 inside = np.all(ref >= -tol) and np.all(ref <= 1.0 + tol)
@@ -336,43 +337,52 @@ def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> Discret
 # norms
 
 
-def _integrate(field: DiscreteField, eps, c, diffusion, order, exact=None, exact_grad=None):
-    """Shared kernel: integrates value and gradient square sums elementwise."""
-    mesh, q = field.mesh, field.q
+def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtract=None) -> dict:
+    """The norm kernel: l2, h1, energy and balanced norms of field - subtract.
+
+    ``subtract(ids, pat, phys)``, when given, returns the values (E, P)
+    and physical gradients (E, P, 2) to subtract at the quadrature points
+    of the same-shape elements ``ids``, whose pattern and physical
+    coordinates are ``pat`` and ``phys`` (E, P, 2).  Quadrature uses
+    q + 3 points per direction unless ``order`` overrides it.
+    """
+    q = field.q
     m = order if order is not None else q + 3
-    l2 = 0.0
-    h1 = 0.0
-    flux_sq = 0.0
-    mass = 0.0
-    for ei, el in enumerate(mesh.elements):
-        pts, w, B, G = _tables(el.shape, q, m)
-        emap = mesh.element_map(ei)
-        det, invJ = _inv_jacobians(emap.jacobian(pts))
-        phys = emap.points(pts)
+    l2 = h1 = flux_sq = mass = 0.0
+    for shape in ("r", "t"):
+        pts, w, B, G = _tables(shape, q, m)
+        ids, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
+        ne, (npts, nb) = len(ids), B.shape
         wdet = w * det
-        co = field.coeffs[field.dofmap.elem_dofs[ei]]
-        vals = B @ co
-        grads = np.einsum("pnd,n->pd", G @ invJ, co)
-        if exact is not None:
-            vals = vals - exact(phys[:, 0], phys[:, 1])
-        if exact_grad is not None:
-            grads = grads - exact_grad(phys[:, 0], phys[:, 1])
-        l2 += float(wdet @ (vals * vals))
-        gsq = np.einsum("pd,pd->p", grads, grads)
-        h1 += float(wdet @ gsq)
-        if diffusion is None:
-            flux_sq += float(wdet @ gsq)
-        else:
-            Ap = np.asarray(diffusion(phys), dtype=float)
-            flux_sq += float(wdet @ np.einsum("pd,pde,pe->p", grads, Ap, grads))
-        mass += float(wdet @ (_field_at(c, phys) * vals * vals))
-    return l2, h1, flux_sq, mass, eps
+        co = field.coeffs[field.dofmap.stacked_dofs(ids, nb)]
+        vals = co @ B.T
+        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+        grads = (gref @ invJ)[..., 0, :]
+        if subtract is not None:
+            sub_vals, sub_grads = subtract(ids, pat, phys)
+            vals = vals - sub_vals
+            grads = grads - sub_grads
+        flat = phys.reshape(-1, 2)
+        gsq = np.sum(grads * grads, axis=-1)
+        l2 += float(np.sum(wdet * vals * vals))
+        h1 += float(np.sum(wdet * gsq))
+        flux = grads
+        if diffusion is not None:
+            Ap = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+            flux = (grads[..., None, :] @ Ap)[..., 0, :]
+        flux_sq += float(np.sum(wdet * np.sum(flux * grads, axis=-1)))
+        mass += float(np.sum(wdet * _field_at(c, flat).reshape(ne, npts) * vals * vals))
+    return {
+        "l2": math.sqrt(l2),
+        "h1": math.sqrt(h1),
+        "energy": math.sqrt(eps * eps * flux_sq + mass),
+        "balanced": math.sqrt(eps * h1 + l2),
+    }
 
 
 def energy_norm(field: DiscreteField, eps: float, c, diffusion=None, order=None) -> float:
     """sqrt(eps^2 (A grad u, grad u) + (c u, u))."""
-    _, _, flux_sq, mass, _ = _integrate(field, eps, c, diffusion, order)
-    return math.sqrt(eps * eps * flux_sq + mass)
+    return _integrate(field, eps, c, diffusion, order)["energy"]
 
 
 def error_norms(
@@ -390,12 +400,10 @@ def error_norms(
     sqrt(eps^2 |A^(1/2) grad e|^2 + |c^(1/2) e|^2), and the balanced norm
     sqrt(eps |grad e|^2 + |e|^2).
     """
-    l2, h1, flux_sq, mass, _ = _integrate(
-        field, eps, c, diffusion, order, exact=exact, exact_grad=exact_grad
-    )
-    return {
-        "l2": math.sqrt(l2),
-        "h1": math.sqrt(h1),
-        "energy": math.sqrt(eps * eps * flux_sq + mass),
-        "balanced": math.sqrt(eps * h1 + l2),
-    }
+
+    def exact_at(ids, pat, phys):
+        flat = phys.reshape(-1, 2)
+        grads = np.broadcast_to(exact_grad(flat[:, 0], flat[:, 1]), flat.shape)
+        return _field_at(exact, flat).reshape(phys.shape[:2]), grads.reshape(phys.shape)
+
+    return _integrate(field, eps, c, diffusion, order, subtract=exact_at)

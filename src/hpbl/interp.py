@@ -47,13 +47,19 @@ class ElementPlacement:
 
 def placement_for(shape: str, xy: np.ndarray) -> ElementPlacement:
     """Placement from an element's corner coordinates (rect: CCW from
-    lower-left; triangle: CCW with the right-angle shape of the reference)."""
+    lower-left; triangle: CCW with the right-angle shape of the reference).
+
+    ``xy`` may stack elements of one shape, (..., corners, 2); the
+    placement fields then carry the same leading axes."""
+    mat = np.zeros(xy.shape[:-2] + (2, 2))
     if shape == "r":
-        mat = np.diag([xy[1, 0] - xy[0, 0], xy[3, 1] - xy[0, 1]])
+        mat[..., 0, 0] = xy[..., 1, 0] - xy[..., 0, 0]
+        mat[..., 1, 1] = xy[..., 3, 1] - xy[..., 0, 1]
     else:
         # reference triangle vertices (0,0), (1,0), (1,1)
-        mat = np.column_stack([xy[1] - xy[0], xy[2] - xy[1]])
-    return ElementPlacement(xy[0].copy(), mat, np.linalg.inv(mat))
+        mat[..., :, 0] = xy[..., 1, :] - xy[..., 0, :]
+        mat[..., :, 1] = xy[..., 2, :] - xy[..., 1, :]
+    return ElementPlacement(xy[..., 0, :].copy(), mat, np.linalg.inv(mat))
 
 
 def element_placement(patch: PatchMesh, e: PatchElement) -> ElementPlacement:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Polygon
-from .interp import ElementPlacement, placement_for
+from .interp import placement_for
 from .meshcheck import conformity_violations, facet_incidence, hanging_nodes
 from .patches import (
     GAMMA_BOTTOM,
@@ -36,7 +36,7 @@ __all__ = [
     "Mesh",
     "MeshElement",
     "BilinearMap",
-    "ElementMap",
+    "element_geometry",
     "ValidationReport",
     "assign_refinement_patterns",
     "macro_from_triangulation",
@@ -431,43 +431,51 @@ class MeshElement:
 
 
 class BilinearMap:
-    """Bilinear image of the unit square spanned by four corner points."""
+    """Bilinear image of the unit square spanned by four corner points.
+
+    ``corners`` may stack quads, (..., 4, 2); points then broadcast
+    against the leading axes.
+    """
 
     def __init__(self, corners: np.ndarray):
         c = np.asarray(corners, dtype=float)
-        self.p0 = c[0]
-        self.ds = c[1] - c[0]
-        self.dt = c[3] - c[0]
-        self.dst = c[2] - c[1] - c[3] + c[0]
-        self.affine = bool(np.all(self.dst == 0.0))
+        self.p0 = c[..., 0, :]
+        self.ds = c[..., 1, :] - c[..., 0, :]
+        self.dt = c[..., 3, :] - c[..., 0, :]
+        self.dst = c[..., 2, :] - c[..., 1, :] - c[..., 3, :] + c[..., 0, :]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        s, t = pts[:, 0:1], pts[:, 1:2]
+        s, t = pts[..., 0:1], pts[..., 1:2]
         return self.p0 + s * self.ds + t * self.dt + (s * t) * self.dst
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        s, t = pts[:, 0], pts[:, 1]
-        out = np.empty((len(pts), 2, 2))
-        out[:, :, 0] = self.ds + t[:, None] * self.dst
-        out[:, :, 1] = self.dt + s[:, None] * self.dst
-        return out
+        s, t = pts[..., 0:1], pts[..., 1:2]
+        return np.stack([self.ds + t * self.dst, self.dt + s * self.dst], axis=-1)
 
 
-class ElementMap:
-    """Reference element -> pattern frame -> physical coordinates."""
+def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
+    """Maps of all elements of one shape at shared reference points.
 
-    def __init__(self, placement: ElementPlacement, bil: BilinearMap):
-        self.placement = placement
-        self.bil = bil
-
-    def points(self, ref_pts: np.ndarray) -> np.ndarray:
-        return self.bil(self.placement.to_pattern(np.atleast_2d(ref_pts)))
-
-    def jacobian(self, ref_pts: np.ndarray) -> np.ndarray:
-        pat = self.placement.to_pattern(np.atleast_2d(ref_pts))
-        return self.bil.jacobian(pat) @ self.placement.mat
+    Reference element -> pattern frame (affine placement) -> physical
+    coordinates (bilinear macro quad map).  This is the only place
+    element maps and Jacobians are computed.  Returns ``(ids, pat, phys,
+    det, inv_jac)``: element indices (E,), pattern and physical points
+    (E, P, 2), Jacobian determinants (E, P) and inverse Jacobians
+    (E, P, 2, 2).
+    """
+    ids = [ei for ei, el in enumerate(mesh.elements) if el.shape == shape]
+    els = [mesh.elements[ei] for ei in ids]
+    xy = np.array([el.ref_coords for el in els]).reshape(len(ids), 4 if shape == "r" else 3, 2)
+    place = placement_for(shape, xy)
+    pat = place.origin[:, None, :] + ref_pts @ np.swapaxes(place.mat, 1, 2)
+    qids = np.array([el.macro_id for el in els], dtype=np.int64)
+    bil = BilinearMap(mesh.macro.nodes[np.array(mesh.oriented)[qids]][:, None])
+    jac = bil.jacobian(pat) @ place.mat[:, None]
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    adj = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = adj.reshape(jac.shape) / det[..., None, None]
+    return np.array(ids, dtype=np.int64), pat, bil(pat), det, inv
 
 
 @dataclass
@@ -487,11 +495,6 @@ class Mesh:
 
     def quad_map(self, qid: int) -> BilinearMap:
         return BilinearMap(self.macro.nodes[list(self.oriented[qid])])
-
-    def element_map(self, ei: int) -> ElementMap:
-        el = self.elements[ei]
-        placement = placement_for(el.shape, el.ref_coords)
-        return ElementMap(placement, self.quad_map(el.macro_id))
 
     def element_count(self) -> int:
         return len(self.elements)
@@ -665,13 +668,11 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
                 f"{edge_len[j]:.12g}, expected {want:.12g}"
             )
 
-    for ei in range(len(mesh.elements)):
-        el = mesh.elements[ei]
-        emap = mesh.element_map(ei)
-        ref = _JAC_SAMPLES if el.shape == "r" else _TRI_SAMPLES
-        dets = np.linalg.det(emap.jacobian(ref))
-        if np.any(dets <= 0.0):
-            rep.violations.append(f"element {ei} has a non-positive Jacobian")
+    bad = []
+    for shape, ref in (("r", _JAC_SAMPLES), ("t", _TRI_SAMPLES)):
+        ids, _, _, det, _ = element_geometry(mesh, shape, ref)
+        bad.extend(ids[np.any(det <= 0.0, axis=1)].tolist())
+    rep.violations.extend(f"element {ei} has a non-positive Jacobian" for ei in sorted(bad))
 
     if check_corner_condition:
         _check_corner_splits(mesh, rep)

@@ -13,22 +13,14 @@ C exp(-b N^(1/4)) in dof mode) by least squares on the log.
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (
-    DiscreteField,
-    _basis_for,
-    _field_at,
-    _inv_jacobians,
-    _tables,
-    assemble,
-    error_norms,
-)
+from .fem import DiscreteField, _basis_for, _integrate, assemble, error_norms
+from .interp import placement_for
 from .layouts import builtin_layout, load_config
 from .macro import Mesh, build_geo_bl_mesh, scale_resolution_L
 from .meshio import convergence_svg, mesh_svg
@@ -65,7 +57,6 @@ class ExperimentConfig:
     mode: str = "manufactured"
     layers: str = "p"  # p: L=n=p; balanced: L so sigma^L <= eps^2; corner-only: L=0
     solver: str = "cg"
-    seed: int = 0
     allow_large_eps: bool = False
 
     def validate(self) -> None:
@@ -87,6 +78,11 @@ class ExperimentConfig:
             raise ValueError(f"norm must be one of {_NORMS}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode == "manufactured" and self.domain != "square":
+            raise ValueError(
+                f"mode 'manufactured' solves for an oracle that holds only on the unit "
+                f"square, not on domain {self.domain!r}; use --mode reference"
+            )
         if self.layers not in _LAYERS:
             raise ValueError(f"layers must be one of {_LAYERS}")
 
@@ -170,10 +166,6 @@ def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
     return fld, stats, ms
 
 
-def _pick(norms: dict, which: str) -> float:
-    return float(norms[which])
-
-
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
     """One ConvergenceTable per eps, rows over p = p_min..p_max."""
     config.validate()
@@ -198,7 +190,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
             row = Row(
                 p=p,
                 N=fld.dofmap.nfree,
-                error=_pick(norms, config.norm),
+                error=float(norms[config.norm]),
                 iters=stats["iterations"],
                 seconds=time.perf_counter() - t0,
             )
@@ -211,12 +203,17 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
 
 
 def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
-    """Higher-order solve (q = L = n = p_max + 2) on the same layout, cached."""
-    key = (config.domain, eps, config.sigma, config.p_max, config.layers, config.mode)
+    """Higher-order solve (q = p_max + 2, layers by the study's rule at that
+    degree, so at least as refined as every graded mesh), cached."""
+    key = (config.domain, eps, config.sigma, config.p_max, config.layers, config.mode,
+           config.c1, config.solver)
     if key not in _REF_CACHE:
         p_ref = config.p_max + 2
-        ref_cfg = replace(config, layers="p" if config.layers != "corner-only" else config.layers)
-        mesh = mesh_for(ref_cfg, p_ref, eps)
+        mesh = mesh_for(config, p_ref, eps)
+        graded = [_layer_counts(config, p, eps) for p in range(config.p_min, config.p_max + 1)]
+        assert all(L <= mesh.params.L and n <= mesh.params.n for L, n in graded), (
+            f"reference mesh (L={mesh.params.L}, n={mesh.params.n}) is coarser than {graded}"
+        )
         fld, _, _ = _solve_cell(config, mesh, p_ref, eps)
         _REF_CACHE[key] = fld
     return _REF_CACHE[key]
@@ -234,7 +231,8 @@ class _QuadLocator:
         self.members = [
             ei for ei, el in enumerate(fld.mesh.elements) if el.macro_id == qid
         ]
-        self.placements = [fld.mesh.element_map(ei).placement for ei in self.members]
+        els = fld.mesh.elements
+        self.placements = [placement_for(els[ei].shape, els[ei].ref_coords) for ei in self.members]
 
     def eval(self, pat_pts: np.ndarray, tol: float = 1e-9):
         """Values and pattern-frame gradients at the given pattern points."""
@@ -284,38 +282,24 @@ def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c
     if ref.mesh.oriented != fld.mesh.oriented:
         raise ValueError("fields live on different macro layouts")
     locators = {}
-    l2 = h1 = mass = 0.0
-    m = ref.q + 2
-    for ei, el in enumerate(ref.mesh.elements):
-        pts, w, B, G = _tables(el.shape, ref.q, m)
-        emap = ref.mesh.element_map(ei)
-        det, invJ = _inv_jacobians(emap.jacobian(pts))
-        phys = emap.points(pts)
-        wdet = w * det
-        co = ref.coeffs[ref.dofmap.elem_dofs[ei]]
-        vals = B @ co
-        grads = np.einsum("pnd,n->pd", G @ invJ, co)
 
-        qid = el.macro_id
-        if qid not in locators:
-            locators[qid] = _QuadLocator(fld, qid)
-        pat = emap.placement.to_pattern(pts)
-        ovals, ograds_pat = locators[qid].eval(pat)
-        # push the coarse field's pattern gradients to physical coordinates
-        _, invJb = _inv_jacobians(ref.mesh.quad_map(qid).jacobian(pat))
-        ograds = np.einsum("pd,pde->pe", ograds_pat, invJb)
+    def coarse_at(ids, pat, phys):
+        qids = np.array([ref.mesh.elements[ei].macro_id for ei in ids], dtype=np.int64)
+        vals = np.empty(pat.shape[:2])
+        grads = np.empty(pat.shape)
+        for qid in np.unique(qids):
+            if qid not in locators:
+                locators[qid] = _QuadLocator(fld, qid)
+            sel = qids == qid
+            pts = pat[sel].reshape(-1, 2)
+            v, g = locators[qid].eval(pts)
+            # push the coarse field's pattern gradients to physical coordinates
+            inv_jb = np.linalg.inv(ref.mesh.quad_map(qid).jacobian(pts))
+            vals[sel] = v.reshape(-1, pat.shape[1])
+            grads[sel] = (g[:, None, :] @ inv_jb)[:, 0, :].reshape(-1, *pat.shape[1:])
+        return vals, grads
 
-        dv = vals - ovals
-        dg = grads - ograds
-        l2 += float(wdet @ (dv * dv))
-        h1 += float(wdet @ np.einsum("pd,pd->p", dg, dg))
-        mass += float(wdet @ (_field_at(c, phys) * dv * dv))
-    return {
-        "l2": math.sqrt(l2),
-        "h1": math.sqrt(h1),
-        "energy": math.sqrt(eps * eps * h1 + mass),
-        "balanced": math.sqrt(eps * h1 + l2),
-    }
+    return _integrate(ref, eps, c, order=ref.q + 2, subtract=coarse_at)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ def test_solve_reports_solver_failure(monkeypatch, capsys):
     assert rc == 3
 
 
+def test_solve_rejects_manufactured_mode_off_the_square(capsys):
+    rc = cli.main(["solve", "--domain", "lshape", "--eps", "1e-3", "-p", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "manufactured" in err and "lshape" in err and "--mode reference" in err
+
+
 def test_study_command_with_config(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"domain": "square", "eps": [0.1], "p_max": 3}))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from hpbl.fem import (
 )
 from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
-from hpbl.macro import MacroTriangulation, PatternAssignment, build_geo_bl_mesh
+from hpbl.macro import MacroTriangulation, PatternAssignment, build_geo_bl_mesh, validate_mesh
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
 
@@ -80,6 +82,58 @@ def test_cg_failure_raises():
         solve_cg(A, rng.standard_normal(40), maxiter=2, tol=1e-14)
 
 
+def test_cg_stops_at_once_on_nan_rhs():
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(RuntimeError, match="breakdown at iteration 1:"):
+        solve_cg(A, np.array([np.nan, 1.0]), maxiter=10_000)
+
+
+def test_cg_stops_at_once_on_indefinite_matrix():
+    # positive diagonal, eigenvalues 4 and -2; b is the negative eigenvector
+    A = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="breakdown at iteration 1:"):
+        solve_cg(A, np.array([1.0, -1.0]), maxiter=10_000)
+
+
+def test_assemble_rejects_nonfinite_load():
+    mesh = _unit_square_trivial()
+    with pytest.raises(ValueError, match="not finite"):
+        assemble(mesh, 2, 1.0, 1.0, lambda x, y: np.full_like(x, np.nan))
+
+
+# a convex quad that is not a parallelogram: its bilinear map has an s*t
+# term, so element Jacobians vary over every element
+_SKEW_QUAD = np.array([[0.0, 0.0], [2.0, 0.3], [1.6, 1.5], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [PatchKind.TRIVIAL, PatchKind.CORNER, PatchKind.TENSOR, PatchKind.MIXED,
+     PatchKind.BOUNDARY_LAYER],
+)
+def test_geometry_on_non_affine_quad(kind):
+    poly = Polygon(_SKEW_QUAD)
+    macro = MacroTriangulation(_SKEW_QUAD, [(0, 1, 2, 3)])
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2),
+                             [PatternAssignment(kind)])
+    # x + 2y is reproduced for q >= 2 (bilinear in rectangle coordinates,
+    # quadratic in triangle coordinates), so only the geometry can err
+    eps = 0.3
+    for q in (2, 4):
+        lin = interpolate(mesh, q, lambda x, y: x + 2.0 * y)
+        assert energy_norm(lin, eps, 0.0) == pytest.approx(
+            eps * np.sqrt(5.0 * poly.area()), rel=1e-12
+        )
+
+    mirrored = copy.deepcopy(mesh)
+    mirrored.macro.nodes[:, 0] *= -1.0  # every element turns clockwise
+    violations = validate_mesh(mirrored).violations
+    for ei in range(mesh.element_count()):
+        assert f"element {ei} has a non-positive Jacobian" in violations
+    with pytest.raises(ValueError, match="element 0 has a non-positive Jacobian"):
+        assemble(mirrored, 2, eps, 1.0, 1.0)
+
+
 def test_galerkin_solution_is_energy_best():
     # the discrete solution minimizes the energy-norm distance to u over
     # the hp space; in particular it beats the nodal interpolant
@@ -100,6 +154,9 @@ def test_energy_norm_of_interpolated_constant():
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.5, L=1, n=1))
     one = interpolate(mesh, 2, lambda x, y: np.ones_like(x))
     assert energy_norm(one, 0.1, 1.0) == pytest.approx(1.0, rel=1e-12)
+    # an exact solution given as constants broadcasts over the points
+    err = error_norms(one, lambda x, y: 1.0, lambda x, y: np.zeros(2), 0.1, 1.0)
+    assert max(err.values()) < 1e-12
 
 
 def test_manufactured_convergence_snapshot():

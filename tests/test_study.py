@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hpbl import study
 from hpbl.fem import assemble
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.study import (
@@ -77,6 +78,21 @@ def test_reference_is_cached_and_reused():
     b = reference_solution(cfg, 1e-1)
     assert a is b
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def test_reference_dominates_balanced_meshes(monkeypatch):
+    # balanced layers at eps=1e-4 give L=14 on every graded mesh; the
+    # reference must be at least that refined.  The solve is stubbed out to
+    # return the reference mesh.
+    monkeypatch.setattr(study, "_REF_CACHE", {})
+    monkeypatch.setattr(study, "_solve_cell", lambda config, mesh, q, eps: (mesh, {}, None))
+    cfg = ExperimentConfig(domain="square", eps=(1e-4,), p_max=3, layers="balanced",
+                           mode="reference")
+    ref_mesh = reference_solution(cfg, 1e-4)
+    assert ref_mesh.params.L >= 14
+    for p in range(cfg.p_min, cfg.p_max + 1):
+        graded = mesh_for(cfg, p, 1e-4).params
+        assert ref_mesh.params.L >= graded.L and ref_mesh.params.n >= graded.n
 
 
 def test_field_difference_vanishes_for_same_field():
