@@ -14,8 +14,9 @@ The assembled problem is
 
 with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
-only place element maps and Jacobians are computed, and ``_integrate``
-is the one norm kernel behind every error and energy norm.
+only place element maps and Jacobians are computed, ``_integrate`` is
+the one norm kernel behind every error and energy norm, and
+``DiscreteField.at_pattern`` is the one point locator.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .interp import placement_for
-from .macro import Mesh, element_geometry
+from .macro import Mesh, element_geometry, element_placements
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
@@ -51,6 +51,11 @@ def _tables(shape: str, q: int, m: int):
     basis = rect_basis(q) if shape == "r" else tri_basis(q)
     pts, w = rect_quadrature(m) if shape == "r" else tri_quadrature(m)
     return pts, w, basis.eval(pts), basis.grad(pts)
+
+
+_POINTS = 4096  # points located and evaluated together
+_TESTS = 1 << 16  # point-element pairs in one containment test
+_TOL = 1e-9  # containment slack in reference coordinates
 
 
 def _basis_for(shape: str, q: int):
@@ -272,57 +277,95 @@ class DiscreteField:
         self.q = dofmap.q
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def element_values(self, ei: int, ref_pts: np.ndarray) -> np.ndarray:
-        el = self.mesh.elements[ei]
-        basis = _basis_for(el.shape, self.q)
-        return basis.eval(ref_pts) @ self.coeffs[self.dofmap.elem_dofs[ei]]
-
     def __call__(self, points) -> np.ndarray:
-        """Evaluate at physical points (slow; point location by search)."""
+        """Evaluate at physical points.
+
+        Newton's method inverts every macro bilinear map at every point at
+        once; a point belongs to the lowest-numbered macro quad whose
+        inverse image lies in the unit square within 1e-10.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(points))
-        for k, p in enumerate(points):
-            ei, ref = locate_point(self.mesh, p)
-            out[k] = self.element_values(ei, ref[None, :])[0]
-        return out
+        bil = self.mesh.quad_map(np.arange(len(self.mesh.oriented)))
+        st = np.full((len(points), len(self.mesh.oriented), 2), 0.5)
+        with np.errstate(all="ignore"):  # points outside a quad may diverge
+            for _ in range(30):
+                r = bil(st) - points[:, None, :]
+                (a, b), (c, d) = np.moveaxis(bil.jacobian(st), (-2, -1), (0, 1))
+                step = np.stack([d * r[..., 0] - b * r[..., 1], a * r[..., 1] - c * r[..., 0]], -1)
+                st = st - step / (a * d - b * c)[..., None]
+            res = np.linalg.norm(bil(st) - points[:, None, :], axis=-1)
+            ok = (res < 1e-10) & np.all((st >= -1e-10) & (st <= 1.0 + 1e-10), axis=-1)
+        lost = ~ok.any(axis=1)
+        if lost.any():
+            raise ValueError(f"point {points[np.argmax(lost)]} not found in any element")
+        qids = np.argmax(ok, axis=1)
+        return self.at_pattern(qids, st[np.arange(len(points)), qids])[0]
 
+    def at_pattern(self, qids, pat):
+        """Values (P,) and physical gradients (P, 2) at pattern points.
 
-def locate_point(mesh: Mesh, p, tol: float = 1e-10):
-    """Find (element index, reference coordinates) containing point p."""
-    p = np.asarray(p, dtype=float)
-    for qid in range(len(mesh.oriented)):
-        bil = mesh.quad_map(qid)
-        # invert the bilinear map by Newton from the cell center
-        st = np.array([0.5, 0.5])
-        ok = False
-        for _ in range(30):
-            r = bil(st[None, :])[0] - p
-            if np.hypot(*r) < 1e-14:
-                ok = True
-                break
-            J = bil.jacobian(st[None, :])[0]
-            st = st - np.linalg.solve(J, r)
-            if np.any(np.abs(st - 0.5) > 2.0):
-                break
-        else:
-            ok = np.hypot(*(bil(st[None, :])[0] - p)) < 1e-10
-        if not ok or np.any(st < -tol) or np.any(st > 1.0 + tol):
-            continue
-        for ei, el in enumerate(mesh.elements):
-            if el.macro_id != qid:
-                continue
-            place = placement_for(el.shape, el.ref_coords)
-            ref = place.to_reference(st[None, :])[0]
-            if el.shape == "r":
-                inside = np.all(ref >= -tol) and np.all(ref <= 1.0 + tol)
-            else:
-                inside = (
-                    ref[0] >= -tol and ref[0] <= 1.0 + tol and ref[1] >= -tol
-                    and ref[1] <= ref[0] + tol
-                )
-            if inside:
-                return ei, np.clip(ref, 0.0, 1.0)
-    raise ValueError(f"point {p} not found in any element")
+        Point k lies in macro quad ``qids[k]`` at pattern coordinates
+        ``pat[k]``.  It belongs to the lowest-numbered element of that quad
+        that contains it within ``_TOL``, with reference coordinates
+        clipped to [0, 1]; the gradient jumps across facets (the TENSOR
+        diagonal among them), so this rule fixes the side a point on a
+        facet takes.  Points go in blocks of ``_POINTS``, each tested
+        against as many elements at once as ``_TESTS`` allows, so memory
+        grows with the number of points, not with points x elements.
+        """
+        qids = np.asarray(qids, dtype=np.int64)
+        pat = np.asarray(pat, dtype=float)
+        els = self.mesh.elements
+        macro_of = np.array([el.macro_id for el in els], dtype=np.int64)
+        tri = np.array([el.shape == "t" for el in els])
+        origin = np.empty((len(els), 2))
+        inv = np.empty((len(els), 2, 2))
+        for shape in ("r", "t"):
+            ids, place = element_placements(self.mesh, shape)
+            origin[ids], inv[ids] = place.origin, place.inv
+        members = {qid: np.flatnonzero(macro_of == qid) for qid in np.unique(qids)}
+
+        vals = np.empty(len(pat))
+        grads = np.empty((len(pat), 2))
+        for lo in range(0, len(pat), _POINTS):
+            sl = slice(lo, lo + _POINTS)
+            q, p = qids[sl], pat[sl]
+            eids = np.empty(len(p), dtype=np.int64)
+            ref = np.empty((len(p), 2))
+            for qid in np.unique(q):
+                todo, cand = np.flatnonzero(q == qid), members[qid]
+                while todo.size and cand.size:
+                    test, cand = np.split(cand, [max(1, _TESTS // todo.size)])
+                    d = p[todo, None, :] - origin[test]
+                    r0 = d[..., 0] * inv[test, 0, 0] + d[..., 1] * inv[test, 0, 1]
+                    r1 = d[..., 0] * inv[test, 1, 0] + d[..., 1] * inv[test, 1, 1]
+                    top = np.where(tri[test], r0, 1.0)
+                    inside = (r0 >= -_TOL) & (r0 <= 1.0 + _TOL) & (r1 >= -_TOL) & (r1 <= top + _TOL)
+                    hit = inside.any(axis=1)
+                    first = inside[hit].argmax(axis=1)
+                    eids[todo[hit]] = test[first]
+                    ref[todo[hit]] = np.column_stack([r0[hit, first], r1[hit, first]])
+                    todo = todo[~hit]
+                if todo.size:
+                    raise ValueError(
+                        f"{todo.size} points not located in macro quad {qid}; "
+                        "fields must share the macro layout"
+                    )
+            ref = np.clip(ref, 0.0, 1.0)
+            v = np.empty(len(p))
+            gref = np.empty((len(p), 2))
+            for shape in ("r", "t"):
+                sel = np.flatnonzero(tri[eids] == (shape == "t"))
+                basis = _basis_for(shape, self.q)
+                used, row = np.unique(eids[sel], return_inverse=True)
+                co = self.coeffs[self.dofmap.stacked_dofs(used, basis.ndofs)][row]
+                v[sel] = np.einsum("pn,pn->p", basis.eval(ref[sel]), co)
+                gref[sel] = np.einsum("pnd,pn->pd", basis.grad(ref[sel]), co)
+            # reference -> pattern gradients, then through the macro quad map
+            gpat = gref[:, None, :] @ inv[eids]
+            vals[sl] = v
+            grads[sl] = (gpat @ np.linalg.inv(self.mesh.quad_map(q).jacobian(p)))[:, 0, :]
+        return vals, grads
 
 
 def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> DiscreteField:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .geometry import Polygon
 from .interp import placement_for
-from .meshcheck import conformity_violations, facet_incidence, hanging_nodes
+from .meshcheck import conformity_violations, facet_incidence
+from .meshcheck import hanging_nodes  # noqa: F401  (callers look the layer up here too)
 from .patches import (
     GAMMA_BOTTOM,
     GAMMA_LEFT,
@@ -36,6 +37,7 @@ __all__ = [
     "Mesh",
     "MeshElement",
     "BilinearMap",
+    "element_placements",
     "element_geometry",
     "ValidationReport",
     "assign_refinement_patterns",
@@ -453,6 +455,14 @@ class BilinearMap:
         return np.stack([self.ds + t * self.dst, self.dt + s * self.dst], axis=-1)
 
 
+def element_placements(mesh: Mesh, shape: str):
+    """Element indices (E,) of one shape and their stacked affine placements
+    from the reference element onto the pattern frame."""
+    ids = np.array([ei for ei, el in enumerate(mesh.elements) if el.shape == shape], dtype=np.int64)
+    xy = np.array([mesh.elements[ei].ref_coords for ei in ids])
+    return ids, placement_for(shape, xy.reshape(len(ids), 4 if shape == "r" else 3, 2))
+
+
 def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     """Maps of all elements of one shape at shared reference points.
 
@@ -463,19 +473,16 @@ def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     (E, P, 2), Jacobian determinants (E, P) and inverse Jacobians
     (E, P, 2, 2).
     """
-    ids = [ei for ei, el in enumerate(mesh.elements) if el.shape == shape]
-    els = [mesh.elements[ei] for ei in ids]
-    xy = np.array([el.ref_coords for el in els]).reshape(len(ids), 4 if shape == "r" else 3, 2)
-    place = placement_for(shape, xy)
+    ids, place = element_placements(mesh, shape)
     pat = place.origin[:, None, :] + ref_pts @ np.swapaxes(place.mat, 1, 2)
-    qids = np.array([el.macro_id for el in els], dtype=np.int64)
-    bil = BilinearMap(mesh.macro.nodes[np.array(mesh.oriented)[qids]][:, None])
+    qids = np.array([mesh.elements[ei].macro_id for ei in ids], dtype=np.int64)
+    bil = mesh.quad_map(qids[:, None])
     jac = bil.jacobian(pat) @ place.mat[:, None]
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     adj = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = adj.reshape(jac.shape) / det[..., None, None]
-    return np.array(ids, dtype=np.int64), pat, bil(pat), det, inv
+    return ids, pat, bil(pat), det, inv
 
 
 @dataclass
@@ -493,8 +500,9 @@ class Mesh:
     boundary_facets: set[tuple[int, int]]
     merge_discrepancy: float
 
-    def quad_map(self, qid: int) -> BilinearMap:
-        return BilinearMap(self.macro.nodes[list(self.oriented[qid])])
+    def quad_map(self, qids) -> BilinearMap:
+        """Bilinear maps of macro quads ``qids`` (an index or an array of them)."""
+        return BilinearMap(self.macro.nodes[np.asarray(self.oriented)[qids]])
 
     def element_count(self) -> int:
         return len(self.elements)
@@ -628,18 +636,11 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
             f"merged node coordinates disagree by {mesh.merge_discrepancy:.3e}"
         )
 
-    incidence = facet_incidence(mesh.elements)
-    for (a, b), uses in incidence.items():
-        if len(uses) > 2:
-            rep.violations.append(f"facet ({a},{b}) shared by {len(uses)} elements")
-        elif len(uses) == 2 and uses[0][1] == uses[1][1]:
-            rep.violations.append(f"facet ({a},{b}) traversed twice in one direction")
-
-    for node, facet in hanging_nodes(mesh.nodes, mesh.elements):
-        rep.violations.append(f"node {node} hangs inside facet {facet}")
+    rep.violations.extend(conformity_violations(mesh.nodes, mesh.elements))
 
     # once-used facets must tile the polygon edges exactly; re-derive them
     # from the element table rather than trusting the stored marking
+    incidence = facet_incidence(mesh.elements)
     once = {f for f, uses in incidence.items() if len(uses) == 1}
     if once != mesh.boundary_facets:
         rep.violations.append(

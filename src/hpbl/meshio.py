@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .macro import Mesh
+from .macro import Mesh, element_geometry
 from .patches import PatchMesh
 
 __all__ = [
@@ -54,26 +54,29 @@ def write_mesh_text(obj, path: str) -> None:
         fh.write(mesh_text(obj))
 
 
-def _element_outline(obj, ei: int, samples: int = 8) -> np.ndarray:
-    """Polygon outline of one element in physical coordinates.
+_CORNERS = {"r": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+            "t": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])}
+
+
+def _outlines(obj, samples: int = 8) -> list[np.ndarray]:
+    """Polygon outline of every element, in storage order and physical
+    coordinates.
 
     Pattern rectangles stay straight-sided under a bilinear map, but a
     triangle edge that is not axis-aligned in pattern coordinates maps to
-    a curve, so edges are sampled.
+    a curve, so each edge of a Mesh element is sampled ``samples`` times,
+    starting at its corner.
     """
-    if isinstance(obj, Mesh):
-        el = obj.elements[ei]
-        corners = el.ref_coords
-        bil = obj.quad_map(el.macro_id)
-        pts = []
-        k = len(corners)
-        t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
-        for i in range(k):
-            seg = corners[i][None, :] * (1.0 - t) + corners[(i + 1) % k][None, :] * t
-            pts.append(bil(seg))
-        return np.vstack(pts)
-    el = obj.elements[ei]
-    return obj.nodes[list(el.nodes)]
+    if not isinstance(obj, Mesh):
+        return [obj.nodes[list(el.nodes)] for el in obj.elements]
+    rings = [None] * len(obj.elements)
+    t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
+    for shape, corners in _CORNERS.items():
+        edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
+        ids, _, phys, _, _ = element_geometry(obj, shape, edges.reshape(-1, 2))
+        for ei, ring in zip(ids, phys):
+            rings[ei] = ring
+    return rings
 
 
 def _kind_of(obj, ei: int) -> str:
@@ -104,8 +107,7 @@ def mesh_svg(obj, width: int = 640) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for ei in range(len(obj.elements)):
-        ring = _element_outline(obj, ei)
+    for ei, ring in enumerate(_outlines(obj)):
         pts = " ".join("%.3f,%.3f" % xy(p) for p in ring)
         fill = _FILL.get(_kind_of(obj, ei), "#ffffff")
         out.append(

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DiscreteField, _basis_for, _integrate, assemble, error_norms
-from .interp import placement_for
-from .layouts import builtin_layout, load_config
+from .fem import DiscreteField, _integrate, assemble, error_norms
+from .layouts import builtin_layout, layout_names, load_config
 from .macro import Mesh, build_geo_bl_mesh, scale_resolution_L
 from .meshio import convergence_svg, mesh_svg
 from .oracles import manufactured_layer_solution
@@ -33,6 +32,8 @@ __all__ = [
     "ConvergenceTable",
     "RateFit",
     "run_experiment",
+    "run_cell",
+    "load_domain",
     "reference_solution",
     "fit_exponential",
     "field_difference_norms",
@@ -125,16 +126,14 @@ _DOMAIN_CACHE: dict = {}
 _REF_CACHE: dict = {}
 
 
-def _domain(config: ExperimentConfig):
-    key = config.domain
-    if key not in _DOMAIN_CACHE:
-        if key in ("square", "lshape", "slit"):
-            polygon, macro = builtin_layout(key)
-            assignments = None
+def load_domain(name: str):
+    """(polygon, macro, assignments) of a built-in layout or a config file, cached."""
+    if name not in _DOMAIN_CACHE:
+        if name in layout_names():
+            _DOMAIN_CACHE[name] = (*builtin_layout(name), None)
         else:
-            polygon, macro, assignments = load_config(key)
-        _DOMAIN_CACHE[key] = (polygon, macro, assignments)
-    return _DOMAIN_CACHE[key]
+            _DOMAIN_CACHE[name] = load_config(name)
+    return _DOMAIN_CACHE[name]
 
 
 def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, int]:
@@ -149,7 +148,7 @@ def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, in
 
 
 def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
-    polygon, macro, assignments = _domain(config)
+    polygon, macro, assignments = load_domain(config.domain)
     L, n = _layer_counts(config, p, eps)
     params = PatchParams(sigma=config.sigma, L=L, n=n)
     return build_geo_bl_mesh(macro, polygon, params, assignments)
@@ -164,6 +163,21 @@ def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
     except RuntimeError as exc:
         raise RuntimeError(f"solver failed at p={q}, eps={eps:g}: {exc}") from exc
     return fld, stats, ms
+
+
+def run_cell(config: ExperimentConfig, p: int, eps: float, ref: DiscreteField | None = None):
+    """Mesh, solve and error norms of one (p, eps) cell.
+
+    ``ref`` is the reference solution in reference mode and unused in
+    manufactured mode.  Returns (field, solver stats, norms).
+    """
+    mesh = mesh_for(config, p, eps)
+    fld, stats, ms = _solve_cell(config, mesh, p, eps)
+    if config.mode == "manufactured":
+        norms = error_norms(fld, ms.value, ms.grad, eps, 1.0)
+    else:
+        norms = field_difference_norms(ref, fld, eps, 1.0)
+    return fld, stats, norms
 
 
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
@@ -181,12 +195,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
         ref = reference_solution(config, eps) if config.mode == "reference" else None
         for p in range(config.p_min, config.p_max + 1):
             t0 = time.perf_counter()
-            mesh = mesh_for(config, p, eps)
-            fld, stats, ms = _solve_cell(config, mesh, p, eps)
-            if config.mode == "manufactured":
-                norms = error_norms(fld, ms.value, ms.grad, eps, 1.0)
-            else:
-                norms = field_difference_norms(ref, fld, eps, 1.0)
+            fld, stats, norms = run_cell(config, p, eps, ref)
             row = Row(
                 p=p,
                 N=fld.dofmap.nfree,
@@ -223,56 +232,6 @@ def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
 # comparing fields that live on different refinements of one macro layout
 
 
-class _QuadLocator:
-    """Locate pattern-coordinate points inside one macro quad of a field."""
-
-    def __init__(self, fld: DiscreteField, qid: int):
-        self.fld = fld
-        self.members = [
-            ei for ei, el in enumerate(fld.mesh.elements) if el.macro_id == qid
-        ]
-        els = fld.mesh.elements
-        self.placements = [placement_for(els[ei].shape, els[ei].ref_coords) for ei in self.members]
-
-    def eval(self, pat_pts: np.ndarray, tol: float = 1e-9):
-        """Values and pattern-frame gradients at the given pattern points."""
-        npts = len(pat_pts)
-        vals = np.empty(npts)
-        grads = np.empty((npts, 2))
-        todo = np.ones(npts, dtype=bool)
-        for ei, place in zip(self.members, self.placements):
-            if not todo.any():
-                break
-            idx = np.nonzero(todo)[0]
-            ref = place.to_reference(pat_pts[idx])
-            el = self.fld.mesh.elements[ei]
-            if el.shape == "r":
-                inside = np.all(ref >= -tol, axis=1) & np.all(ref <= 1.0 + tol, axis=1)
-            else:
-                inside = (
-                    (ref[:, 0] >= -tol)
-                    & (ref[:, 0] <= 1.0 + tol)
-                    & (ref[:, 1] >= -tol)
-                    & (ref[:, 1] <= ref[:, 0] + tol)
-                )
-            if not inside.any():
-                continue
-            hit = idx[inside]
-            basis = _basis_for(el.shape, self.fld.q)
-            co = self.fld.coeffs[self.fld.dofmap.elem_dofs[ei]]
-            rp = np.clip(ref[inside], 0.0, 1.0)
-            vals[hit] = basis.eval(rp) @ co
-            gref = np.einsum("pnd,n->pd", basis.grad(rp), co)
-            grads[hit] = place.push_gradient(gref)
-            todo[hit] = False
-        if todo.any():
-            raise ValueError(
-                f"{int(todo.sum())} points not located in macro quad; "
-                "fields must share the macro layout"
-            )
-        return vals, grads
-
-
 def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c) -> dict:
     """Norms of ref - fld for fields on two refinements of one macro layout.
 
@@ -281,23 +240,12 @@ def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c
     """
     if ref.mesh.oriented != fld.mesh.oriented:
         raise ValueError("fields live on different macro layouts")
-    locators = {}
+    macro_of = np.array([el.macro_id for el in ref.mesh.elements], dtype=np.int64)
 
     def coarse_at(ids, pat, phys):
-        qids = np.array([ref.mesh.elements[ei].macro_id for ei in ids], dtype=np.int64)
-        vals = np.empty(pat.shape[:2])
-        grads = np.empty(pat.shape)
-        for qid in np.unique(qids):
-            if qid not in locators:
-                locators[qid] = _QuadLocator(fld, qid)
-            sel = qids == qid
-            pts = pat[sel].reshape(-1, 2)
-            v, g = locators[qid].eval(pts)
-            # push the coarse field's pattern gradients to physical coordinates
-            inv_jb = np.linalg.inv(ref.mesh.quad_map(qid).jacobian(pts))
-            vals[sel] = v.reshape(-1, pat.shape[1])
-            grads[sel] = (g[:, None, :] @ inv_jb)[:, 0, :].reshape(-1, *pat.shape[1:])
-        return vals, grads
+        qids = np.repeat(macro_of[ids], pat.shape[1])
+        vals, grads = fld.at_pattern(qids, pat.reshape(-1, 2))
+        return vals.reshape(pat.shape[:2]), grads.reshape(pat.shape)
 
     return _integrate(ref, eps, c, order=ref.q + 2, subtract=coarse_at)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,16 @@ def test_solve_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "energy" in out
+
+
+def test_solve_reference_mode_reports_errors(capsys):
+    rc = cli.main(["solve", "--domain", "lshape", "--eps", "1e-2", "-p", "2",
+                   "--mode", "reference"])
+    assert rc == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("energy")]
+    assert len(line) == 1 and "error =" in line[0]
+    err = float(line[0].split("=")[1])
+    assert math.isfinite(err) and err > 0.0
 
 
 def test_solve_reports_solver_failure(monkeypatch, capsys):

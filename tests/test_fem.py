@@ -3,6 +3,8 @@ import copy
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbl.fem import (
     DofMap,
@@ -191,3 +193,22 @@ def test_field_point_evaluation():
     # symmetry of the one-bubble solution
     vals = fld(np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.5, 0.75]]))
     assert np.ptp(vals) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit"]),
+    L=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    npts=st.integers(2, 40),
+)
+def test_field_evaluation_reproduces_linear_function(name, L, seed, npts):
+    poly, macro = builtin_layout(name)
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L))
+    fld = interpolate(mesh, 2, lambda x, y: x + 2 * y)
+    rng = np.random.default_rng(seed)
+    # random points of random macro quads, plus some mesh nodes
+    qids = rng.integers(len(mesh.oriented), size=npts)
+    pts = mesh.quad_map(qids)(rng.random((npts, 2)))
+    pts = np.vstack([pts, mesh.nodes[rng.integers(len(mesh.nodes), size=3)]])
+    np.testing.assert_allclose(fld(pts), pts[:, 0] + 2 * pts[:, 1], rtol=0, atol=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from hpbl.layouts import builtin_layout
 from hpbl.macro import build_geo_bl_mesh
-from hpbl.meshio import convergence_svg, mesh_svg, mesh_text
+from hpbl.meshio import _outlines, convergence_svg, mesh_svg, mesh_text
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 
 
@@ -35,6 +35,18 @@ def test_mesh_svg_polygon_count():
         svg = mesh_svg(mesh)
         assert svg.count("<polygon") == mesh.element_count()
         assert svg == mesh_svg(mesh)  # identical bytes on rerun
+
+
+def test_mesh_outlines_start_at_element_corners():
+    # every 8th outline sample is a corner, in the element's storage order
+    for name in ("lshape", "slit"):
+        poly, macro = builtin_layout(name)
+        mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.3, L=2, n=3))
+        rings = _outlines(mesh)
+        assert len(rings) == mesh.element_count()
+        for el, ring in zip(mesh.elements, rings):
+            assert len(ring) == 8 * len(el.nodes)
+            np.testing.assert_allclose(ring[::8], mesh.nodes[list(el.nodes)], rtol=0, atol=1e-12)
 
 
 def test_convergence_svg():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpbl import study
-from hpbl.fem import assemble
+from hpbl.fem import assemble, interpolate
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.study import (
     ConvergenceTable,
@@ -103,6 +103,17 @@ def test_field_difference_vanishes_for_same_field():
     d = field_difference_norms(fld, fld, 1e-1, 1.0)
     for v in d.values():
         assert v < 1e-12
+
+
+def test_field_difference_of_linear_interpolants_vanishes():
+    # the slit meshes at L=n=1 and L=n=6 are not nested: fine elements
+    # straddle the coarse TENSOR diagonal
+    cfg = ExperimentConfig(domain="slit", mode="reference")
+    coarse = interpolate(mesh_for(cfg, 1, 1e-2), 1, lambda x, y: x + 2 * y)
+    fine = interpolate(mesh_for(cfg, 6, 1e-2), 6, lambda x, y: x + 2 * y)
+    d = field_difference_norms(fine, coarse, 1e-2, 1.0)
+    for v in d.values():
+        assert v < 1e-11
 
 
 def test_field_difference_tracks_true_error():
