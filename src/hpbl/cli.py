@@ -165,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--domain", default=None)
     ps.add_argument("--eps", type=float, nargs="+", default=None)
     ps.add_argument("--sigma", type=float, default=None)
-    ps.add_argument("--pmax", type=int, default=None)
-    ps.add_argument("--norm", default=None)
     ps.add_argument("--mode", default=None)
     ps.add_argument("--layers", default=None)
     ps.add_argument("-p", type=int, default=3, help="polynomial degree / layer count")

@@ -17,6 +17,16 @@ geometry comes batched per shape from ``macro.element_geometry``, the
 only place element maps and Jacobians are computed, ``_integrate`` is
 the one norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.
+
+Solves use static condensation.  ``assemble`` eliminates each element's
+bubbles (its interior dofs) from the element block, batched per shape
+(one Cholesky factorization of all bubble blocks checks that they are
+positive definite, one batched solve forms S_ii^-1 [S_ib | l_i]), and
+assembles the Schur complement on the skeleton: the node and facet
+dofs, which ``DofMap`` numbers before every bubble.
+``LinearSystem.solve`` runs CG (or a direct solve) on the skeleton only
+and recovers the bubbles element by element, so reported CG iterations
+count skeleton iterations.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ class DofMap:
         for f in facets:
             self.facet_offset[f] = off
             off += per_edge
+        self.nskeleton = off  # node and facet dofs; bubbles follow
 
         self.elem_dofs: list[np.ndarray] = []
         for el in mesh.elements:
@@ -140,23 +151,66 @@ def _field_at(fn, pts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
+    """The assembled system and its condensed skeleton form.
+
+    ``matrix`` and ``rhs`` are the system on all free dofs.  ``skeleton``
+    and ``skeleton_rhs`` are the Schur complement and condensed load on
+    the free skeleton dofs, which lead the free numbering.  ``bubbles``
+    holds per shape the bubble dofs (E, ni), the free index of each
+    interface dof (E, nb - ni; -1 where constrained) and X = S_ii^-1
+    [S_ib | l_i] split into ``Xb`` (E, ni, nb - ni) and ``Xl`` (E, ni),
+    so that u_i = Xl - Xb u_b.
+    """
+
     dofmap: DofMap
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     rhs: np.ndarray
+    skeleton: sp.csr_matrix
+    skeleton_rhs: np.ndarray
+    bubbles: list
 
     def solve(self, method: str = "cg", tol: float = 1e-12, maxiter: int | None = None):
-        """Solve for the free coefficients; returns (DiscreteField, stats)."""
+        """Solve the skeleton, then back-substitute the bubbles.
+
+        Returns (DiscreteField over all dofs, stats); the stats describe
+        the skeleton solve.
+        """
+        A, b = self.skeleton, self.skeleton_rhs
         if method == "cg":
-            x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter)
+            x, iters, relres = solve_cg(A, b, tol=tol, maxiter=maxiter)
             stats = {"method": "cg", "iterations": iters, "relres": relres}
         elif method == "direct":
-            x = spla.spsolve(self.matrix.tocsc(), self.rhs)
+            x = spla.spsolve(A.tocsc(), b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
             stats = {"method": "direct", "iterations": 0, "relres": 0.0}
         else:
             raise ValueError(f"unknown solve method {method!r}")
         coeffs = np.zeros(self.dofmap.ndofs)
-        coeffs[self.dofmap.free] = x
+        coeffs[self.dofmap.free[: len(x)]] = x
+        xb = np.append(x, 0.0)  # free index -1 (constrained) reads the trailing 0
+        for dofs, fb, Xb, Xl in self.bubbles:
+            coeffs[dofs] = Xl - (Xb @ xb[fb][..., None])[..., 0]
         return DiscreteField(self.dofmap, coeffs), stats
+
+
+def _free_coo(fg: np.ndarray, S: np.ndarray):
+    """(rows, cols, vals) of blocks S (E, n, n) on free indices fg (E, n), -1 dropped."""
+    pair = (fg[:, :, None] >= 0) & (fg[:, None, :] >= 0)
+    rows = np.broadcast_to(fg[:, :, None], S.shape)[pair]
+    cols = np.broadcast_to(fg[:, None, :], S.shape)[pair]
+    return rows, cols, S[pair]
+
+
+def _csr(parts, n: int) -> sp.csr_matrix:
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _not_positive_definite(S: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def assemble(
@@ -173,7 +227,9 @@ def assemble(
     ``c`` and ``f`` are scalar fields (constants or callables f(x, y));
     ``diffusion`` maps quadrature points to (n, 2, 2) symmetric matrices,
     or is None for the identity.  Quadrature uses q + 2 points per
-    direction unless overridden.
+    direction unless overridden.  The element bubbles are then condensed
+    out; a bubble block that is not positive definite raises
+    ``RuntimeError`` naming the lowest such element.
     """
     dofmap = DofMap(mesh, q)
     m = quad_order if quad_order is not None else q + 2
@@ -184,8 +240,9 @@ def assemble(
     if bad:
         raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
 
-    rows, cols, vals = [], [], []
+    blocks, parts = [], []
     b = np.zeros(dofmap.ndofs)
+    finite = True
     for shape, (ids, _, phys, det, invJ) in geo.items():
         _, w, B, G = _tables(shape, q, m)
         ne, (npts, nb) = len(ids), B.shape
@@ -202,26 +259,44 @@ def assemble(
         M = (B.T * cw[:, None, :]) @ B
         S = eps2 * K + M
         S = 0.5 * (S + np.swapaxes(S, 1, 2))
+        load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
+        finite = finite and bool(np.all(np.isfinite(S)) and np.all(np.isfinite(load)))
 
         gd = dofmap.stacked_dofs(ids, nb)
-        rows.append(np.broadcast_to(gd[:, :, None], S.shape).ravel())
-        cols.append(np.broadcast_to(gd[:, None, :], S.shape).ravel())
-        vals.append(S.ravel())
-        load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
+        fg = dofmap.free_index[gd].astype(np.int32)
+        parts.append(_free_coo(fg, S))
         b += np.bincount(gd.ravel(), weights=load.ravel(), minlength=dofmap.ndofs)
+        blocks.append((_basis_for(shape, q).interior_ids, ids, gd, fg, S, load))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(b))):
+    if not finite:
         raise ValueError("assembled matrix or load vector is not finite; check c, f and diffusion")
-    fi = dofmap.free_index
-    keep = (fi[rows] >= 0) & (fi[cols] >= 0)
-    A = sp.coo_matrix(
-        (vals[keep], (fi[rows[keep]], fi[cols[keep]])),
-        shape=(dofmap.nfree, dofmap.nfree),
-    ).tocsr()
-    return LinearSystem(dofmap, A, b[dofmap.free])
+    A = _csr(parts, dofmap.nfree)
+    del parts
+
+    # static condensation: S_bb - S_bi X_b and l_b - S_bi X_l on the skeleton
+    nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
+    parts, bubbles, bad = [], [], []
+    bs = np.zeros(nskel)
+    for ii, ids, gd, fg, S, load in blocks:
+        ib = np.setdiff1d(np.arange(S.shape[1]), ii)
+        fb = fg[:, ib]
+        schur, cload = S[:, ib[:, None], ib], load[:, ib]
+        if ii.size:
+            Sii, Sbi = S[:, ii[:, None], ii], S[:, ib[:, None], ii]
+            if _not_positive_definite(Sii):
+                bad += [ids[k] for k in range(len(ids)) if _not_positive_definite(Sii[k])]
+                continue
+            X = np.linalg.solve(Sii, np.concatenate([np.swapaxes(Sbi, 1, 2), load[:, ii, None]], 2))
+            Xb, Xl = X[..., :-1], X[..., -1]
+            schur = schur - Sbi @ Xb
+            schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
+            cload = cload - (Sbi @ Xl[..., None])[..., 0]
+            bubbles.append((gd[:, ii], fb, Xb, Xl))
+        parts.append(_free_coo(fb, schur))
+        bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
+    if bad:
+        raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
+    return LinearSystem(dofmap, A, b[dofmap.free], _csr(parts, nskel), bs, bubbles)
 
 
 def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):

@@ -13,6 +13,7 @@ C exp(-b N^(1/4)) in dof mode) by least squares on the log.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -93,7 +94,7 @@ class Row:
     p: int
     N: int          # dimension of the homogeneous hp space
     error: float
-    iters: int
+    iters: int      # skeleton CG iterations (bubbles are condensed out)
     seconds: float
 
 
@@ -126,14 +127,23 @@ _DOMAIN_CACHE: dict = {}
 _REF_CACHE: dict = {}
 
 
+def _domain_key(name: str):
+    """A built-in layout's name, or a config file's path with a digest of its bytes."""
+    if name in layout_names():
+        return name
+    with open(name, "rb") as fh:
+        return name, hashlib.sha256(fh.read()).hexdigest()
+
+
 def load_domain(name: str):
     """(polygon, macro, assignments) of a built-in layout or a config file, cached."""
-    if name not in _DOMAIN_CACHE:
+    key = _domain_key(name)
+    if key not in _DOMAIN_CACHE:
         if name in layout_names():
-            _DOMAIN_CACHE[name] = (*builtin_layout(name), None)
+            _DOMAIN_CACHE[key] = (*builtin_layout(name), None)
         else:
-            _DOMAIN_CACHE[name] = load_config(name)
-    return _DOMAIN_CACHE[name]
+            _DOMAIN_CACHE[key] = load_config(name)
+    return _DOMAIN_CACHE[key]
 
 
 def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, int]:
@@ -157,9 +167,8 @@ def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
 def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
     ms = manufactured_layer_solution(eps)
     f = ms.f if config.mode == "manufactured" else 1.0
-    system = assemble(mesh, q, eps, 1.0, f)
     try:
-        fld, stats = system.solve(method=config.solver)
+        fld, stats = assemble(mesh, q, eps, 1.0, f).solve(method=config.solver)
     except RuntimeError as exc:
         raise RuntimeError(f"solver failed at p={q}, eps={eps:g}: {exc}") from exc
     return fld, stats, ms
@@ -214,8 +223,8 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
 def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
     """Higher-order solve (q = p_max + 2, layers by the study's rule at that
     degree, so at least as refined as every graded mesh), cached."""
-    key = (config.domain, eps, config.sigma, config.p_max, config.layers, config.mode,
-           config.c1, config.solver)
+    key = (_domain_key(config.domain), eps, config.sigma, config.p_max, config.layers,
+           config.mode, config.c1, config.solver)
     if key not in _REF_CACHE:
         p_ref = config.p_max + 2
         mesh = mesh_for(config, p_ref, eps)

@@ -49,6 +49,15 @@ def test_solve_reports_solver_failure(monkeypatch, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag", [["--pmax", "5"], ["--norm", "l2"]])
+def test_solve_rejects_study_only_flags(flag, capsys):
+    # solve runs one degree (-p) and prints every norm
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--domain", "square", "--eps", "1e-2", "-p", "2", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_solve_rejects_manufactured_mode_off_the_square(capsys):
     rc = cli.main(["solve", "--domain", "lshape", "--eps", "1e-3", "-p", "3"])
     assert rc == 2

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +186,61 @@ def test_direct_solver_matches_cg():
     f_dir, stats = system.solve(method="direct")
     assert stats["iterations"] == 0
     np.testing.assert_allclose(f_cg.coeffs, f_dir.coeffs, atol=1e-9)
+
+
+def test_empty_skeleton_solves_with_both_methods():
+    # the one-element Q2 oracle: the only free dof is a bubble
+    system = assemble(_unit_square_trivial(), 2, 1.0, 1.0, 1.0)
+    assert system.skeleton.shape == (0, 0)
+    for method in ("cg", "direct"):
+        fld, stats = system.solve(method=method)
+        assert stats["iterations"] == 0
+        assert fld(np.array([[0.5, 0.5]]))[0] == pytest.approx(25.0 / 336.0, abs=1e-14)
+
+
+def test_indefinite_bubble_block_raises():
+    # a large negative reaction makes every bubble block negative definite
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=1, n=1))
+    with pytest.raises(RuntimeError, match="element 0 has a bubble block"):
+        assemble(mesh, 3, 1e-2, -1e4, 1.0).solve()
+
+
+def _skew_mixed_mesh():
+    poly = Polygon(_SKEW_QUAD)
+    macro = MacroTriangulation(_SKEW_QUAD, [(0, 1, 2, 3)])
+    return build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2),
+                             [PatternAssignment(PatchKind.MIXED)])
+
+
+def _builtin_mesh(name):
+    poly, macro = builtin_layout(name)
+    return build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
+
+
+_PARITY_MESHES = {
+    "square": lambda: _builtin_mesh("square"),
+    "lshape": lambda: _builtin_mesh("lshape"),
+    "slit": lambda: _builtin_mesh("slit"),
+    "skew": _skew_mixed_mesh,
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(_PARITY_MESHES))
+def test_condensed_solve_matches_full_system(name, q):
+    # q = 1 has no bubbles; triangles get bubbles from q = 3
+    mesh = _PARITY_MESHES[name]()
+    A = np.array([[2.0, 0.3], [0.3, 0.5]])
+    system = assemble(mesh, q, 0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y,
+                      diffusion=lambda p: np.broadcast_to(A, (len(p), 2, 2)))
+    full = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    scale = np.abs(full).max()
+    for method in ("cg", "direct"):
+        fld, _ = system.solve(method=method)
+        x = fld.coeffs[system.dofmap.free]
+        assert np.abs(x - full).max() <= 1e-10 * scale
+        assert np.all(fld.coeffs[system.dofmap.dirichlet] == 0.0)
 
 
 def test_field_point_evaluation():

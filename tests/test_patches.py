@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbl.meshcheck import conformity_violations
 from hpbl.patches import (
@@ -37,6 +39,20 @@ def _assert_tiles(patch, area):
             total += 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
     assert abs(total - area) < 1e-12
     assert conformity_violations(patch.nodes, patch.elements) == []
+
+
+_FULL_KINDS = [k for k in PatchKind if "half" not in k.value]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(_FULL_KINDS),
+    sigma=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    counts=st.tuples(st.integers(0, 12), st.integers(0, 12)).map(sorted),
+)
+def test_full_patterns_conform_and_tile(kind, sigma, counts):
+    L, n = counts
+    _assert_tiles(build_pattern(kind, PatchParams(sigma=sigma, L=L, n=n)), 1.0)
 
 
 def test_sigma_powers_repeated_multiplication():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,31 @@ def test_reference_is_cached_and_reused():
     b = reference_solution(cfg, 1e-1)
     assert a is b
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def test_rewritten_config_file_gets_new_layout_and_reference(tmp_path):
+    def write(width):
+        nodes = [[width * x, y] for y in (0, 0.5, 1) for x in (0, 0.5, 1)]
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [width, 0], [width, 1], [0, 1]],
+            "macro": {"nodes": nodes,
+                      "quads": [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]},
+        }))
+
+    path = tmp_path / "dom.json"
+    cfg = ExperimentConfig(domain=str(path), eps=(0.1,), p_max=3, mode="reference")
+    write(1.0)
+    run_experiment(cfg)
+    poly1 = study.load_domain(str(path))[0]
+    ref1 = reference_solution(cfg, 0.1)
+    write(2.0)  # same path, other geometry
+    run_experiment(cfg)
+    poly2 = study.load_domain(str(path))[0]
+    ref2 = reference_solution(cfg, 0.1)
+    assert poly1.area() == pytest.approx(1.0) and poly2.area() == pytest.approx(2.0)
+    assert ref2 is not ref1
+    assert ref1.mesh.nodes[:, 0].max() == pytest.approx(1.0)
+    assert ref2.mesh.nodes[:, 0].max() == pytest.approx(2.0)
 
 
 def test_reference_dominates_balanced_meshes(monkeypatch):
