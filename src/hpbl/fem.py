@@ -220,19 +220,18 @@ def assemble(
     c,
     f,
     diffusion=None,
-    quad_order: int | None = None,
 ) -> LinearSystem:
     """Assemble eps^2 (A grad u, grad v) + (c u, v) = (f, v) on the free dofs.
 
     ``c`` and ``f`` are scalar fields (constants or callables f(x, y));
     ``diffusion`` maps quadrature points to (n, 2, 2) symmetric matrices,
     or is None for the identity.  Quadrature uses q + 2 points per
-    direction unless overridden.  The element bubbles are then condensed
+    direction.  The element bubbles are then condensed
     out; a bubble block that is not positive definite raises
     ``RuntimeError`` naming the lowest such element.
     """
     dofmap = DofMap(mesh, q)
-    m = quad_order if quad_order is not None else q + 2
+    m = q + 2
     eps2 = eps * eps
 
     geo = {shape: element_geometry(mesh, shape, _tables(shape, q, m)[0]) for shape in ("r", "t")}

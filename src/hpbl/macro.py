@@ -636,11 +636,11 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
             f"merged node coordinates disagree by {mesh.merge_discrepancy:.3e}"
         )
 
-    rep.violations.extend(conformity_violations(mesh.nodes, mesh.elements))
-
-    # once-used facets must tile the polygon edges exactly; re-derive them
-    # from the element table rather than trusting the stored marking
+    # one facet table, re-derived from the element table rather than
+    # trusting the stored marking; once-used facets must tile the polygon
+    # edges exactly
     incidence = facet_incidence(mesh.elements)
+    rep.violations.extend(conformity_violations(mesh.nodes, incidence))
     once = {f for f, uses in incidence.items() if len(uses) == 1}
     if once != mesh.boundary_facets:
         rep.violations.append(

@@ -6,7 +6,9 @@ and no node lies in the open interior of another element's facet.
 Facets are undirected node-index pairs; the hanging-node test is
 geometric and therefore assumes the supplied node coordinates are exact
 for the facets (true for patterns, and for meshes when checked patch by
-patch in pattern coordinates).
+patch in pattern coordinates).  It is a sweep-and-prune over the nodes
+sorted along each facet's narrower axis.  Both checks accept an element
+sequence or the ``facet_incidence`` table of one.
 """
 
 from __future__ import annotations
@@ -30,49 +32,74 @@ def facet_incidence(elements) -> dict[tuple[int, int], list[tuple[int, tuple[int
     return dict(fmap)
 
 
-def hanging_nodes(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[tuple[int, tuple[int, int]]]:
-    """Nodes lying strictly inside some facet, as (node, facet) pairs.
+_CHUNK = 1 << 20  # candidate pairs tested at once
 
-    All node-facet pairs are tested at once (facets in blocks to keep the
-    broadcast arrays small on big meshes).  The tolerance is relative to
-    each facet's length: geometric patterns have facets many orders of
-    magnitude apart in size.
+
+def _candidates(nodes, lo, hi):
+    """(node, facet) index arrays of the nodes inside each facet's box [lo, hi], in chunks."""
+    for k in (0, 1):  # facets swept along their narrower axis k
+        order = np.argsort(nodes[:, k], kind="stable")
+        f = np.flatnonzero(np.argmin(hi - lo, axis=1) == k)
+        start = np.searchsorted(nodes[order, k], lo[f, k], "left")
+        count = np.searchsorted(nodes[order, k], hi[f, k], "right") - start
+        cuts = np.searchsorted(np.cumsum(count), np.arange(_CHUNK, count.sum(), _CHUNK))
+        for i, j in zip([0, *cuts], [*cuts, len(f)]):
+            c = count[i:j]
+            n = order[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - start[i:j], c)]
+            fi = np.repeat(f[i:j], c)
+            keep = (nodes[n, 1 - k] >= lo[fi, 1 - k]) & (nodes[n, 1 - k] <= hi[fi, 1 - k])
+            yield n[keep], fi[keep]
+
+
+def hanging_nodes(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[tuple[int, tuple[int, int]]]:
+    """Nodes lying strictly inside some facet, as (node, facet) pairs sorted by (node, facet).
+
+    A pair is accepted when the node is within ``tol * |facet|`` of the
+    line and its parameter t along the facet lies in (tol, 1 - tol); the
+    facet's end nodes and facets of length zero never take part.  The
+    tolerance is relative to each facet's length: geometric patterns
+    have facets many orders of magnitude apart in size.
+
+    Only nodes in the facet's bounding box widened by ``tol * |facet|``
+    plus 16 epsilons of the largest coordinate are tested.  An accepted
+    node is within ``tol * |facet|`` of the computed a + t (b - a), 0 < t
+    < 1, which rounds into the box up to a few such epsilons; so the
+    result is that of the same test on every node-facet pair.
     """
-    out = []
     nodes = np.asarray(nodes, dtype=float)
-    facets = list(facet_incidence(elements))
-    if not facets or len(nodes) == 0:
-        return out
-    fa = np.array([f[0] for f in facets])
-    fb = np.array([f[1] for f in facets])
-    block = 256
-    for lo in range(0, len(facets), block):
-        sl = slice(lo, min(lo + block, len(facets)))
-        a = nodes[fa[sl]]  # (F, 2)
-        ab = nodes[fb[sl]] - a
-        len2 = np.einsum("fd,fd->f", ab, ab)
-        diff = nodes[:, None, :] - a[None, :, :]  # (N, F, 2)
-        t = np.einsum("nfd,fd->nf", diff, ab) / len2
-        proj = a[None] + t[..., None] * ab[None]
-        off = nodes[:, None, :] - proj
-        dist = np.hypot(off[..., 0], off[..., 1])
-        inside = (dist <= tol * np.sqrt(len2)[None, :]) & (t > tol) & (t < 1.0 - tol)
-        cols = np.arange(sl.stop - sl.start)
-        inside[fa[sl], cols] = False
-        inside[fb[sl], cols] = False
-        for n_idx, f_idx in zip(*np.nonzero(inside)):
-            out.append((int(n_idx), facets[lo + f_idx]))
-    return out
+    table = elements if isinstance(elements, dict) else facet_incidence(elements)
+    facets = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+    if not len(facets) or not len(nodes):
+        return []
+    a, b = nodes[facets[:, 0]], nodes[facets[:, 1]]
+    ab = b - a
+    len2 = np.einsum("fd,fd->f", ab, ab)
+    pad = tol * np.sqrt(len2) + 16 * np.finfo(float).eps * np.abs(nodes).max()
+    lo = np.minimum(a, b) - pad[:, None]
+    hi = np.maximum(a, b) + pad[:, None]
+    found = []
+    for n, f in _candidates(nodes, lo, hi):
+        skip = (n == facets[f, 0]) | (n == facets[f, 1]) | (len2[f] == 0.0)
+        n, f = n[~skip], f[~skip]
+        t = np.einsum("pd,pd->p", nodes[n] - a[f], ab[f]) / len2[f]
+        off = nodes[n] - (a[f] + t[:, None] * ab[f])
+        dist = np.hypot(off[:, 0], off[:, 1])
+        inside = (dist <= tol * np.sqrt(len2[f])) & (t > tol) & (t < 1.0 - tol)
+        found.append(np.stack([n[inside], facets[f[inside], 0], facets[f[inside], 1]], axis=1))
+    hits = np.concatenate(found)
+    hits = hits[np.lexsort(hits.T[::-1])]
+    return [(int(n), (int(fa), int(fb))) for n, fa, fb in hits]
 
 
 def conformity_violations(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[str]:
     """Human-readable list of conformity defects (empty when conforming)."""
     problems = []
-    for facet, uses in facet_incidence(elements).items():
+    incidence = elements if isinstance(elements, dict) else facet_incidence(elements)
+    for facet, uses in incidence.items():
         if len(uses) > 2:
             problems.append(f"facet {facet} shared by {len(uses)} elements")
         elif len(uses) == 2 and uses[0][1] == uses[1][1]:
             problems.append(f"facet {facet} traversed twice in the same direction")
-    for node, facet in hanging_nodes(nodes, elements, tol):
+    for node, facet in hanging_nodes(nodes, incidence, tol):
         problems.append(f"node {node} hangs on facet {facet}")
     return problems

@@ -29,7 +29,7 @@ __all__ = [
 
 
 class BoundaryLayerFn:
-    """exp(-alpha * y / eps) with derivatives through second order."""
+    """exp(-alpha * y / eps) and its gradient."""
 
     def __init__(self, alpha: float, eps: float):
         if alpha <= 0 or eps <= 0:
@@ -44,12 +44,6 @@ class BoundaryLayerFn:
     def grad(self, x, y):
         v = self.value(x, y)
         return np.stack([np.zeros_like(v), -(self.alpha / self.eps) * v], axis=-1)
-
-    def hess(self, x, y):
-        """Second derivatives as (u_xx, u_xy, u_yy)."""
-        v = self.value(x, y)
-        zero = np.zeros_like(v)
-        return np.stack([zero, zero, (self.alpha / self.eps) ** 2 * v], axis=-1)
 
 
 class CornerSingularityFn:
