@@ -226,9 +226,9 @@ def assemble(
     ``c`` and ``f`` are scalar fields (constants or callables f(x, y));
     ``diffusion`` maps quadrature points to (n, 2, 2) symmetric matrices,
     or is None for the identity.  Quadrature uses q + 2 points per
-    direction.  The element bubbles are then condensed
-    out; a bubble block that is not positive definite raises
-    ``RuntimeError`` naming the lowest such element.
+    direction.  The element bubbles are then condensed out; a bubble
+    block that is not positive definite raises ``RuntimeError`` naming
+    the lowest such element.
     """
     dofmap = DofMap(mesh, q)
     m = q + 2

@@ -32,7 +32,7 @@ def facet_incidence(elements) -> dict[tuple[int, int], list[tuple[int, tuple[int
     return dict(fmap)
 
 
-_CHUNK = 1 << 20  # candidate pairs tested at once
+_CHUNK = 1 << 20  # candidate pairs built at once, to bound memory on big meshes
 
 
 def _candidates(nodes, lo, hi):
