@@ -68,7 +68,7 @@ def hanging_nodes(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[tuple
     """
     nodes = np.asarray(nodes, dtype=float)
     table = elements if isinstance(elements, dict) else facet_incidence(elements)
-    facets = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+    facets = np.array(list(table), dtype=np.intp)
     if not len(facets) or not len(nodes):
         return []
     a, b = nodes[facets[:, 0]], nodes[facets[:, 1]]
