@@ -45,6 +45,9 @@ def _config_from(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            kind = type(raw).__name__
+            raise ValueError(f"config file {args.config} must hold a JSON object, not {kind}")
         known = set(ExperimentConfig.__dataclass_fields__)
         bad = set(raw) - known
         if bad:
@@ -64,11 +67,9 @@ def _config_from(args) -> ExperimentConfig:
         fields["mode"] = args.mode
     if getattr(args, "layers", None):
         fields["layers"] = args.layers
-    if "eps" in fields:
-        fields["eps"] = tuple(float(e) for e in fields["eps"])
     cfg = ExperimentConfig(**fields)
     cfg.validate()
-    return cfg
+    return replace(cfg, eps=tuple(float(e) for e in cfg.eps))
 
 
 def cmd_mesh(args) -> int:

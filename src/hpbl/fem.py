@@ -6,7 +6,10 @@ elements sharing it agree), and the rest interior to elements.  Edge
 restrictions of both the tensor and the triangle basis are univariate
 Lagrange interpolants on Gauss-Lobatto points of the same degree,
 which makes the glued space H1-conforming also across the
-rectangle/triangle interfaces inside the patterns.
+rectangle/triangle interfaces inside the patterns.  ``DofMap`` builds
+the numbering with array operations as one table per element shape,
+``dofs[shape]`` (E, nbasis) with rows in element order, and assembly,
+DoF points, the norm kernel and the point locator index it directly.
 
 The assembled problem is
 
@@ -40,7 +43,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .macro import Mesh, element_geometry, element_placements
-from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 __all__ = [
@@ -55,10 +57,14 @@ __all__ = [
 ]
 
 
+def _basis_for(shape: str, q: int):
+    return rect_basis(q) if shape == "r" else tri_basis(q)
+
+
 @lru_cache(maxsize=64)
 def _tables(shape: str, q: int, m: int):
     """Quadrature points/weights and basis value/gradient tables."""
-    basis = rect_basis(q) if shape == "r" else tri_basis(q)
+    basis = _basis_for(shape, q)
     pts, w = rect_quadrature(m) if shape == "r" else tri_quadrature(m)
     return pts, w, basis.eval(pts), basis.grad(pts)
 
@@ -68,12 +74,16 @@ _TESTS = 1 << 16  # point-element pairs in one containment test
 _TOL = 1e-9  # containment slack in reference coordinates
 
 
-def _basis_for(shape: str, q: int):
-    return rect_basis(q) if shape == "r" else tri_basis(q)
-
-
 class DofMap:
-    """Global numbering: mesh nodes, then facet interiors, then bubbles."""
+    """Global numbering: mesh nodes, then facet interiors, then bubbles.
+
+    ``dofs[shape]`` is the (E, nbasis) table of global dofs of the
+    elements of one shape, row k for the k-th such element in element
+    order (the order of the ids from ``element_geometry``).  Facets are
+    the sorted (min, max) node pairs; facet f owns dofs nv + (q-1) f +
+    [0, q-1), read backwards by an element that traverses it from its
+    higher-numbered node.  Bubbles follow in element order.
+    """
 
     def __init__(self, mesh: Mesh, q: int):
         if q < 1:
@@ -81,40 +91,39 @@ class DofMap:
         self.mesh = mesh
         self.q = q
         nv = len(mesh.nodes)
-        per_edge = q - 1
+        shape_of = np.array([el.shape for el in mesh.elements])
+        tail = {}  # edge k of an element runs from tail[:, k] to head[:, k]
+        for s, nc in (("r", 4), ("t", 3)):
+            nodes = [el.nodes for el in mesh.elements if el.shape == s]
+            tail[s] = np.array(nodes, dtype=np.int64).reshape(-1, nc)
+        head = {s: np.roll(t, -1, axis=1) for s, t in tail.items()}
+        key = {s: np.minimum(t, head[s]) * nv + np.maximum(t, head[s]) for s, t in tail.items()}
+        facets = np.unique(np.concatenate([k.ravel() for k in key.values()]))
 
-        facets = sorted(facet_incidence(mesh.elements).keys())
-        self.facet_offset = {}
-        off = nv
-        for f in facets:
-            self.facet_offset[f] = off
-            off += per_edge
-        self.nskeleton = off  # node and facet dofs; bubbles follow
+        def facet_dofs(f):
+            return nv + (q - 1) * f[..., None] + np.arange(q - 1)
 
-        self.elem_dofs: list[np.ndarray] = []
-        for el in mesh.elements:
-            basis = _basis_for(el.shape, q)
-            gd = np.empty(basis.ndofs, dtype=np.int64)
-            nc = len(el.nodes)
-            for k, loc in enumerate(basis.corner_ids):
-                gd[loc] = el.nodes[k]
-            for k in range(nc):
-                a, b = el.nodes[k], el.nodes[(k + 1) % nc]
-                locs = basis.edge_ids[k][1:-1]
-                start = self.facet_offset[(min(a, b), max(a, b))]
-                ids = np.arange(start, start + per_edge)
-                gd[locs] = ids if a < b else ids[::-1]
-            ni = len(basis.interior_ids)
-            gd[basis.interior_ids] = np.arange(off, off + ni)
-            off += ni
-            self.elem_dofs.append(gd)
-        self.ndofs = off
+        self.nskeleton = nv + (q - 1) * len(facets)  # node and facet dofs; bubbles follow
+        nbubble = {s: len(_basis_for(s, q).interior_ids) for s in tail}
+        counts = np.where(shape_of == "r", nbubble["r"], nbubble["t"])
+        first = self.nskeleton + np.cumsum(counts) - counts  # each element's first bubble
+        self.ndofs = self.nskeleton + int(counts.sum())
 
+        self.dofs = {}
+        for s, t in tail.items():
+            basis = _basis_for(s, q)
+            gd = np.empty((len(t), basis.ndofs), dtype=np.int64)
+            gd[:, basis.corner_ids] = t
+            edge = facet_dofs(np.searchsorted(facets, key[s]))
+            edge = np.where((t > head[s])[..., None], edge[..., ::-1], edge)
+            gd[:, np.array([e[1:-1] for e in basis.edge_ids])] = edge
+            gd[:, basis.interior_ids] = first[shape_of == s][:, None] + np.arange(nbubble[s])
+            self.dofs[s] = gd
+
+        bf = np.array(list(mesh.boundary_facets), dtype=np.int64).reshape(-1, 2)
         dirichlet = np.zeros(self.ndofs, dtype=bool)
-        for a, b in mesh.boundary_facets:
-            dirichlet[a] = dirichlet[b] = True
-            start = self.facet_offset[(a, b)]
-            dirichlet[start : start + per_edge] = True
+        dirichlet[bf] = True
+        dirichlet[facet_dofs(np.searchsorted(facets, bf[:, 0] * nv + bf[:, 1]))] = True
         self.dirichlet = dirichlet
         self.free = np.nonzero(~dirichlet)[0]
         self.free_index = np.full(self.ndofs, -1, dtype=np.int64)
@@ -125,19 +134,13 @@ class DofMap:
     def nfree(self) -> int:
         return len(self.free)
 
-    def stacked_dofs(self, ids: np.ndarray, nbasis: int) -> np.ndarray:
-        """Global dofs of same-shape elements ``ids``, (len(ids), nbasis)."""
-        stacked = np.array([self.elem_dofs[ei] for ei in ids], dtype=np.int64)
-        return stacked.reshape(len(ids), nbasis)
-
     def dof_points(self) -> np.ndarray:
         """Physical coordinates of every degree of freedom."""
         if self._points is None:
             pts = np.empty((self.ndofs, 2))
-            for shape in ("r", "t"):
+            for shape, gd in self.dofs.items():
                 nodes = _basis_for(shape, self.q).nodes
-                ids, _, phys, _, _ = element_geometry(self.mesh, shape, nodes)
-                pts[self.stacked_dofs(ids, len(nodes))] = phys
+                pts[gd] = element_geometry(self.mesh, shape, nodes)[2]
             self._points = pts
         return self._points
 
@@ -261,7 +264,7 @@ def assemble(
         load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
         finite = finite and bool(np.all(np.isfinite(S)) and np.all(np.isfinite(load)))
 
-        gd = dofmap.stacked_dofs(ids, nb)
+        gd = dofmap.dofs[shape]
         fg = dofmap.free_index[gd].astype(np.int32)
         parts.append(_free_coo(fg, S))
         b += np.bincount(gd.ravel(), weights=load.ravel(), minlength=dofmap.ndofs)
@@ -394,9 +397,11 @@ class DiscreteField:
         tri = np.array([el.shape == "t" for el in els])
         origin = np.empty((len(els), 2))
         inv = np.empty((len(els), 2, 2))
+        slot = np.empty(len(els), dtype=np.int64)  # each element's row in dofmap.dofs[shape]
         for shape in ("r", "t"):
             ids, place = element_placements(self.mesh, shape)
             origin[ids], inv[ids] = place.origin, place.inv
+            slot[ids] = np.arange(len(ids))
         members = {qid: np.flatnonzero(macro_of == qid) for qid in np.unique(qids)}
 
         vals = np.empty(len(pat))
@@ -431,8 +436,7 @@ class DiscreteField:
             for shape in ("r", "t"):
                 sel = np.flatnonzero(tri[eids] == (shape == "t"))
                 basis = _basis_for(shape, self.q)
-                used, row = np.unique(eids[sel], return_inverse=True)
-                co = self.coeffs[self.dofmap.stacked_dofs(used, basis.ndofs)][row]
+                co = self.coeffs[self.dofmap.dofs[shape][slot[eids[sel]]]]
                 v[sel] = np.einsum("pn,pn->p", basis.eval(ref[sel]), co)
                 gref[sel] = np.einsum("pnd,pn->pd", basis.grad(ref[sel]), co)
             # reference -> pattern gradients, then through the macro quad map
@@ -471,7 +475,7 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtrac
         ids, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
         ne, (npts, nb) = len(ids), B.shape
         wdet = w * det
-        co = field.coeffs[field.dofmap.stacked_dofs(ids, nb)]
+        co = field.coeffs[field.dofmap.dofs[shape]]
         vals = co @ B.T
         gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
         grads = (gref @ invJ)[..., 0, :]

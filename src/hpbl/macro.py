@@ -627,9 +627,14 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
     """
     rep = ValidationReport()
 
+    # quads share few distinct patterns; the key holds all the check reads
+    checked = {}
     for qid, pattern in enumerate(mesh.patterns):
-        for msg in conformity_violations(pattern.nodes, pattern.elements):
-            rep.violations.append(f"quad {qid}: {msg}")
+        nodes = np.asarray(pattern.nodes, dtype=float)
+        key = (nodes.tobytes(), tuple(tuple(el.nodes) for el in pattern.elements))
+        if key not in checked:
+            checked[key] = conformity_violations(nodes, pattern.elements)
+        rep.violations.extend(f"quad {qid}: {msg}" for msg in checked[key])
 
     if mesh.merge_discrepancy > 1e-12:
         rep.violations.append(

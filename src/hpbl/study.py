@@ -45,6 +45,18 @@ __all__ = [
 _NORMS = ("energy", "balanced", "h1", "l2")
 _MODES = ("manufactured", "reference")
 _LAYERS = ("p", "balanced", "corner-only")
+_SOLVERS = ("cg", "direct")
+# the type each scalar field must hold, since a config file can give any JSON value
+_TYPES = {"domain": str, "sigma": float, "p_min": int, "p_max": int, "c1": float, "norm": str,
+          "mode": str, "layers": str, "solver": str, "allow_large_eps": bool}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance, except that a bool is no number and an int is a float."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -62,14 +74,21 @@ class ExperimentConfig:
     allow_large_eps: bool = False
 
     def validate(self) -> None:
+        for name, kind in _TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        eps = self.eps
+        if not (isinstance(eps, (list, tuple)) and eps and all(_has_type(e, float) for e in eps)):
+            raise ValueError(f"eps must be a non-empty list of numbers, got {eps!r}")
         if self.p_min < 1 or self.p_max < self.p_min:
             raise ValueError("need 1 <= p_min <= p_max")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("sigma must lie in (0,1)")
-        if self.c1 <= 0.0:
+        if not self.c1 > 0.0:
             raise ValueError("c1 must be positive")
-        for e in self.eps:
-            if e <= 0.0:
+        for e in eps:
+            if not e > 0.0:
                 raise ValueError("eps entries must be positive")
             if e > 1.0 and not self.allow_large_eps:
                 raise ValueError(
@@ -87,6 +106,8 @@ class ExperimentConfig:
             )
         if self.layers not in _LAYERS:
             raise ValueError(f"layers must be one of {_LAYERS}")
+        if self.solver not in _SOLVERS:
+            raise ValueError(f"solver must be one of {_SOLVERS}")
 
 
 @dataclass

@@ -88,6 +88,39 @@ def test_study_rejects_unknown_config_keys(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, cfg, named",
+    [
+        ("study", [0.01], "JSON object"),
+        ("study", {"eps": 0.01}, "eps"),
+        ("study", {"eps": ["0.01"]}, "eps"),
+        ("study", {"eps": []}, "eps"),
+        ("study", {"eps": [float("nan")]}, "eps"),
+        ("study", {"p_max": "3"}, "p_max"),
+        ("study", {"p_min": 1.0}, "p_min"),
+        ("study", {"p_max": True}, "p_max"),
+        ("study", {"c1": None}, "c1"),
+        ("study", {"c1": float("nan")}, "c1"),
+        ("study", {"domain": ["square"], "mode": "reference"}, "domain"),
+        ("study", {"allow_large_eps": 1}, "allow_large_eps"),
+        ("study", {"solver": "lu"}, "solver"),
+        ("solve", {"eps": [0.01], "sigma": "0.3"}, "sigma"),
+    ],
+)
+def test_config_values_of_the_wrong_kind_exit_2(tmp_path, capsys, monkeypatch, command, cfg, named):
+    import hpbl.study
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was rejected")
+
+    monkeypatch.setattr(hpbl.study, "build_geo_bl_mesh", no_mesh)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(cfgfile)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_fit_command(tmp_path, capsys):
     csv = tmp_path / "results.csv"
     csv.write_text(

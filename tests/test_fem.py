@@ -18,8 +18,10 @@ from hpbl.fem import (
 from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
 from hpbl.macro import MacroTriangulation, PatternAssignment, build_geo_bl_mesh, validate_mesh
+from hpbl.meshcheck import facet_incidence
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
+from hpbl.reference import rect_basis, tri_basis
 
 
 def _unit_square_trivial():
@@ -206,11 +208,10 @@ def test_indefinite_bubble_block_raises():
         assemble(mesh, 3, 1e-2, -1e4, 1.0).solve()
 
 
-def _skew_mixed_mesh():
+def _skew_mixed_mesh(params=PatchParams(sigma=0.25, L=2, n=2)):
     poly = Polygon(_SKEW_QUAD)
     macro = MacroTriangulation(_SKEW_QUAD, [(0, 1, 2, 3)])
-    return build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2),
-                             [PatternAssignment(PatchKind.MIXED)])
+    return build_geo_bl_mesh(macro, poly, params, [PatternAssignment(PatchKind.MIXED)])
 
 
 def _builtin_mesh(name):
@@ -268,3 +269,60 @@ def test_field_evaluation_reproduces_linear_function(name, L, seed, npts):
     pts = mesh.quad_map(qids)(rng.random((npts, 2)))
     pts = np.vstack([pts, mesh.nodes[rng.integers(len(mesh.nodes), size=3)]])
     np.testing.assert_allclose(fld(pts), pts[:, 0] + 2 * pts[:, 1], rtol=0, atol=1e-12)
+
+
+def _numbering_by_element(mesh, q):
+    """The numbering built one element at a time, kept as the reference.
+
+    Returns (ndofs, nskeleton, dirichlet, per-element dof arrays).
+    """
+    offset, off = {}, len(mesh.nodes)
+    for f in sorted(facet_incidence(mesh.elements)):
+        offset[f] = off
+        off += q - 1
+    nskeleton, elem_dofs = off, []
+    for el in mesh.elements:
+        basis = rect_basis(q) if el.shape == "r" else tri_basis(q)
+        gd = np.empty(basis.ndofs, dtype=np.int64)
+        nc = len(el.nodes)
+        for k, loc in enumerate(basis.corner_ids):
+            gd[loc] = el.nodes[k]
+        for k in range(nc):
+            a, b = el.nodes[k], el.nodes[(k + 1) % nc]
+            start = offset[(min(a, b), max(a, b))]
+            ids = np.arange(start, start + q - 1)
+            gd[basis.edge_ids[k][1:-1]] = ids if a < b else ids[::-1]
+        ni = len(basis.interior_ids)
+        gd[basis.interior_ids] = np.arange(off, off + ni)
+        off += ni
+        elem_dofs.append(gd)
+    dirichlet = np.zeros(off, dtype=bool)
+    for a, b in mesh.boundary_facets:
+        dirichlet[[a, b]] = True
+        dirichlet[offset[(a, b)] : offset[(a, b)] + q - 1] = True
+    return off, nskeleton, dirichlet, elem_dofs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit", "skew"]),
+    sigma=st.floats(0.1, 0.5),
+    L=st.integers(0, 7),
+    extra=st.integers(0, 3),
+    q=st.integers(1, 8),
+)
+def test_dofmap_tables_match_per_element_numbering(name, sigma, L, extra, q):
+    params = PatchParams(sigma=sigma, L=L, n=L + extra)
+    if name == "skew":
+        mesh = _skew_mixed_mesh(params)
+    else:
+        poly, macro = builtin_layout(name)
+        mesh = build_geo_bl_mesh(macro, poly, params)
+    dm = DofMap(mesh, q)
+    ndofs, nskeleton, dirichlet, elem_dofs = _numbering_by_element(mesh, q)
+    assert (dm.ndofs, dm.nskeleton) == (ndofs, nskeleton)
+    np.testing.assert_array_equal(dm.dirichlet, dirichlet)
+    np.testing.assert_array_equal(dm.free, np.flatnonzero(~dirichlet))
+    for shape, gd in dm.dofs.items():
+        rows = [elem_dofs[ei] for ei, el in enumerate(mesh.elements) if el.shape == shape]
+        np.testing.assert_array_equal(gd, np.array(rows, dtype=np.int64).reshape(gd.shape))

@@ -1,6 +1,11 @@
+import copy
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import hpbl.macro
 from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
 from hpbl.macro import (
@@ -12,7 +17,8 @@ from hpbl.macro import (
     scale_resolution_L,
     validate_mesh,
 )
-from hpbl.patches import PatchKind, PatchParams
+from hpbl.meshcheck import conformity_violations
+from hpbl.patches import PatchElement, PatchKind, PatchParams
 
 
 def test_scale_resolution_L():
@@ -202,3 +208,26 @@ def test_dof_growth_is_quartic():
         ratios.append(dm.nfree / p**4)
     assert max(ratios) < 40.0
     assert max(ratios[2:]) <= 2.0 * min(ratios[2:])
+
+
+def test_pattern_defects_are_reported_under_every_quad_that_carries_them():
+    poly, macro = builtin_layout("lshape")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
+    pats = mesh.patterns
+    # quads 1 and 4 carry equal copies of one defect (a doubled element),
+    # quad 2 another (an element traversed backwards)
+    pats[1] = replace(pats[1], elements=pats[1].elements + pats[1].elements[:1])
+    pats[4] = copy.deepcopy(pats[1])
+    first = pats[2].elements[0]
+    pats[2] = replace(pats[2], elements=[PatchElement(first.shape, first.nodes[::-1])]
+                      + pats[2].elements[1:])
+    want = [f"quad {qid}: {msg}" for qid, pat in enumerate(pats)
+            for msg in conformity_violations(pat.nodes, pat.elements)]
+    assert {int(v.split()[1][:-1]) for v in want} == {1, 2, 4}
+
+    with mock.patch.object(hpbl.macro, "conformity_violations", wraps=conformity_violations) as spy:
+        got = validate_mesh(mesh, check_corner_condition=False).violations
+    assert got[: len(want)] == want
+    assert not any(v.startswith("quad ") for v in got[len(want):])
+    # each distinct pattern content once, plus the glued mesh
+    assert spy.call_count < len(pats) + 1
