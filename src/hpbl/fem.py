@@ -19,7 +19,11 @@ with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
 only place element maps and Jacobians are computed, ``_integrate`` is
 the one norm kernel behind every error and energy norm, and
-``DiscreteField.at_pattern`` is the one point locator.
+``DiscreteField.at_pattern`` is the one point locator.  It finds each
+point's element among the candidates of its pattern cell (a grid on
+the sorted pattern node coordinates of its macro quad) and evaluates
+the field coefficient-first, so its cost grows with the number of
+points only.
 
 Solves use static condensation.  ``assemble`` eliminates each element's
 bubbles (its interior dofs) from the element block, batched per shape
@@ -42,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .macro import Mesh, element_geometry, element_placements
+from .macro import Mesh, element_geometry, element_placements, inverse_2x2
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 __all__ = [
@@ -70,8 +74,9 @@ def _tables(shape: str, q: int, m: int):
 
 
 _POINTS = 4096  # points located and evaluated together
-_TESTS = 1 << 16  # point-element pairs in one containment test
 _TOL = 1e-9  # containment slack in reference coordinates
+_CORNERS = {"r": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+            "t": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])}  # reference element corners
 
 
 class DofMap:
@@ -386,64 +391,134 @@ class DiscreteField:
         that contains it within ``_TOL``, with reference coordinates
         clipped to [0, 1]; the gradient jumps across facets (the TENSOR
         diagonal among them), so this rule fixes the side a point on a
-        facet takes.  Points go in blocks of ``_POINTS``, each tested
-        against as many elements at once as ``_TESTS`` allows, so memory
-        grows with the number of points, not with points x elements.
+        facet takes.  ``_PatternLocator`` finds that element among the few
+        candidates of the point's pattern cell, and the field is evaluated
+        coefficient-first (``expansion`` of the bases), in blocks of
+        ``_POINTS``: time and memory grow with the number of points, not
+        with points x elements.
         """
         qids = np.asarray(qids, dtype=np.int64)
         pat = np.asarray(pat, dtype=float)
-        els = self.mesh.elements
-        macro_of = np.array([el.macro_id for el in els], dtype=np.int64)
-        tri = np.array([el.shape == "t" for el in els])
-        origin = np.empty((len(els), 2))
-        inv = np.empty((len(els), 2, 2))
-        slot = np.empty(len(els), dtype=np.int64)  # each element's row in dofmap.dofs[shape]
-        for shape in ("r", "t"):
-            ids, place = element_placements(self.mesh, shape)
-            origin[ids], inv[ids] = place.origin, place.inv
-            slot[ids] = np.arange(len(ids))
-        members = {qid: np.flatnonzero(macro_of == qid) for qid in np.unique(qids)}
-
+        loc = _PatternLocator(self.mesh, qids)
+        eids, ref = loc.locate(qids, pat)
         vals = np.empty(len(pat))
         grads = np.empty((len(pat), 2))
-        for lo in range(0, len(pat), _POINTS):
-            sl = slice(lo, lo + _POINTS)
-            q, p = qids[sl], pat[sl]
-            eids = np.empty(len(p), dtype=np.int64)
-            ref = np.empty((len(p), 2))
-            for qid in np.unique(q):
-                todo, cand = np.flatnonzero(q == qid), members[qid]
-                while todo.size and cand.size:
-                    test, cand = np.split(cand, [max(1, _TESTS // todo.size)])
-                    d = p[todo, None, :] - origin[test]
-                    r0 = d[..., 0] * inv[test, 0, 0] + d[..., 1] * inv[test, 0, 1]
-                    r1 = d[..., 0] * inv[test, 1, 0] + d[..., 1] * inv[test, 1, 1]
-                    top = np.where(tri[test], r0, 1.0)
-                    inside = (r0 >= -_TOL) & (r0 <= 1.0 + _TOL) & (r1 >= -_TOL) & (r1 <= top + _TOL)
-                    hit = inside.any(axis=1)
-                    first = inside[hit].argmax(axis=1)
-                    eids[todo[hit]] = test[first]
-                    ref[todo[hit]] = np.column_stack([r0[hit, first], r1[hit, first]])
-                    todo = todo[~hit]
-                if todo.size:
-                    raise ValueError(
-                        f"{todo.size} points not located in macro quad {qid}; "
-                        "fields must share the macro layout"
-                    )
-            ref = np.clip(ref, 0.0, 1.0)
-            v = np.empty(len(p))
-            gref = np.empty((len(p), 2))
-            for shape in ("r", "t"):
-                sel = np.flatnonzero(tri[eids] == (shape == "t"))
-                basis = _basis_for(shape, self.q)
-                co = self.coeffs[self.dofmap.dofs[shape][slot[eids[sel]]]]
-                v[sel] = np.einsum("pn,pn->p", basis.eval(ref[sel]), co)
-                gref[sel] = np.einsum("pnd,pn->pd", basis.grad(ref[sel]), co)
-            # reference -> pattern gradients, then through the macro quad map
-            gpat = gref[:, None, :] @ inv[eids]
-            vals[sl] = v
-            grads[sl] = (gpat @ np.linalg.inv(self.mesh.quad_map(q).jacobian(p)))[:, 0, :]
+        for shape in ("r", "t"):
+            basis = _basis_for(shape, self.q)
+            sel = np.flatnonzero(loc.tri[eids] == (shape == "t"))
+            for lo in range(0, len(sel), _POINTS):
+                k = sel[lo : lo + _POINTS]
+                e = eids[k]
+                co = self.coeffs[self.dofmap.dofs[shape][loc.slot[e]]]
+                vals[k], gref = basis.expansion(ref[k], co)
+                # reference -> pattern gradients, then through the macro quad map
+                gpat = gref[:, None, :] @ loc.inv[e]
+                _, jinv = inverse_2x2(self.mesh.quad_map(qids[k]).jacobian(pat[k]))
+                grads[k] = (gpat @ jinv)[:, 0, :]
         return vals, grads
+
+
+class _PatternLocator:
+    """Point location by pattern cell in the macro quads ``qids`` of a mesh.
+
+    Holds per element, in element order, its shape (``tri``), its row in
+    ``DofMap.dofs[shape]`` (``slot``) and its affine placement: a
+    ``frame`` row holds the origin, then the inverse matrix (``inv``) row
+    by row.  The sorted unique x and y coordinates of each quad's pattern
+    nodes cut its pattern frame into cells, and each element of the quad
+    is a candidate of every cell that its corner bounding box touches.
+    The box is widened by the containment slack ``_TOL * sum|mat|``,
+    doubled to cover rounding in the reference coordinates, plus a few
+    ulps for rounding in the box itself, so a cell's candidates include
+    every element that can contain one of its points within ``_TOL``.
+    """
+
+    def __init__(self, mesh: Mesh, qids: np.ndarray):
+        els = mesh.elements
+        n = len(els)
+        self.tri = np.array([el.shape == "t" for el in els])
+        self.frame = np.empty((n, 6))
+        self.slot = np.empty(n, dtype=np.int64)
+        lo, hi = np.empty((n, 2)), np.empty((n, 2))
+        for shape, corners in _CORNERS.items():
+            ids, place = element_placements(mesh, shape)
+            self.frame[ids] = np.column_stack([place.origin, place.inv.reshape(-1, 4)])
+            self.slot[ids] = np.arange(len(ids))
+            xy = place.origin[:, None, :] + corners @ np.swapaxes(place.mat, 1, 2)
+            widen = 2.0 * _TOL * np.abs(place.mat).sum(axis=(1, 2)) + 8.0 * np.finfo(float).eps
+            lo[ids] = xy.min(axis=1) - widen[:, None]
+            hi[ids] = xy.max(axis=1) + widen[:, None]
+        self.inv = self.frame[:, 2:].reshape(n, 2, 2)
+
+        macro_of = np.array([el.macro_id for el in els], dtype=np.int64)
+        self.lines = {}  # quad -> (inner x lines, inner y lines, id of its first cell)
+        rows = [np.empty((0, 3), dtype=np.int64)]  # (element, first, last cell) per element x cell
+        ncells = 0
+        for qid in np.unique(qids):
+            # cell i lies between lines i and i + 1; the outer lines only bound the frame
+            xs, ys = (np.unique(c)[1:-1] for c in mesh.patterns[qid].nodes.T)
+            self.lines[qid] = (xs, ys, ncells)
+            m = np.flatnonzero(macro_of == qid)
+            x0, x1 = np.searchsorted(xs, lo[m, 0]), np.searchsorted(xs, hi[m, 0], side="right")
+            y0, y1 = np.searchsorted(ys, lo[m, 1]), np.searchsorted(ys, hi[m, 1], side="right")
+            wx = x1 - x0 + 1
+            row = ncells + _ranges(x0, wx) * (len(ys) + 1)
+            y0, y1 = np.repeat(y0, wx), np.repeat(y1, wx)
+            rows.append(np.column_stack([np.repeat(m, wx), row + y0, row + y1]))
+            ncells += (len(xs) + 1) * (len(ys) + 1)
+        elem, first, last = np.concatenate(rows).T
+        owner = np.repeat(elem, last - first + 1)
+        cells = _ranges(first, last - first + 1)
+        self.cand = owner[np.lexsort((owner, cells))]  # per cell, ascending element ids
+        self.count = np.bincount(cells, minlength=ncells)
+        self.start = np.cumsum(self.count) - self.count
+
+    def locate(self, qids: np.ndarray, pat: np.ndarray):
+        """Element (P,) and clipped reference coordinates (P, 2) of each point.
+
+        A point's cell comes from two ``searchsorted`` calls; its
+        candidates are then tested in ascending element id, one column at
+        a time over the points not yet found, in blocks of ``_POINTS``.
+        """
+        cell = np.empty(len(pat), dtype=np.int64)
+        order = np.argsort(qids, kind="stable")
+        bounds = np.searchsorted(qids[order], list(self.lines), side="right")
+        for (xs, ys, first), k in zip(self.lines.values(), np.split(order, bounds[:-1])):
+            # a point on a line takes the cell above it
+            ix = np.searchsorted(xs, pat[k, 0], side="right")
+            cell[k] = first + ix * (len(ys) + 1) + np.searchsorted(ys, pat[k, 1], side="right")
+        eids = np.empty(len(pat), dtype=np.int64)
+        ref = np.empty((len(pat), 2))
+        for lo in range(0, len(pat), _POINTS):
+            todo = np.arange(lo, min(lo + _POINTS, len(pat)))
+            x, y = pat[todo, 0], pat[todo, 1]
+            start, count = self.start[cell[todo]], self.count[cell[todo]]
+            col = 0
+            while todo.size:
+                lost = todo[count <= col]
+                if lost.size:
+                    raise ValueError(
+                        f"{lost.size} points not located, the first in macro quad "
+                        f"{qids[lost[0]]}; fields must share the macro layout"
+                    )
+                e = self.cand[start + col]
+                f = self.frame[e]
+                d0, d1 = x - f[:, 0], y - f[:, 1]
+                r0 = d0 * f[:, 2] + d1 * f[:, 3]
+                r1 = d0 * f[:, 4] + d1 * f[:, 5]
+                top = np.where(self.tri[e], r0, 1.0)
+                inside = (r0 >= -_TOL) & (r0 <= 1.0 + _TOL) & (r1 >= -_TOL) & (r1 <= top + _TOL)
+                eids[todo[inside]] = e[inside]
+                ref[todo[inside], 0], ref[todo[inside], 1] = r0[inside], r1[inside]
+                out = ~inside
+                todo, x, y, start, count = todo[out], x[out], y[out], start[out], count[out]
+                col += 1
+        return eids, np.clip(ref, 0.0, 1.0)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer ranges start[i] + [0, count[i]), concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> DiscreteField:

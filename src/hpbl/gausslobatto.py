@@ -95,15 +95,21 @@ def _interior_gl_nodes(q: int) -> np.ndarray:
     return np.array(roots)
 
 
+_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the (q+1)-point Gauss-Lobatto rule on [-1, 1].
 
     The rule integrates polynomials up to degree 2q-1 exactly.  Weights
     are w_i = 2 / (q (q+1) P_q(x_i)^2).  Nodes are returned ascending and
-    are exactly antisymmetric about 0.
+    are exactly antisymmetric about 0.  Each degree is computed once; the
+    arrays are cached and read-only.
     """
     if q < 1:
         raise ValueError(f"Gauss-Lobatto rule needs degree q >= 1, got {q}")
+    if q in _GL_RULES:
+        return _GL_RULES[q]
     interior = _interior_gl_nodes(q)
     nodes = np.concatenate(([-1.0], interior, [1.0]))
     # enforce exact symmetry (the interior Newton solves are independent)
@@ -111,6 +117,8 @@ def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     p, _ = legendre_pair(q, nodes)
     weights = 2.0 / (q * (q + 1) * p * p)
     weights = 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = weights.flags.writeable = False
+    _GL_RULES[q] = nodes, weights
     return nodes, weights
 
 

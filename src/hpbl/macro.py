@@ -39,6 +39,7 @@ __all__ = [
     "BilinearMap",
     "element_placements",
     "element_geometry",
+    "inverse_2x2",
     "ValidationReport",
     "assign_refinement_patterns",
     "macro_from_triangulation",
@@ -477,12 +478,17 @@ def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     pat = place.origin[:, None, :] + ref_pts @ np.swapaxes(place.mat, 1, 2)
     qids = np.array([mesh.elements[ei].macro_id for ei in ids], dtype=np.int64)
     bil = mesh.quad_map(qids[:, None])
-    jac = bil.jacobian(pat) @ place.mat[:, None]
+    det, inv = inverse_2x2(bil.jacobian(pat) @ place.mat[:, None])
+    return ids, pat, bil(pat), det, inv
+
+
+def inverse_2x2(jac: np.ndarray):
+    """Determinants (...) and closed-form inverses (..., 2, 2) of stacked 2x2 matrices."""
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     adj = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = adj.reshape(jac.shape) / det[..., None, None]
-    return ids, pat, bil(pat), det, inv
+    return det, inv
 
 
 @dataclass

@@ -126,6 +126,24 @@ class RectBasis:
         gy = np.einsum("ni,nj->nji", bx, dby).reshape(len(pts), self.ndofs)
         return np.stack([gx, gy], axis=-1)
 
+    def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
+        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at pts[k].
+
+        Coefficient-first: each point's (q+1) x (q+1) coefficient grid is
+        contracted with the 1-D factors in x, then in y, so no (P, nbasis)
+        table is built.
+        """
+        n = self.q + 1
+        d = self.basis_1d.diff_matrix()
+        bx = self.basis_1d.eval(pts[:, 0])
+        by = self.basis_1d.eval(pts[:, 1])
+        # rows: y index j; (P, n, 2) holds sum_i c_ji l_i(x) and sum_i c_ji l_i'(x)
+        tx = coeffs.reshape(-1, n, n) @ np.stack([bx, bx @ d], axis=-1)
+        vals = np.einsum("pj,pj->p", by, tx[..., 0])
+        gx = np.einsum("pj,pj->p", by, tx[..., 1])
+        gy = np.einsum("pj,pj->p", by @ d, tx[..., 0])
+        return vals, np.column_stack([gx, gy])
+
 
 # ---------------------------------------------------------------------------
 # triangle
@@ -273,6 +291,17 @@ class TriBasis:
     def grad(self, pts: np.ndarray) -> np.ndarray:
         g = self._modal_grad(pts)
         return np.einsum("pmd,mn->pnd", g, self._vinv)
+
+    def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
+        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at pts[k].
+
+        Coefficient-first: the nodal coefficients go to modal ones through
+        V^-1 once per point, then meet the modal values and gradients.
+        """
+        modal = coeffs @ self._vinv.T
+        vals = np.einsum("pm,pm->p", self._modal(pts), modal)
+        grads = np.einsum("pmd,pm->pd", self._modal_grad(pts), modal)
+        return vals, grads
 
 
 @functools.lru_cache(maxsize=64)

@@ -127,6 +127,7 @@ class ConvergenceTable:
     norm: str
     mode: str
     rows: list[Row] = field(default_factory=list)
+    meshes: dict = field(default_factory=dict, repr=False, compare=False)  # p -> the mesh solved on
 
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.rows]
@@ -234,6 +235,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
                 seconds=time.perf_counter() - t0,
             )
             table.rows.append(row)
+            table.meshes[p] = fld.mesh
         ns = table.column("N")
         if any(b < a for a, b in zip(ns, ns[1:])):
             raise RuntimeError(f"dof count not nondecreasing in p: {ns}")
@@ -313,6 +315,8 @@ def export(
 ) -> list[str]:
     """Write results.csv, rates.csv, a convergence plot, and mesh renderings.
 
+    Given ``config``, the meshes of the first table (the ones its rows
+    were solved on, as ``run_experiment`` records them) are rendered.
     All output bytes are deterministic for fixed inputs, except that the
     measured seconds column reflects real time; pass zero_timings=True to
     blank it when byte-identical reruns matter.
@@ -355,9 +359,8 @@ def export(
     if config is not None and tables:
         stem = os.path.splitext(os.path.basename(config.domain))[0]
         for p in sorted({r.p for r in tables[0].rows}):
-            mesh = mesh_for(config, p, tables[0].eps)
             path = os.path.join(out_dir, f"mesh_{stem}_p{p}.svg")
             with open(path, "w") as fh:
-                fh.write(mesh_svg(mesh))
+                fh.write(mesh_svg(tables[0].meshes[p]))
             written.append(path)
     return written

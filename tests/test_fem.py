@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpbl.fem import (
+    DiscreteField,
     DofMap,
+    _PatternLocator,
     assemble,
     energy_norm,
     error_norms,
@@ -17,7 +19,13 @@ from hpbl.fem import (
 )
 from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
-from hpbl.macro import MacroTriangulation, PatternAssignment, build_geo_bl_mesh, validate_mesh
+from hpbl.macro import (
+    MacroTriangulation,
+    PatternAssignment,
+    build_geo_bl_mesh,
+    element_placements,
+    validate_mesh,
+)
 from hpbl.meshcheck import facet_incidence
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
@@ -326,3 +334,102 @@ def test_dofmap_tables_match_per_element_numbering(name, sigma, L, extra, q):
     for shape, gd in dm.dofs.items():
         rows = [elem_dofs[ei] for ei, el in enumerate(mesh.elements) if el.shape == shape]
         np.testing.assert_array_equal(gd, np.array(rows, dtype=np.int64).reshape(gd.shape))
+
+
+def _locate_by_scan(mesh, qids, pat):
+    """The containment scan over every element of a point's macro quad, kept
+    as the reference: the lowest-numbered element that contains the point
+    within 1e-9, with its reference coordinates clipped to [0, 1].
+
+    Returns element ids, clipped reference coordinates and the per-element
+    placement inverses.
+    """
+    macro_of = np.array([el.macro_id for el in mesh.elements])
+    tri = np.array([el.shape == "t" for el in mesh.elements])
+    origin = np.empty((len(tri), 2))
+    inv = np.empty((len(tri), 2, 2))
+    for shape in ("r", "t"):
+        ids, place = element_placements(mesh, shape)
+        origin[ids], inv[ids] = place.origin, place.inv
+    eids = np.empty(len(pat), dtype=np.int64)
+    ref = np.empty((len(pat), 2))
+    for qid in np.unique(qids):
+        k, test = np.flatnonzero(qids == qid), np.flatnonzero(macro_of == qid)
+        d = pat[k, None, :] - origin[test]
+        r0 = d[..., 0] * inv[test, 0, 0] + d[..., 1] * inv[test, 0, 1]
+        r1 = d[..., 0] * inv[test, 1, 0] + d[..., 1] * inv[test, 1, 1]
+        top = np.where(tri[test], r0, 1.0)
+        inside = (r0 >= -1e-9) & (r0 <= 1.0 + 1e-9) & (r1 >= -1e-9) & (r1 <= top + 1e-9)
+        assert inside.any(axis=1).all(), f"a point of quad {qid} lies in no element"
+        first = inside.argmax(axis=1)
+        rows = np.arange(len(k))
+        eids[k], ref[k, 0], ref[k, 1] = test[first], r0[rows, first], r1[rows, first]
+    return eids, np.clip(ref, 0.0, 1.0), inv
+
+
+def _hard_pattern_points(mesh, rng):
+    """(quad ids, pattern points): random points, points exactly on pattern
+    lines, element facets, the diagonal, corner nodes and the frame, and
+    points just off the facets."""
+    qids, pat = [], []
+
+    def add(qid, pts):
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        qids.append(np.full(len(pts), qid))
+        pat.append(pts)
+
+    for qid, pattern in enumerate(mesh.patterns):
+        xs, ys = np.unique(pattern.nodes[:, 0]), np.unique(pattern.nodes[:, 1])
+        t = rng.random(8)
+        add(qid, rng.random((16, 2)))
+        add(qid, pattern.nodes)  # corner nodes
+        add(qid, np.column_stack([xs, rng.random(len(xs))]))  # on x lines
+        add(qid, np.column_stack([rng.random(len(ys)), ys]))  # on y lines
+        add(qid, np.column_stack([t, t]))  # on the diagonal
+        add(qid, np.column_stack([xs, xs]))
+        for c in (0.0, 1.0):  # on the frame
+            add(qid, np.column_stack([np.full(8, c), t]))
+            add(qid, np.column_stack([t, np.full(8, c)]))
+    for el in mesh.elements:  # on every element facet, and within the 1e-9 slack of it
+        c = el.ref_coords
+        edge = np.roll(c, -1, axis=0) - c
+        on = c + rng.random((len(c), 1)) * edge
+        add(el.macro_id, on)
+        near = on + rng.uniform(-2e-9, 2e-9, on.shape) * np.ptp(c, axis=0)
+        add(el.macro_id, np.clip(near, 0.0, 1.0))  # the frame is tiled: each has an element
+    return np.concatenate(qids), np.vstack(pat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit"]),
+    L=st.integers(0, 6),
+    extra=st.sampled_from([0, 3]),
+    q=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pattern_locator_matches_scan(name, L, extra, q, seed):
+    poly, macro = builtin_layout(name)
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L + extra))
+    rng = np.random.default_rng(seed)
+    qids, pat = _hard_pattern_points(mesh, rng)
+    want_e, want_ref, inv = _locate_by_scan(mesh, qids, pat)
+    eids, ref = _PatternLocator(mesh, qids).locate(qids, pat)
+    np.testing.assert_array_equal(eids, want_e)
+    np.testing.assert_array_equal(ref.view(np.uint64), want_ref.view(np.uint64))  # bit for bit
+
+    # values and gradients against the nodal tables at the same reference points
+    dm = DofMap(mesh, q)
+    fld = DiscreteField(dm, rng.standard_normal(dm.ndofs))
+    vals, grads = fld.at_pattern(qids, pat)
+    want_v, want_g = np.empty(len(pat)), np.empty((len(pat), 2))
+    for shape, basis in (("r", rect_basis(q)), ("t", tri_basis(q))):
+        ids, _ = element_placements(mesh, shape)  # ascending; row k of dm.dofs[shape]
+        sel = np.flatnonzero(np.isin(want_e, ids))
+        co = fld.coeffs[dm.dofs[shape][np.searchsorted(ids, want_e[sel])]]
+        want_v[sel] = np.einsum("pn,pn->p", basis.eval(want_ref[sel]), co)
+        gpat = np.einsum("pnd,pn->pd", basis.grad(want_ref[sel]), co)[:, None, :] @ inv[want_e[sel]]
+        jac = mesh.quad_map(qids[sel]).jacobian(pat[sel])
+        want_g[sel] = (gpat @ np.linalg.inv(jac))[:, 0, :]
+    assert np.abs(vals - want_v).max() <= 1e-13 * np.abs(want_v).max()
+    assert np.abs(grads - want_g).max() <= 1e-13 * np.abs(want_g).max()

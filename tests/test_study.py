@@ -6,6 +6,8 @@ import pytest
 
 from hpbl import study
 from hpbl.fem import assemble, interpolate
+from hpbl.macro import build_geo_bl_mesh
+from hpbl.meshio import mesh_svg
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.study import (
     ConvergenceTable,
@@ -184,6 +186,25 @@ def test_export_files(tmp_path):
                     config=cfg, zero_timings=True)
     for p1, p2 in zip(sorted(paths), sorted(paths2)):
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_reference_study_builds_each_mesh_once_and_exports_them(monkeypatch, tmp_path):
+    monkeypatch.setattr(study, "_REF_CACHE", {})
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_geo_bl_mesh(*args, **kwargs)
+
+    monkeypatch.setattr(study, "build_geo_bl_mesh", counting)
+    cfg = ExperimentConfig(domain="lshape", eps=(1e-2, 1e-3), p_min=1, p_max=2, mode="reference")
+    paths = export(run_experiment(cfg), None, str(tmp_path), config=cfg)
+    assert len(built) == len(cfg.eps) * 2 + len(cfg.eps)  # each (eps, p) cell and reference
+    monkeypatch.undo()
+    for p in (1, 2):
+        (path,) = [x for x in paths if x.endswith(f"mesh_lshape_p{p}.svg")]
+        with open(path) as fh:
+            assert fh.read() == mesh_svg(mesh_for(cfg, p, cfg.eps[0]))
 
 
 def test_export_empty_table(tmp_path):
