@@ -10,7 +10,6 @@ eps once the mesh carries enough geometric layers.
 
 from .gausslobatto import (
     gauss_lobatto_rule,
-    interp_1d,
     lebesgue_constant,
 )
 from .patches import (

@@ -96,7 +96,9 @@ def cmd_mesh(args) -> int:
 def cmd_solve(args) -> int:
     cfg = replace(_config_from(args), p_min=args.p, p_max=args.p)
     cfg.validate()
-    eps = cfg.eps[0]
+    if len(cfg.eps) != 1:
+        raise ValueError(f"solve takes one eps, got {len(cfg.eps)}; use study for several")
+    (eps,) = cfg.eps
     try:
         ref = reference_solution(cfg, eps) if cfg.mode == "reference" else None
         fld, stats, norms = run_cell(cfg, args.p, eps, ref)

@@ -18,7 +18,8 @@ The assembled problem is
 with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
 only place element maps and Jacobians are computed, ``_integrate`` is
-the one norm kernel behind every error and energy norm, and
+the one norm kernel behind every error and energy norm, ``sup_errors``
+takes dense-grid sup norms through the same per-shape evaluation, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
 the sorted pattern node coordinates of its macro quad) and evaluates
@@ -46,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .macro import Mesh, element_geometry, element_placements, inverse_2x2
+from .macro import REF_CORNERS, Mesh, element_geometry, element_placements, inverse_2x2
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "interpolate",
     "energy_norm",
     "error_norms",
+    "sup_errors",
 ]
 
 
@@ -75,8 +77,6 @@ def _tables(shape: str, q: int, m: int):
 
 _POINTS = 4096  # points located and evaluated together
 _TOL = 1e-9  # containment slack in reference coordinates
-_CORNERS = {"r": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-            "t": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])}  # reference element corners
 
 
 class DofMap:
@@ -440,7 +440,7 @@ class _PatternLocator:
         self.frame = np.empty((n, 6))
         self.slot = np.empty(n, dtype=np.int64)
         lo, hi = np.empty((n, 2)), np.empty((n, 2))
-        for shape, corners in _CORNERS.items():
+        for shape, corners in REF_CORNERS.items():
             ids, place = element_placements(mesh, shape)
             self.frame[ids] = np.column_stack([place.origin, place.inv.reshape(-1, 4)])
             self.slot[ids] = np.arange(len(ids))
@@ -533,6 +533,54 @@ def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> Discret
 # norms
 
 
+def _on_elements(field: DiscreteField, shape: str, pts: np.ndarray, B: np.ndarray, G):
+    """Field values (E, P) and physical gradients (E, P, 2) on all elements
+    of one shape at shared reference points ``pts``, whose basis value and
+    gradient tables are ``B`` (P, nbasis) and ``G`` (P, nbasis, 2).
+
+    Returns ``(ids, pat, phys, det, vals, grads)`` with the geometry of
+    ``element_geometry``; ``G=None`` skips the gradients (``grads`` None).
+    """
+    ids, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
+    co = field.coeffs[field.dofmap.dofs[shape]]
+    vals = co @ B.T
+    grads = None
+    if G is not None:
+        ne, (npts, nb) = len(ids), B.shape
+        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+        grads = (gref @ invJ)[..., 0, :]
+    return ids, pat, phys, det, vals, grads
+
+
+def sup_errors(field: DiscreteField, exact, exact_grad=None, n: int = 400):
+    """Dense-grid sup norms (max |e|, max |grad e|) of e = field - exact.
+
+    The maxima run over an n-by-n grid on every element: a tensor grid on
+    rectangles and its Duffy image on triangles, which clusters toward the
+    vertex at the origin.  ``exact`` and ``exact_grad`` are callables of
+    (x, y), the gradient returning (..., 2).  ``exact_grad=None`` skips
+    the gradient (for functions whose gradient is singular on the grid)
+    and returns 0 for it.  Grid points go in blocks of ``_POINTS``, so
+    memory grows with elements x ``_POINTS``, not with elements x n^2.
+    """
+    t = np.linspace(0.0, 1.0, n)
+    u, v = (a.ravel() for a in np.meshgrid(t, t, indexing="xy"))
+    val_err = grad_err = 0.0
+    for shape, grid in (("r", np.column_stack([u, v])), ("t", np.column_stack([u, u * v]))):
+        if not len(field.dofmap.dofs[shape]):
+            continue
+        basis = _basis_for(shape, field.q)
+        for lo in range(0, len(grid), _POINTS):
+            pts = grid[lo : lo + _POINTS]
+            G = None if exact_grad is None else basis.grad(pts)
+            _, _, phys, _, vals, grads = _on_elements(field, shape, pts, basis.eval(pts), G)
+            x, y = phys[..., 0], phys[..., 1]
+            val_err = max(val_err, float(np.abs(vals - exact(x, y)).max()))
+            if G is not None:
+                grad_err = max(grad_err, float(np.abs(grads - exact_grad(x, y)).max()))
+    return val_err, grad_err
+
+
 def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtract=None) -> dict:
     """The norm kernel: l2, h1, energy and balanced norms of field - subtract.
 
@@ -547,13 +595,9 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtrac
     l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
         pts, w, B, G = _tables(shape, q, m)
-        ids, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
-        ne, (npts, nb) = len(ids), B.shape
+        ids, pat, phys, det, vals, grads = _on_elements(field, shape, pts, B, G)
+        ne, npts = vals.shape
         wdet = w * det
-        co = field.coeffs[field.dofmap.dofs[shape]]
-        vals = co @ B.T
-        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-        grads = (gref @ invJ)[..., 0, :]
         if subtract is not None:
             sub_vals, sub_grads = subtract(ids, pat, phys)
             vals = vals - sub_vals

@@ -16,8 +16,6 @@ __all__ = [
     "gauss_lobatto_rule",
     "legendre_pair",
     "LagrangeBasis1D",
-    "Poly1D",
-    "interp_1d",
     "lebesgue_constant",
     "gauss_legendre_rule",
 ]
@@ -177,28 +175,6 @@ class LagrangeBasis1D:
     def eval_deriv(self, x: np.ndarray) -> np.ndarray:
         """Derivatives of the basis functions; shape (npts, nnodes)."""
         return self.eval(x) @ self.diff_matrix()
-
-
-class Poly1D:
-    """Polynomial in nodal (Lagrange) form on a fixed basis."""
-
-    def __init__(self, basis: LagrangeBasis1D, values: np.ndarray):
-        self.basis = basis
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, x):
-        return self.basis.eval(x) @ self.values
-
-    def deriv(self, x):
-        return self.basis.eval_deriv(x) @ self.values
-
-
-def interp_1d(f, q: int) -> Poly1D:
-    """Gauss-Lobatto interpolant i_q f of degree q on [-1, 1]."""
-    nodes, _ = gauss_lobatto_rule(q)
-    basis = LagrangeBasis1D(nodes)
-    vals = np.asarray([float(f(x)) for x in nodes])
-    return Poly1D(basis, vals)
 
 
 def lebesgue_constant(q: int, npts: int = 100_001) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Polygon
-from .interp import placement_for
 from .meshcheck import conformity_violations, facet_incidence
 from .meshcheck import hanging_nodes  # noqa: F401  (callers look the layer up here too)
 from .patches import (
@@ -37,6 +36,8 @@ __all__ = [
     "Mesh",
     "MeshElement",
     "BilinearMap",
+    "ElementPlacement",
+    "placement_for",
     "element_placements",
     "element_geometry",
     "inverse_2x2",
@@ -454,6 +455,35 @@ class BilinearMap:
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         s, t = pts[..., 0:1], pts[..., 1:2]
         return np.stack([self.ds + t * self.dst, self.dt + s * self.dst], axis=-1)
+
+
+# corners of the reference square and triangle, counterclockwise from the origin
+REF_CORNERS = {"r": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+               "t": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])}
+
+
+@dataclass
+class ElementPlacement:
+    """Affine maps x = origin + mat @ xhat from the reference element onto
+    pattern elements, stacked over elements; ``inv`` holds the inverse
+    matrices."""
+
+    origin: np.ndarray
+    mat: np.ndarray
+    inv: np.ndarray
+
+
+def placement_for(shape: str, xy: np.ndarray) -> ElementPlacement:
+    """Placements from stacked element corner coordinates (..., corners, 2),
+    ordered as ``REF_CORNERS[shape]``."""
+    mat = np.zeros(xy.shape[:-2] + (2, 2))
+    if shape == "r":
+        mat[..., 0, 0] = xy[..., 1, 0] - xy[..., 0, 0]
+        mat[..., 1, 1] = xy[..., 3, 1] - xy[..., 0, 1]
+    else:
+        mat[..., :, 0] = xy[..., 1, :] - xy[..., 0, :]
+        mat[..., :, 1] = xy[..., 2, :] - xy[..., 1, :]
+    return ElementPlacement(xy[..., 0, :].copy(), mat, inverse_2x2(mat)[1])
 
 
 def element_placements(mesh: Mesh, shape: str):

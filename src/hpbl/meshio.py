@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .macro import Mesh, element_geometry
+from .macro import REF_CORNERS, Mesh, element_geometry
 from .patches import PatchMesh
 
 __all__ = [
@@ -54,10 +54,6 @@ def write_mesh_text(obj, path: str) -> None:
         fh.write(mesh_text(obj))
 
 
-_CORNERS = {"r": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-            "t": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])}
-
-
 def _outlines(obj, samples: int = 8) -> list[np.ndarray]:
     """Polygon outline of every element, in storage order and physical
     coordinates.
@@ -71,7 +67,7 @@ def _outlines(obj, samples: int = 8) -> list[np.ndarray]:
         return [obj.nodes[list(el.nodes)] for el in obj.elements]
     rings = [None] * len(obj.elements)
     t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
-    for shape, corners in _CORNERS.items():
+    for shape, corners in REF_CORNERS.items():
         edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
         ids, _, phys, _, _ = element_geometry(obj, shape, edges.reshape(-1, 2))
         for ei, ring in zip(ids, phys):

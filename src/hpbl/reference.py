@@ -1,4 +1,4 @@
-"""Reference-element polynomial bases and elemental interpolation.
+"""Reference-element polynomial bases and quadrature.
 
 Two reference elements are used throughout:
 
@@ -8,10 +8,10 @@ Two reference elements are used throughout:
   with the total-degree space P_q, carrying a nodal basis whose edge
   nodes are exactly the GL points of each edge.
 
-Both interpolation operators are projections onto their spaces, and both
-restrict on every edge to univariate GL interpolation of the trace; this
-trace property is what makes elementwise interpolants (and the finite
-element spaces built from these bases) globally continuous.
+Nodal interpolation in either basis is a projection onto its space and
+restricts on every edge to univariate GL interpolation of the trace;
+this trace property is what makes the finite element spaces built from
+these bases, and nodal interpolants in them, globally continuous.
 
 The triangle nodes combine exact GL points on the edges with
 warped-barycentric interior points (the classical warp-and-blend
@@ -33,9 +33,6 @@ from .gausslobatto import LagrangeBasis1D, gauss_lobatto_rule, gauss_legendre_ru
 __all__ = [
     "RectBasis",
     "TriBasis",
-    "PolyOnElement",
-    "interp_square",
-    "interp_triangle",
     "rect_quadrature",
     "tri_quadrature",
 ]
@@ -335,50 +332,3 @@ def tri_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
     pts = np.column_stack([u.ravel(), (u * v).ravel()])
     ww = (np.outer(w, w) * u).ravel()
     return pts, ww
-
-
-# ---------------------------------------------------------------------------
-# elemental interpolants
-
-
-class PolyOnElement:
-    """Polynomial on a reference element in nodal form."""
-
-    def __init__(self, basis, values: np.ndarray):
-        self.basis = basis
-        self.shape = basis.shape
-        self.q = basis.q
-        self.values = np.asarray(values, dtype=float)
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        return self.basis.eval(pts) @ self.values
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return np.einsum("pnd,n->pd", self.basis.grad(pts), self.values)
-
-
-def _sample(f, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        if vals.shape != (len(pts),):
-            raise ValueError
-        return vals
-    except Exception:
-        return np.array([float(f(x, y)) for x, y in pts])
-
-
-def interp_square(f, q: int) -> PolyOnElement:
-    """Tensor GL interpolant of f on [0,1]^2 (a projection onto Q_q)."""
-    basis = rect_basis(q)
-    return PolyOnElement(basis, _sample(f, basis.nodes))
-
-
-def interp_triangle(f, q: int) -> PolyOnElement:
-    """Nodal P_q interpolant on the reference triangle.
-
-    Edge traces coincide with univariate GL interpolation of the edge
-    restriction of f, so triangle and square interpolants agree along
-    shared edges whenever the underlying function is continuous.
-    """
-    basis = tri_basis(q)
-    return PolyOnElement(basis, _sample(f, basis.nodes))

@@ -13,18 +13,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from hpbl.fem import assemble, error_norms, interpolate
+from hpbl.fem import assemble, error_norms, interpolate, sup_errors
 from hpbl.gausslobatto import lebesgue_constant
-from hpbl.geometry import Polygon
-from hpbl.interp import elementwise_interp, sup_errors
 from hpbl.layouts import builtin_layout
-from hpbl.macro import (
-    MacroTriangulation,
-    PatternAssignment,
-    build_geo_bl_mesh,
-    scale_resolution_L,
-    validate_mesh,
-)
+from hpbl.macro import scale_resolution_L, validate_mesh
 from hpbl.meshcheck import conformity_violations
 from hpbl.oracles import (
     boundary_layer_fn,
@@ -39,7 +31,7 @@ from hpbl.patches import (
     patch_metrics,
     patch_sums,
 )
-from hpbl.reference import interp_square, interp_triangle
+from hpbl.reference import rect_basis, tri_basis
 from hpbl.study import (
     ConvergenceTable,
     ExperimentConfig,
@@ -48,6 +40,8 @@ from hpbl.study import (
     mesh_for,
     run_experiment,
 )
+
+from helpers import pattern_mesh
 
 SIGMAS = (0.1, 0.25, 0.5)
 EPS4 = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -161,14 +155,16 @@ def test_02_polynomial_reproduction():
         for _ in range(20):
             c = rng.uniform(-1.0, 1.0, (q + 1, q + 1))
             f = lambda x, y, c=c: npp.polyval2d(x, y, c)
-            err = np.abs(interp_square(f, q).eval(sq_pts) - f(sq_pts[:, 0], sq_pts[:, 1]))
+            basis = rect_basis(q)
+            err = np.abs(basis.eval(sq_pts) @ f(*basis.nodes.T) - f(sq_pts[:, 0], sq_pts[:, 1]))
             worst_sq = max(worst_sq, float(err.max()))
 
             ct = c.copy()
             i, j = np.indices(ct.shape)
             ct[i + j > q] = 0.0  # total degree <= q
             g = lambda x, y, ct=ct: npp.polyval2d(x, y, ct)
-            err = np.abs(interp_triangle(g, q).eval(tr_pts) - g(tr_pts[:, 0], tr_pts[:, 1]))
+            basis = tri_basis(q)
+            err = np.abs(basis.eval(tr_pts) @ g(*basis.nodes.T) - g(tr_pts[:, 0], tr_pts[:, 1]))
             worst_tr = max(worst_tr, float(err.max()))
     assert worst_sq < 1e-12
     assert worst_tr < 1e-12
@@ -197,13 +193,12 @@ def test_04_boundary_layer_interpolation_rates():
     bs = {}
     for eps in EPS4:
         L = scale_resolution_L(0.25, eps, 1.0)
-        patch = build_pattern(PatchKind.BOUNDARY_LAYER, PatchParams(0.25, L, L))
+        mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(0.25, L, L))
         f = boundary_layer_fn(1.0, eps)
         rows = []
         for q in range(2, 11):
-            itp = elementwise_interp(f, patch, q)
-            ev, eg = sup_errors(itp, f, n=120, grad_weight=eps)
-            rows.append(Row(p=q, N=(q + 1) * (L + 1), error=ev + eg, iters=0, seconds=0.0))
+            ev, eg = sup_errors(interpolate(mesh, q, f.value), f.value, f.grad, n=120)
+            rows.append(Row(p=q, N=(q + 1) * (L + 1), error=ev + eps * eg, iters=0, seconds=0.0))
         fit = fit_exponential(ConvergenceTable("bl-patch", eps, 0.25, "sup", "layer", rows))
         assert fit.b > 0.0
         assert fit.r2 >= 0.9
@@ -222,9 +217,8 @@ def test_05_corner_singularity_interpolation_rates():
     ns = list(range(2, 9))
     errs = []
     for n in ns:
-        patch = build_pattern(PatchKind.CORNER, PatchParams(0.25, 0, n))
-        itp = elementwise_interp(f, patch, 8)
-        ev, _ = sup_errors(itp, f, n=150, grad_weight=None)
+        mesh = pattern_mesh(PatchKind.CORNER, PatchParams(0.25, 0, n))
+        ev, _ = sup_errors(interpolate(mesh, 8, f.value), f.value, n=150)
         errs.append(ev)
     slope = float(np.polyfit(ns, np.log(errs), 1)[0])
     target = 0.5 * math.log(0.25)  # sigma^{n(1-beta)} with beta = 1/2
@@ -239,11 +233,7 @@ def test_05_corner_singularity_interpolation_rates():
 
 def test_06_single_element_center_value():
     t0 = time.perf_counter()
-    poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    macro = MacroTriangulation(np.array(poly.vertices, dtype=float), [(0, 1, 2, 3)])
-    mesh = build_geo_bl_mesh(
-        macro, poly, PatchParams(sigma=0.5, L=0, n=0), [PatternAssignment(PatchKind.TRIVIAL)]
-    )
+    mesh = pattern_mesh(PatchKind.TRIVIAL, PatchParams(sigma=0.5, L=0, n=0))
     fld, _ = assemble(mesh, 2, 1.0, 1.0, 1.0).solve()
     center = float(fld(np.array([[0.5, 0.5]]))[0])
     assert center == pytest.approx(25.0 / 336.0, abs=1e-12)

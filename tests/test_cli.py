@@ -28,6 +28,21 @@ def test_solve_command(capsys):
     assert "energy" in out
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_solve_rejects_several_eps(tmp_path, capsys, source):
+    if source == "flags":
+        args = ["--eps", "1e-2", "1e-3"]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"eps": [1e-2, 1e-3]}))
+        args = ["--config", str(cfgfile)]
+    rc = cli.main(["solve", "--domain", "square", "-p", "2", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "one eps" in captured.err and "got 2" in captured.err
+    assert "eps=" not in captured.out
+
+
 def test_solve_reference_mode_reports_errors(capsys):
     rc = cli.main(["solve", "--domain", "lshape", "--eps", "1e-2", "-p", "2",
                    "--mode", "reference"])

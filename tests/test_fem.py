@@ -31,13 +31,11 @@ from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 
+from helpers import pattern_mesh
+
 
 def _unit_square_trivial():
-    poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    macro = MacroTriangulation(nodes, [(0, 1, 2, 3)])
-    assignments = [PatternAssignment(PatchKind.TRIVIAL)]
-    return build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.5, L=0, n=0), assignments)
+    return pattern_mesh(PatchKind.TRIVIAL, PatchParams(sigma=0.5, L=0, n=0))
 
 
 def test_center_value_oracle():

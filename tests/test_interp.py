@@ -1,8 +1,14 @@
+"""Interpolation on single patterns through the finite element path."""
+
 import numpy as np
 
-from hpbl.interp import element_placement, elementwise_interp, sup_errors
+from hpbl.fem import interpolate, sup_errors
+from hpbl.macro import element_placements, placement_for
 from hpbl.oracles import boundary_layer_fn, corner_singularity_fn
 from hpbl.patches import PatchKind, PatchParams, build_pattern
+from hpbl.reference import rect_basis, tri_basis
+
+from helpers import pattern_mesh
 
 
 class _Poly:
@@ -19,61 +25,60 @@ def test_placements_roundtrip():
     patch = build_pattern(PatchKind.MIXED, PatchParams(sigma=0.5, L=2, n=2))
     rng = np.random.default_rng(0)
     for e in patch.elements:
-        place = element_placement(patch, e)
+        place = placement_for(e.shape, patch.element_coords(e))
         ref = rng.uniform(0.05, 0.95, size=(20, 2))
         if e.shape == "t":
             ref[:, 1] *= ref[:, 0]
-        back = place.to_reference(place.to_pattern(ref))
+        pat = place.origin + ref @ place.mat.T
+        back = (pat - place.origin) @ place.inv.T
         np.testing.assert_allclose(back, ref, atol=1e-13)
 
 
 def test_interpolant_continuity_across_facets():
-    # sample a shared vertical facet from both sides
-    patch = build_pattern(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=3, n=3))
+    # sample each interior horizontal meshline from the elements below and
+    # above it: the traces must agree because edge dofs are shared
+    mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=3, n=3))
     f = boundary_layer_fn(1.0, 0.05)
-    itp = elementwise_interp(f, patch, 4)
+    fld = interpolate(mesh, 4, f.value)
     t = np.linspace(0.0, 1.0, 13)
-    # evaluate along interior horizontal meshlines from the elements above
-    # and below: the traces must agree because edge nodes are shared
-    lines = sorted({patch.nodes[e.nodes, 1].max() for e in patch.elements})[:-1]
+    lines = sorted({el.ref_coords[:, 1].max() for el in mesh.elements})[:-1]
     for y0 in lines:
         below = above = None
-        for idx, e in enumerate(patch.elements):
-            ys = patch.nodes[list(e.nodes), 1]
-            if ys.max() == y0:
+        for idx, el in enumerate(mesh.elements):
+            if el.ref_coords[:, 1].max() == y0:
                 below = idx
-            if ys.min() == y0:
+            if el.ref_coords[:, 1].min() == y0:
                 above = idx
         pts = np.column_stack([t, np.full_like(t, y0)])
-        vb = _eval_at(itp, below, pts)
-        va = _eval_at(itp, above, pts)
-        np.testing.assert_allclose(vb, va, atol=1e-13)
+        np.testing.assert_allclose(_eval_at(fld, below, pts), _eval_at(fld, above, pts), atol=1e-13)
 
 
-def _eval_at(itp, idx, pattern_pts):
-    ref = itp.placements[idx].to_reference(pattern_pts)
-    vals, _, _ = itp.eval_on_element(idx, ref)
-    return vals
+def _eval_at(fld, idx, pattern_pts):
+    """Values at pattern points of element idx, from its own dof row."""
+    shape = fld.mesh.elements[idx].shape
+    ids, place = element_placements(fld.mesh, shape)
+    k = int(np.searchsorted(ids, idx))
+    ref = (pattern_pts - place.origin[k]) @ place.inv[k].T
+    basis = rect_basis(fld.q) if shape == "r" else tri_basis(fld.q)
+    return basis.eval(ref) @ fld.coeffs[fld.dofmap.dofs[shape][k]]
 
 
 def test_interpolation_reproduces_polynomials():
-    patch = build_pattern(PatchKind.TENSOR, PatchParams(sigma=0.5, L=1, n=2))
+    mesh = pattern_mesh(PatchKind.TENSOR, PatchParams(sigma=0.5, L=1, n=2))
     f = _Poly()
-    itp = elementwise_interp(f, patch, 3)
-    ev, eg = sup_errors(itp, f, n=40, grad_weight=1.0)
+    ev, eg = sup_errors(interpolate(mesh, 3, f.value), f.value, f.grad, n=40)
     assert ev < 1e-13
     assert eg < 1e-12
 
 
 def test_boundary_layer_error_decays_in_q():
     eps = 1e-2
-    patch = build_pattern(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=4, n=4))
+    mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=4, n=4))
     f = boundary_layer_fn(1.0, eps)
     errs = []
     for q in (2, 4, 6, 8):
-        itp = elementwise_interp(f, patch, q)
-        ev, eg = sup_errors(itp, f, n=80, grad_weight=eps)
-        errs.append(ev + eg)
+        ev, eg = sup_errors(interpolate(mesh, q, f.value), f.value, f.grad, n=80)
+        errs.append(ev + eps * eg)
     assert errs[-1] < 1e-3 * errs[0]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -82,9 +87,8 @@ def test_corner_singularity_error_decays_in_n():
     f = corner_singularity_fn(0.5)
     errs = []
     for n in (2, 4, 6):
-        patch = build_pattern(PatchKind.CORNER, PatchParams(sigma=0.25, L=0, n=n))
-        itp = elementwise_interp(f, patch, 6)
-        ev, _ = sup_errors(itp, f, n=60, grad_weight=None)
+        mesh = pattern_mesh(PatchKind.CORNER, PatchParams(sigma=0.25, L=0, n=n))
+        ev, _ = sup_errors(interpolate(mesh, 6, f.value), f.value, n=60)
         errs.append(ev)
     # one refinement ring gains roughly sigma^(1-beta) = 0.5 per step
     assert errs[1] < 0.5 * errs[0]
