@@ -61,6 +61,8 @@ def _config_from(args) -> ExperimentConfig:
         fields["sigma"] = args.sigma
     if getattr(args, "pmax", None) is not None:
         fields["p_max"] = args.pmax
+    if getattr(args, "p", None) is not None:  # solve runs the one degree
+        fields["p_min"] = fields["p_max"] = args.p
     if getattr(args, "norm", None):
         fields["norm"] = args.norm
     if getattr(args, "mode", None):
@@ -94,8 +96,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = replace(_config_from(args), p_min=args.p, p_max=args.p)
-    cfg.validate()
+    cfg = _config_from(args)
     if len(cfg.eps) != 1:
         raise ValueError(f"solve takes one eps, got {len(cfg.eps)}; use study for several")
     (eps,) = cfg.eps
@@ -134,8 +135,13 @@ def cmd_fit(args) -> int:
         header = fh.readline().strip()
         if header != "domain,eps,sigma,p,N,error,iters,seconds":
             raise ValueError(f"unexpected CSV header: {header}")
-        for line in fh:
-            dom, eps, sigma, p, N, err, iters, secs = line.strip().split(",")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != 8:
+                raise ValueError(f"{args.csv} line {lineno}: expected 8 fields, got {len(cells)}")
+            dom, eps, sigma, p, N, err, iters, secs = cells
             key = (dom, float(eps))
             if key not in tables:
                 tables[key] = ConvergenceTable(

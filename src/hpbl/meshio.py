@@ -4,7 +4,9 @@ The text format is line based: one node per line as ``v x y`` followed
 by one element per line as ``t i j k`` (triangle) or ``r i j k l``
 (rectangle, counterclockwise).  SVG output is deterministic for a given
 input: coordinates are printed with fixed precision and elements in
-storage order, one ``<polygon>`` per element.
+storage order, one ``<polygon>`` per element.  Outlines come per element
+shape as coordinate arrays, are mapped to the SVG frame as arrays and
+formatted one element per ``%`` on the shape's template.
 """
 
 from __future__ import annotations
@@ -54,35 +56,38 @@ def write_mesh_text(obj, path: str) -> None:
         fh.write(mesh_text(obj))
 
 
-def _outlines(obj, samples: int = 8) -> list[np.ndarray]:
-    """Polygon outline of every element, in storage order and physical
-    coordinates.
+def _outlines(obj, samples: int = 8):
+    """Yield ``(ids, rings)`` per element shape: storage indices (E_s,)
+    and polygon outlines (E_s, k, 2) in physical coordinates.
 
     Pattern rectangles stay straight-sided under a bilinear map, but a
     triangle edge that is not axis-aligned in pattern coordinates maps to
     a curve, so each edge of a Mesh element is sampled ``samples`` times,
-    starting at its corner.
+    starting at its corner.  A PatchMesh outline is its element's nodes.
     """
     if not isinstance(obj, Mesh):
-        return [obj.nodes[list(el.nodes)] for el in obj.elements]
-    rings = [None] * len(obj.elements)
+        for shape in REF_CORNERS:
+            ids = [ei for ei, el in enumerate(obj.elements) if el.shape == shape]
+            if ids:
+                rows = [obj.elements[ei].nodes for ei in ids]
+                yield np.array(ids), np.asarray(obj.nodes)[np.array(rows)]
+        return
     t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
     for shape, corners in REF_CORNERS.items():
         edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
         ids, _, phys, _, _ = element_geometry(obj, shape, edges.reshape(-1, 2))
-        for ei, ring in zip(ids, phys):
-            rings[ei] = ring
-    return rings
+        yield ids, phys
 
 
-def _kind_of(obj, ei: int) -> str:
-    if isinstance(obj, Mesh):
-        return obj.assignments[obj.elements[ei].macro_id].kind.value
-    return obj.kind.value
+_BLOCK = 1024  # elements formatted per batch, which bounds the Python floats alive
 
 
 def mesh_svg(obj, width: int = 640) -> str:
-    """Render a PatchMesh or Mesh; one polygon per element, boundary in red."""
+    """Render a PatchMesh or Mesh; one polygon per element, boundary in red.
+
+    Coordinates are mapped to the SVG frame as arrays and each element is
+    written by one ``%`` on its shape's template, in storage order.
+    """
     nodes = np.asarray(obj.nodes)
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
@@ -93,31 +98,34 @@ def mesh_svg(obj, width: int = 640) -> str:
     scale = width / (hi[0] - lo[0])
     height = int(math.ceil((hi[1] - lo[1]) * scale))
 
-    def xy(p):
-        return (
-            (p[0] - lo[0]) * scale,
-            (hi[1] - p[1]) * scale,  # svg y grows downward
-        )
+    def rows(pts):  # (m, k, 2) physical -> m lists of k (x, y) pairs; svg y grows downward
+        svg = np.stack([(pts[..., 0] - lo[0]) * scale, (hi[1] - pts[..., 1]) * scale], axis=-1)
+        return svg.reshape(len(pts), -1).tolist()
 
+    if isinstance(obj, Mesh):
+        macro_fill = [_FILL.get(a.kind.value, "#ffffff") for a in obj.assignments]
+        fills = [macro_fill[el.macro_id] for el in obj.elements]
+    else:
+        fills = [_FILL.get(obj.kind.value, "#ffffff")] * len(obj.elements)
+    polygons = [None] * len(obj.elements)
+    for ids, rings in _outlines(obj):
+        template = (
+            '<polygon points="' + " ".join(["%.3f,%.3f"] * rings.shape[1])
+            + '" fill="%s" stroke="#444444" stroke-width="0.6"/>'
+        )
+        for b in range(0, len(ids), _BLOCK):
+            for ei, row in zip(ids[b:b + _BLOCK].tolist(), rows(rings[b:b + _BLOCK])):
+                row.append(fills[ei])
+                polygons[ei] = template % tuple(row)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        *polygons,
     ]
-    for ei, ring in enumerate(_outlines(obj)):
-        pts = " ".join("%.3f,%.3f" % xy(p) for p in ring)
-        fill = _FILL.get(_kind_of(obj, ei), "#ffffff")
-        out.append(
-            f'<polygon points="{pts}" fill="{fill}" stroke="#444444" '
-            'stroke-width="0.6"/>'
-        )
     if isinstance(obj, Mesh):
-        for a, b in sorted(obj.boundary_facets):
-            xa, ya = xy(obj.nodes[a])
-            xb, yb = xy(obj.nodes[b])
-            out.append(
-                f'<line x1="{xa:.3f}" y1="{ya:.3f}" x2="{xb:.3f}" y2="{yb:.3f}" '
-                'stroke="#cc2222" stroke-width="1.6"/>'
-            )
+        facets = np.array(sorted(obj.boundary_facets), dtype=np.int64).reshape(-1, 2)
+        line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#cc2222" stroke-width="1.6"/>'
+        out.extend(line % tuple(row) for row in rows(nodes[facets]))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

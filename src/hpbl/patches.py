@@ -81,7 +81,8 @@ class PatchParams:
     """Grading factor and layer counts of a refinement pattern.
 
     ``L`` is the number of boundary-layer scales, ``n >= L`` the number
-    of corner scales.  Kinds that do not use a count ignore it.
+    of corner scales, and ``sigma**n >= 2**-50``.  Kinds that do not use
+    a count ignore it.
     """
 
     sigma: float = 0.5
@@ -97,6 +98,11 @@ class PatchParams:
             raise ValueError(f"layer counts must be >= 0, got L={self.L}, n={self.n}")
         if self.n < self.L:
             raise ValueError(f"need n >= L, got L={self.L}, n={self.n}")
+        if sigma_powers(self.sigma, self.n)[-1] < 2.0**-50:  # finer layers merge nodes
+            raise ValueError(
+                f"sigma^n = {self.sigma}^{self.n} is below 2^-50, the finest layer double "
+                "precision resolves; lower n or raise sigma"
+            )
 
 
 def sigma_powers(sigma: float, k: int) -> list[float]:

@@ -286,8 +286,8 @@ class TriBasis:
         return self._modal(pts) @ self._vinv
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        g = self._modal_grad(pts)
-        return np.einsum("pmd,mn->pnd", g, self._vinv)
+        g = self._modal_grad(pts)  # (P, M, 2); matmul runs on BLAS, einsum here does not
+        return np.swapaxes(np.swapaxes(g, 1, 2) @ self._vinv, 1, 2)
 
     def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
         """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at pts[k].

@@ -108,6 +108,12 @@ class ExperimentConfig:
             raise ValueError(f"layers must be one of {_LAYERS}")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
+        p_top = self.p_max + 2 if self.mode == "reference" else self.p_max  # the finest mesh
+        for e in eps:
+            try:
+                PatchParams(self.sigma, *_layer_counts(self, p_top, e))
+            except ValueError as exc:
+                raise ValueError(f"eps={e:g} at p={p_top}: {exc}") from None
 
 
 @dataclass

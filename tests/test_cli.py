@@ -21,6 +21,20 @@ def test_mesh_command_rejects_bad_sigma(capsys):
     assert rc == 2
 
 
+def test_mesh_command_rejects_layers_past_double_precision(capsys):
+    rc = cli.main(["mesh", "--domain", "square", "--sigma", "0.25", "-L", "26"])
+    assert rc == 2
+    assert "sigma^n = 0.25^26 is below 2^-50" in capsys.readouterr().err
+
+
+def test_solve_rejects_layers_past_double_precision(capsys):
+    # the balanced rule at eps=1e-8 asks for L = n = 27 at sigma=0.25
+    rc = cli.main(["solve", "--domain", "square", "--eps", "1e-8", "--layers", "balanced",
+                   "-p", "2"])
+    assert rc == 2
+    assert "eps=1e-08 at p=2: sigma^n = 0.25^27 is below 2^-50" in capsys.readouterr().err
+
+
 def test_solve_command(capsys):
     rc = cli.main(["solve", "--domain", "square", "--eps", "0.01", "-p", "2"])
     assert rc == 0
@@ -148,6 +162,33 @@ def test_fit_command(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "b=2.3026" in out
+
+
+def test_fit_skips_blank_lines(tmp_path, capsys):
+    csv = tmp_path / "results.csv"
+    csv.write_text(
+        "domain,eps,sigma,p,N,error,iters,seconds\n"
+        "square,0.1,0.25,1,9,1.0,3,0.0\n"
+        "\n"
+        "square,0.1,0.25,2,121,0.1,5,0.0\n"
+        "square,0.1,0.25,3,529,0.01,7,0.0\n"
+        "\n"
+    )
+    rc = cli.main(["fit", "--csv", str(csv)])
+    assert rc == 0
+    assert "b=2.3026" in capsys.readouterr().out
+
+
+def test_fit_rejects_short_row(tmp_path, capsys):
+    csv = tmp_path / "results.csv"
+    csv.write_text(
+        "domain,eps,sigma,p,N,error,iters,seconds\n"
+        "square,0.1,0.25,1,9,1.0,3,0.0\n"
+        "square,0.1,0.25,2,121\n"
+    )
+    rc = cli.main(["fit", "--csv", str(csv)])
+    assert rc == 2
+    assert f"{csv} line 3: expected 8 fields, got 5" in capsys.readouterr().err
 
 
 def test_fit_rejects_malformed_header(tmp_path):

@@ -115,6 +115,14 @@ def test_shared_edge_traces_merge_exactly():
     assert validate_mesh(mesh).violations == []
 
 
+def test_finest_layer_count_validates_clean():
+    # sigma=0.25 allows L = n = 25 (sigma^n >= 2^-50); the next count is rejected
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=25, n=25))
+    report = validate_mesh(mesh)
+    assert report.violations == [] and report.warnings == []
+
+
 def test_builtin_domains_validate_clean():
     for name in ("square", "lshape", "slit"):
         poly, macro = builtin_layout(name)

@@ -4,7 +4,9 @@ import pytest
 from hpbl.layouts import builtin_layout
 from hpbl.macro import build_geo_bl_mesh
 from hpbl.meshio import _outlines, convergence_svg, mesh_svg, mesh_text
-from hpbl.patches import PatchKind, PatchParams, build_pattern
+from hpbl.patches import PatchKind, PatchParams, build_half_patch, build_pattern
+
+from helpers import reference_mesh_svg
 
 
 def test_text_dump_roundtrip_counts():
@@ -42,11 +44,44 @@ def test_mesh_outlines_start_at_element_corners():
     for name in ("lshape", "slit"):
         poly, macro = builtin_layout(name)
         mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.3, L=2, n=3))
-        rings = _outlines(mesh)
-        assert len(rings) == mesh.element_count()
-        for el, ring in zip(mesh.elements, rings):
-            assert len(ring) == 8 * len(el.nodes)
-            np.testing.assert_allclose(ring[::8], mesh.nodes[list(el.nodes)], rtol=0, atol=1e-12)
+        per_shape = list(_outlines(mesh))
+        ids = np.concatenate([ids for ids, _ in per_shape])
+        assert len(ids) == mesh.element_count()
+        np.testing.assert_array_equal(np.sort(ids), np.arange(mesh.element_count()))
+        for ids, rings in per_shape:
+            for ei, ring in zip(ids, rings):
+                el = mesh.elements[ei]
+                assert len(ring) == 8 * len(el.nodes)
+                np.testing.assert_allclose(
+                    ring[::8], mesh.nodes[list(el.nodes)], rtol=0, atol=1e-12
+                )
+
+
+def _assert_same_svg(obj, width=640, label=""):
+    got, want = mesh_svg(obj, width), reference_mesh_svg(obj, width)
+    if got != want:  # name the first differing line; a full diff of megabytes is slow
+        pairs = zip(got.splitlines(), want.splitlines())
+        i, (a, b) = next((i, ab) for i, ab in enumerate(pairs) if ab[0] != ab[1])
+        pytest.fail(f"{label} width={width} line {i}: {a[:120]!r} != {b[:120]!r}")
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "slit"])
+def test_mesh_svg_matches_per_point_renderer(name):
+    poly, macro = builtin_layout(name)
+    for L in range(1, 5):
+        for n in (L, L + 2):
+            mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=n))
+            _assert_same_svg(mesh, label=(name, L, n))
+    _assert_same_svg(mesh, width=317, label=name)
+
+
+def test_pattern_svg_matches_per_point_renderer():
+    params = PatchParams(sigma=0.25, L=2, n=3)
+    for kind in PatchKind:
+        build = build_half_patch if "half" in kind.value else build_pattern
+        patch = build(kind, params)
+        _assert_same_svg(patch, label=kind)
+        _assert_same_svg(patch, width=317, label=kind)
 
 
 def test_convergence_svg():

@@ -52,6 +52,10 @@ _FULL_KINDS = [k for k in PatchKind if "half" not in k.value]
 )
 def test_full_patterns_conform_and_tile(kind, sigma, counts):
     L, n = counts
+    if sigma_powers(sigma, n)[-1] < 2.0**-50:  # finer than double precision: rejected
+        with pytest.raises(ValueError, match="2\\^-50"):
+            PatchParams(sigma=sigma, L=L, n=n)
+        return
     _assert_tiles(build_pattern(kind, PatchParams(sigma=sigma, L=L, n=n)), 1.0)
 
 
@@ -72,6 +76,13 @@ def test_param_validation():
         PatchParams(sigma=0.25, L=3, n=2)  # corner layers must dominate
     with pytest.raises(ValueError):
         PatchParams(sigma=0.25, L=-1, n=0)
+
+
+@pytest.mark.parametrize("sigma,n_max", [(0.15, 18), (0.25, 25), (0.5, 50)])
+def test_layer_counts_stop_at_double_precision(sigma, n_max):
+    PatchParams(sigma=sigma, L=n_max, n=n_max)
+    with pytest.raises(ValueError, match=f"sigma\\^n = {sigma}\\^{n_max + 1} is below 2\\^-50"):
+        PatchParams(sigma=sigma, L=0, n=n_max + 1)
 
 
 def test_trivial_patch():
