@@ -98,11 +98,14 @@ class PatchParams:
             raise ValueError(f"layer counts must be >= 0, got L={self.L}, n={self.n}")
         if self.n < self.L:
             raise ValueError(f"need n >= L, got L={self.L}, n={self.n}")
-        if sigma_powers(self.sigma, self.n)[-1] < 2.0**-50:  # finer layers merge nodes
-            raise ValueError(
-                f"sigma^n = {self.sigma}^{self.n} is below 2^-50, the finest layer double "
-                "precision resolves; lower n or raise sigma"
-            )
+        finest = 1.0  # sigma^n as sigma_powers forms it, stopping once too fine for any n
+        for _ in range(self.n):
+            finest *= self.sigma
+            if finest < 2.0**-50:  # finer layers merge nodes
+                raise ValueError(
+                    f"sigma^n = {self.sigma}^{self.n} is below 2^-50, the finest layer double "
+                    "precision resolves; lower n or raise sigma"
+                )
 
 
 def sigma_powers(sigma: float, k: int) -> list[float]:
