@@ -69,8 +69,7 @@ def _outlines(obj, samples: int = 8):
         for shape in REF_CORNERS:
             ids = [ei for ei, el in enumerate(obj.elements) if el.shape == shape]
             if ids:
-                rows = [obj.elements[ei].nodes for ei in ids]
-                yield np.array(ids), np.asarray(obj.nodes)[np.array(rows)]
+                yield np.array(ids), obj.nodes[np.array([obj.elements[ei].nodes for ei in ids])]
         return
     t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
     for shape, corners in REF_CORNERS.items():
@@ -85,11 +84,7 @@ _BLOCK = 64
 
 
 def mesh_svg(obj, width: int = 640) -> str:
-    """Render a PatchMesh or Mesh; one polygon per element, boundary in red.
-
-    Coordinates are mapped to the SVG frame as arrays and each element is
-    written by one ``%`` on its shape's template, in storage order.
-    """
+    """Render a PatchMesh or Mesh; one polygon per element, boundary in red."""
     nodes = np.asarray(obj.nodes)
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
