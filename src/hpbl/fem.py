@@ -35,6 +35,11 @@ dofs, which ``DofMap`` numbers before every bubble.
 ``LinearSystem.solve`` runs CG (or a direct solve) on the skeleton only
 and recovers the bubbles element by element, so reported CG iterations
 count skeleton iterations.
+
+scipy is imported on first use: ``scipy.sparse`` when ``assemble``
+builds its first matrix, ``scipy.sparse.linalg`` only for a direct
+solve.  Importing this module loads no scipy, so commands that never
+assemble (``hpbl mesh``, ``fit``, ``--help``) start on numpy alone.
 """
 
 from __future__ import annotations
@@ -42,13 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .macro import REF_CORNERS, Mesh, element_geometry, element_placements, inverse_2x2
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DofMap",
@@ -188,6 +195,8 @@ class LinearSystem:
             x, iters, relres = solve_cg(A, b, tol=tol, maxiter=maxiter)
             stats = {"method": "cg", "iterations": iters, "relres": relres}
         elif method == "direct":
+            import scipy.sparse.linalg as spla
+
             x = spla.spsolve(A.tocsc(), b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
             stats = {"method": "direct", "iterations": 0, "relres": 0.0}
         else:
@@ -209,6 +218,8 @@ def _free_coo(fg: np.ndarray, S: np.ndarray):
 
 
 def _csr(parts, n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 

@@ -26,7 +26,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln
 
 from .gausslobatto import LagrangeBasis1D, gauss_lobatto_rule, gauss_legendre_rule
 
@@ -45,32 +44,52 @@ def shifted_gl(q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# orthonormal Jacobi helpers (beta = 0 throughout except for derivatives)
+# orthonormal Jacobi polynomials
 
 
 def _jacobi_norm(n: int, alpha: float, beta: float) -> float:
     """L2([-1,1], (1-x)^a (1+x)^b) norm^2 of the classical Jacobi P_n."""
     num = (
         (alpha + beta + 1.0) * math.log(2.0)
-        + gammaln(n + alpha + 1.0)
-        + gammaln(n + beta + 1.0)
-        - gammaln(n + alpha + beta + 1.0)
-        - gammaln(n + 1.0)
+        + math.lgamma(n + alpha + 1.0)
+        + math.lgamma(n + beta + 1.0)
+        - math.lgamma(n + alpha + beta + 1.0)
+        - math.lgamma(n + 1.0)
     )
     return math.exp(num) / (2.0 * n + alpha + beta + 1.0)
 
 
-def _jacobi_on(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Jacobi polynomial."""
-    return eval_jacobi(n, alpha, beta, x) / math.sqrt(_jacobi_norm(n, alpha, beta))
+def _jacobi_table(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Jacobi polynomials of degrees 0..n at x, shape (n + 1, len(x)).
+
+    One pass of the three-term recurrence for the classical P_k^(alpha, beta)
+    (Karniadakis & Sherwin, Spectral/hp Element Methods for CFD, 2nd ed.,
+    App. A), then each degree divided by its norm.
+    """
+    out = np.empty((n + 1, len(x)))
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
+    for k in range(2, n + 1):
+        c = 2.0 * k + alpha + beta
+        a1 = 2.0 * k * (k + alpha + beta) * (c - 2.0)
+        a2 = (c - 1.0) * (alpha * alpha - beta * beta)
+        a3 = (c - 2.0) * (c - 1.0) * c
+        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * c
+        out[k] = ((a2 + a3 * x) * out[k - 1] - a4 * out[k - 2]) / a1
+    norms = [math.sqrt(_jacobi_norm(k, alpha, beta)) for k in range(n + 1)]
+    return out / np.array(norms)[:, None]
 
 
-def _grad_jacobi_on(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.zeros_like(x)
-    return math.sqrt(n * (n + alpha + beta + 1.0)) * _jacobi_on(
-        n - 1, alpha + 1.0, beta + 1.0, x
-    )
+def _grad_jacobi_table(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Derivatives of ``_jacobi_table(n, alpha, beta, x)``, by d/dx P_k = c_k P_{k-1}^(a+1,b+1)."""
+    out = np.zeros((n + 1, len(x)))
+    if n > 0:
+        k = np.arange(1, n + 1)
+        out[1:] = np.sqrt(k * (k + alpha + beta + 1.0))[:, None] * _jacobi_table(
+            n - 1, alpha + 1.0, beta + 1.0, x
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,6 @@ class TriBasis:
             np.concatenate(([2], 3 + 2 * ne + np.arange(ne), [0])),
         )
         self.interior_ids = np.arange(3 + 3 * ne, self.ndofs)
-        self._modes = [(i, j) for i in range(q + 1) for j in range(q + 1 - i)]
         vand = self._modal(self.nodes)
         self._vinv = np.linalg.inv(vand)
         self.vandermonde_cond = float(np.linalg.cond(vand))
@@ -245,48 +263,50 @@ class TriBasis:
         )
         return a, s
 
-    def _modal(self, pts: np.ndarray) -> np.ndarray:
-        a, b = self._collapsed(np.atleast_2d(pts))
-        cols = []
-        for i, j in self._modes:
-            col = (
-                math.sqrt(2.0)
-                * _jacobi_on(i, 0.0, 0.0, a)
-                * _jacobi_on(j, 2.0 * i + 1.0, 0.0, b)
-                * (1.0 - b) ** i
-            )
-            cols.append(col)
-        return np.column_stack(cols)
+    def _modal(self, pts: np.ndarray, grad: bool = False):
+        """Modal values (P, M) at pts and, with ``grad``, also gradients (P, M, 2).
 
-    def _modal_grad(self, pts: np.ndarray) -> np.ndarray:
+        Mode (i, j) is sqrt(2) P_i^(0,0)(a) P_j^(2i+1,0)(b) (1-b)^i with
+        orthonormal Jacobi factors; modes run over i, then j.  Each factor
+        family comes from one recurrence pass that serves values and
+        gradients alike.
+        """
         a, b = self._collapsed(np.atleast_2d(pts))
-        npts = len(a)
-        out = np.empty((npts, len(self._modes), 2))
+        q = self.q
+        fa = _jacobi_table(q, 0.0, 0.0, a)
+        vals = np.empty((len(a), self.ndofs))
+        if grad:
+            dfa = _grad_jacobi_table(q, 0.0, 0.0, a)
+            grads = np.empty((len(a), self.ndofs, 2))
         half_1mb = 0.5 * (1.0 - b)
-        for k, (i, j) in enumerate(self._modes):
-            fa = _jacobi_on(i, 0.0, 0.0, a)
-            dfa = _grad_jacobi_on(i, 0.0, 0.0, a)
-            gb = _jacobi_on(j, 2.0 * i + 1.0, 0.0, b)
-            dgb = _grad_jacobi_on(j, 2.0 * i + 1.0, 0.0, b)
+        k0 = 0
+        for i in range(q + 1):
+            cols = slice(k0, k0 + q + 1 - i)
+            k0 = cols.stop
+            gb = _jacobi_table(q - i, 2.0 * i + 1.0, 0.0, b)
+            vals[:, cols] = (math.sqrt(2.0) * fa[i] * (1.0 - b) ** i * gb).T
+            if not grad:
+                continue
+            dgb = _grad_jacobi_table(q - i, 2.0 * i + 1.0, 0.0, b)
             pow_im1 = half_1mb ** (i - 1) if i > 0 else np.ones_like(b)
-            dr = dfa * gb * pow_im1
-            ds = dfa * (gb * 0.5 * (1.0 + a)) * pow_im1
+            dr = dfa[i] * gb * pow_im1
+            ds = dfa[i] * (gb * 0.5 * (1.0 + a)) * pow_im1
             tmp = dgb * (half_1mb**i)
             if i > 0:
                 tmp = tmp - 0.5 * i * gb * pow_im1
-            ds = ds + fa * tmp
+            ds = ds + fa[i] * tmp
             scale = 2.0 ** (i + 0.5)
             # chain rule to the (x,y) frame of the reference triangle:
             # r = 2x - 2y - 1, s = 2y - 1
-            out[:, k, 0] = scale * dr * 2.0
-            out[:, k, 1] = scale * (-2.0 * dr + 2.0 * ds)
-        return out
+            grads[:, cols, 0] = (scale * dr * 2.0).T
+            grads[:, cols, 1] = (scale * (-2.0 * dr + 2.0 * ds)).T
+        return (vals, grads) if grad else vals
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return self._modal(pts) @ self._vinv
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        g = self._modal_grad(pts)  # (P, M, 2); matmul runs on BLAS, einsum here does not
+        _, g = self._modal(pts, grad=True)  # (P, M, 2); matmul runs on BLAS, einsum here does not
         return np.swapaxes(np.swapaxes(g, 1, 2) @ self._vinv, 1, 2)
 
     def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
@@ -296,8 +316,9 @@ class TriBasis:
         V^-1 once per point, then meet the modal values and gradients.
         """
         modal = coeffs @ self._vinv.T
-        vals = np.einsum("pm,pm->p", self._modal(pts), modal)
-        grads = np.einsum("pmd,pm->pd", self._modal_grad(pts), modal)
+        mvals, mgrads = self._modal(pts, grad=True)
+        vals = np.einsum("pm,pm->p", mvals, modal)
+        grads = np.einsum("pmd,pm->pd", mgrads, modal)
         return vals, grads
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fem import DiscreteField, _integrate, assemble, error_norms
 from .layouts import builtin_layout, layout_names, load_config
-from .macro import Mesh, build_geo_bl_mesh, scale_resolution_L
+from .macro import Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L
 from .meshio import convergence_svg, mesh_svg
 from .oracles import manufactured_layer_solution
 from .patches import PatchParams
@@ -168,7 +168,8 @@ def load_domain(name: str):
     key = _domain_key(name)
     if key not in _DOMAIN_CACHE:
         if name in layout_names():
-            _DOMAIN_CACHE[key] = (*builtin_layout(name), None)
+            polygon, macro = builtin_layout(name)
+            _DOMAIN_CACHE[key] = (polygon, macro, assign_refinement_patterns(macro, polygon))
         else:
             _DOMAIN_CACHE[key] = load_config(name)
     return _DOMAIN_CACHE[key]

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hpbl
 from hpbl import cli
 
 
@@ -211,3 +216,47 @@ def test_custom_domain_config(tmp_path):
     path.write_text(json.dumps(cfg))
     rc = cli.main(["mesh", "--domain", str(path), "-L", "1"])
     assert rc == 0
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out_dir, csv = sys.argv[1], sys.argv[2]
+import hpbl.cli
+seen = {"import": [0, scipy_modules()]}
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = hpbl.cli.main(["mesh", "--domain", "lshape", "-L", "2", "--out", out_dir])
+    seen["mesh"] = [rc, scipy_modules()]
+    rc = hpbl.cli.main(["fit", "--csv", csv])
+    seen["fit"] = [rc, scipy_modules()]
+    try:
+        hpbl.cli.main(["--help"])
+    except SystemExit as exc:
+        seen["help"] = [exc.code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_mesh_fit_and_help_load_no_scipy(tmp_path):
+    csv = tmp_path / "results.csv"
+    csv.write_text(
+        "domain,eps,sigma,p,N,error,iters,seconds\n"
+        "square,0.1,0.25,1,9,1.0,3,0.0\n"
+        "square,0.1,0.25,2,121,0.1,5,0.0\n"
+        "square,0.1,0.25,3,529,0.01,7,0.0\n"
+    )
+    src = str(Path(hpbl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out"), str(csv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import", "mesh", "fit", "help"]
+    for step, (rc, modules) in seen.items():
+        assert rc == 0, step
+        assert modules == [], (step, modules)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 
 from hpbl.reference import (
+    _jacobi_norm,
+    _jacobi_table,
     rect_basis,
     rect_quadrature,
     shifted_gl,
@@ -125,3 +129,67 @@ def test_quadrature_moments():
             val = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
             exact = 1.0 / ((b + 1) * (a + b + 2))
             assert abs(val - exact) < 1e-13
+
+
+def test_jacobi_recurrence_matches_scipy():
+    from scipy.special import eval_jacobi
+
+    x = np.linspace(-1.0, 1.0, 57)
+    for alpha in range(26):
+        for beta in (0, 1):
+            table = _jacobi_table(12, alpha, beta, x)
+            for n in range(13):
+                ref = eval_jacobi(n, alpha, beta, x) / math.sqrt(_jacobi_norm(n, alpha, beta))
+                scale = np.abs(ref).max()
+                assert np.abs(table[n] - ref).max() <= 1e-14 * scale, (n, alpha, beta)
+
+
+def _scipy_tri_tables(basis, pts):
+    """Nodal values and gradients of ``basis`` at pts, one scipy.special call per mode.
+
+    The per-mode Dubiner loop the recurrence replaced, kept as its reference.
+    """
+    from scipy.special import eval_jacobi, gammaln
+
+    def jac(n, alpha, beta, x):
+        lognorm = ((alpha + beta + 1.0) * math.log(2.0) + gammaln(n + alpha + 1.0)
+                   + gammaln(n + beta + 1.0) - gammaln(n + alpha + beta + 1.0) - gammaln(n + 1.0))
+        norm = math.exp(lognorm) / (2.0 * n + alpha + beta + 1.0)
+        return eval_jacobi(n, alpha, beta, x) / math.sqrt(norm)
+
+    def djac(n, alpha, beta, x):
+        if n == 0:
+            return np.zeros_like(x)
+        return math.sqrt(n * (n + alpha + beta + 1.0)) * jac(n - 1, alpha + 1.0, beta + 1.0, x)
+
+    def modal(p):
+        a, b = basis._collapsed(p)
+        vals, grads = [], []
+        half = 0.5 * (1.0 - b)
+        for i in range(basis.q + 1):
+            for j in range(basis.q + 1 - i):
+                fa, dfa = jac(i, 0.0, 0.0, a), djac(i, 0.0, 0.0, a)
+                gb, dgb = jac(j, 2.0 * i + 1.0, 0.0, b), djac(j, 2.0 * i + 1.0, 0.0, b)
+                vals.append(math.sqrt(2.0) * fa * gb * (1.0 - b) ** i)
+                pow_im1 = half ** (i - 1) if i > 0 else np.ones_like(b)
+                dr = dfa * gb * pow_im1
+                ds = dfa * gb * 0.5 * (1.0 + a) * pow_im1 + fa * dgb * half**i
+                if i > 0:
+                    ds = ds - fa * 0.5 * i * gb * pow_im1
+                scale = 2.0 ** (i + 0.5)
+                grads.append(np.column_stack([scale * dr * 2.0, scale * (-2.0 * dr + 2.0 * ds)]))
+        return np.column_stack(vals), np.stack(grads, axis=1)
+
+    vinv = np.linalg.inv(modal(basis.nodes)[0])
+    vals, grads = modal(pts)
+    return vals @ vinv, np.einsum("pmd,mn->pnd", grads, vinv)
+
+
+def test_tri_basis_matches_scipy_tables():
+    for q in (*range(1, 11), 12):
+        basis = tri_basis(q)
+        pts, _ = tri_quadrature(q + 2)
+        ref_vals, ref_grads = _scipy_tri_tables(basis, pts)
+        tol = 1e-14 if q <= 10 else 1e-13
+        for got, ref in ((basis.eval(pts), ref_vals), (basis.grad(pts), ref_grads)):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), q
