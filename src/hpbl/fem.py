@@ -7,9 +7,9 @@ restrictions of both the tensor and the triangle basis are univariate
 Lagrange interpolants on Gauss-Lobatto points of the same degree,
 which makes the glued space H1-conforming also across the
 rectangle/triangle interfaces inside the patterns.  ``DofMap`` builds
-the numbering with array operations as one table per element shape,
-``dofs[shape]`` (E, nbasis) with rows in element order, and assembly,
-DoF points, the norm kernel and the point locator index it directly.
+the numbering from the mesh's per-shape arrays as one table per shape,
+``dofs[shape]`` (E, nbasis) whose rows match ``Mesh.conn[shape]``, and
+assembly, DoF points, norm kernel and point locator index it directly.
 
 The assembled problem is
 
@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .macro import REF_CORNERS, Mesh, element_geometry, element_placements, inverse_2x2
+from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 if TYPE_CHECKING:
@@ -92,9 +93,10 @@ class DofMap:
     ``dofs[shape]`` is the (E, nbasis) table of global dofs of the
     elements of one shape, row k for the k-th such element in element
     order (the order of the ids from ``element_geometry``).  Facets are
-    the sorted (min, max) node pairs; facet f owns dofs nv + (q-1) f +
-    [0, q-1), read backwards by an element that traverses it from its
-    higher-numbered node.  Bubbles follow in element order.
+    the sorted (min, max) node pairs of ``facet_incidence``; facet f owns
+    dofs nv + (q-1) f + [0, q-1), read backwards by an element that
+    traverses it from its higher-numbered node.  Bubbles follow in
+    element order.  The facets used once carry the Dirichlet condition.
     """
 
     def __init__(self, mesh: Mesh, q: int):
@@ -103,39 +105,34 @@ class DofMap:
         self.mesh = mesh
         self.q = q
         nv = len(mesh.nodes)
-        shape_of = np.array([el.shape for el in mesh.elements])
-        tail = {}  # edge k of an element runs from tail[:, k] to head[:, k]
-        for s, nc in (("r", 4), ("t", 3)):
-            nodes = [el.nodes for el in mesh.elements if el.shape == s]
-            tail[s] = np.array(nodes, dtype=np.int64).reshape(-1, nc)
-        head = {s: np.roll(t, -1, axis=1) for s, t in tail.items()}
-        key = {s: np.minimum(t, head[s]) * nv + np.maximum(t, head[s]) for s, t in tail.items()}
-        facets = np.unique(np.concatenate([k.ravel() for k in key.values()]))
+        facets = facet_incidence(mesh)
 
         def facet_dofs(f):
             return nv + (q - 1) * f[..., None] + np.arange(q - 1)
 
-        self.nskeleton = nv + (q - 1) * len(facets)  # node and facet dofs; bubbles follow
-        nbubble = {s: len(_basis_for(s, q).interior_ids) for s in tail}
-        counts = np.where(shape_of == "r", nbubble["r"], nbubble["t"])
+        self.nskeleton = nv + (q - 1) * len(facets.pairs)  # node and facet dofs; bubbles follow
+        nbubble = {s: len(_basis_for(s, q).interior_ids) for s in mesh.conn}
+        counts = np.empty(mesh.element_count(), dtype=np.int64)
+        for s, ids in mesh.eid.items():
+            counts[ids] = nbubble[s]
         first = self.nskeleton + np.cumsum(counts) - counts  # each element's first bubble
         self.ndofs = self.nskeleton + int(counts.sum())
 
         self.dofs = {}
-        for s, t in tail.items():
+        for s, t in mesh.conn.items():  # edge k of an element runs from node k to node k + 1
             basis = _basis_for(s, q)
             gd = np.empty((len(t), basis.ndofs), dtype=np.int64)
             gd[:, basis.corner_ids] = t
-            edge = facet_dofs(np.searchsorted(facets, key[s]))
-            edge = np.where((t > head[s])[..., None], edge[..., ::-1], edge)
+            edge = facet_dofs(facets.facet[np.isin(facets.elem, mesh.eid[s])].reshape(t.shape))
+            edge = np.where((t > np.roll(t, -1, axis=1))[..., None], edge[..., ::-1], edge)
             gd[:, np.array([e[1:-1] for e in basis.edge_ids])] = edge
-            gd[:, basis.interior_ids] = first[shape_of == s][:, None] + np.arange(nbubble[s])
+            gd[:, basis.interior_ids] = first[mesh.eid[s]][:, None] + np.arange(nbubble[s])
             self.dofs[s] = gd
 
-        bf = np.array(list(mesh.boundary_facets), dtype=np.int64).reshape(-1, 2)
+        once = np.flatnonzero(facets.count == 1)
         dirichlet = np.zeros(self.ndofs, dtype=bool)
-        dirichlet[bf] = True
-        dirichlet[facet_dofs(np.searchsorted(facets, bf[:, 0] * nv + bf[:, 1]))] = True
+        dirichlet[facets.pairs[once]] = True
+        dirichlet[facet_dofs(once)] = True
         self.dirichlet = dirichlet
         self.free = np.nonzero(~dirichlet)[0]
         self.free_index = np.full(self.ndofs, -1, dtype=np.int64)
@@ -445,14 +442,16 @@ class _PatternLocator:
     """
 
     def __init__(self, mesh: Mesh, qids: np.ndarray):
-        els = mesh.elements
-        n = len(els)
-        self.tri = np.array([el.shape == "t" for el in els])
+        n = mesh.element_count()
+        self.tri = np.empty(n, dtype=bool)
         self.frame = np.empty((n, 6))
         self.slot = np.empty(n, dtype=np.int64)
+        macro_of = np.empty(n, dtype=np.int64)
         lo, hi = np.empty((n, 2)), np.empty((n, 2))
         for shape, corners in REF_CORNERS.items():
             ids, place = element_placements(mesh, shape)
+            self.tri[ids] = shape == "t"
+            macro_of[ids] = mesh.macro_id[shape]
             self.frame[ids] = np.column_stack([place.origin, place.inv.reshape(-1, 4)])
             self.slot[ids] = np.arange(len(ids))
             xy = place.origin[:, None, :] + corners @ np.swapaxes(place.mat, 1, 2)
@@ -461,7 +460,6 @@ class _PatternLocator:
             hi[ids] = xy.max(axis=1) + widen[:, None]
         self.inv = self.frame[:, 2:].reshape(n, 2, 2)
 
-        macro_of = np.array([el.macro_id for el in els], dtype=np.int64)
         self.lines = {}  # quad -> (inner x lines, inner y lines, id of its first cell)
         rows = [np.empty((0, 3), dtype=np.int64)]  # (element, first, last cell) per element x cell
         ncells = 0
@@ -595,10 +593,10 @@ def sup_errors(field: DiscreteField, exact, exact_grad=None, n: int = 400):
 def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtract=None) -> dict:
     """The norm kernel: l2, h1, energy and balanced norms of field - subtract.
 
-    ``subtract(ids, pat, phys)``, when given, returns the values (E, P)
+    ``subtract(shape, pat, phys)``, when given, returns the values (E, P)
     and physical gradients (E, P, 2) to subtract at the quadrature points
-    of the same-shape elements ``ids``, whose pattern and physical
-    coordinates are ``pat`` and ``phys`` (E, P, 2).  Quadrature uses
+    of the elements of one shape, in their per-shape order, whose pattern
+    and physical coordinates are ``pat`` and ``phys`` (E, P, 2).  Quadrature uses
     q + 3 points per direction unless ``order`` overrides it.
     """
     q = field.q
@@ -606,11 +604,11 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtrac
     l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
         pts, w, B, G = _tables(shape, q, m)
-        ids, pat, phys, det, vals, grads = _on_elements(field, shape, pts, B, G)
+        _, pat, phys, det, vals, grads = _on_elements(field, shape, pts, B, G)
         ne, npts = vals.shape
         wdet = w * det
         if subtract is not None:
-            sub_vals, sub_grads = subtract(ids, pat, phys)
+            sub_vals, sub_grads = subtract(shape, pat, phys)
             vals = vals - sub_vals
             grads = grads - sub_grads
         flat = phys.reshape(-1, 2)
@@ -652,7 +650,7 @@ def error_norms(
     sqrt(eps |grad e|^2 + |e|^2).
     """
 
-    def exact_at(ids, pat, phys):
+    def exact_at(shape, pat, phys):
         flat = phys.reshape(-1, 2)
         grads = np.broadcast_to(exact_grad(flat[:, 0], flat[:, 1]), flat.shape)
         return _field_at(exact, flat).reshape(phys.shape[:2]), grads.reshape(phys.shape)

@@ -110,29 +110,31 @@ class Polygon:
                 return True
         return False
 
-    def supporting_edge(self, a, b, interior_pt, tol: float = TOL) -> int | None:
-        """Boundary edge containing segment [a, b] with the correct side.
+    def supporting_edges(self, a, b, interior_pt, tol: float = TOL) -> np.ndarray:
+        """Boundary edges (S,) containing the segments [a, b] (S, 2) with the
+        correct side, the first such edge, or -1 where there is none.
 
-        ``interior_pt`` must be a point inside the element claiming the
-        segment; it disambiguates the two coincident sides of a slit.
+        ``interior_pt`` (S, 2) must be a point inside the element claiming
+        each segment; it disambiguates the two coincident sides of a slit.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(interior_pt, dtype=float)
-        for j in range(self.m):
-            va, vb = self.edge(j)
-            d = vb - va
-            length = math.hypot(*d)
-            scale = tol * max(1.0, length)
-            if abs((a[0] - va[0]) * d[1] - (a[1] - va[1]) * d[0]) / length > scale:
-                continue
-            if abs((b[0] - va[0]) * d[1] - (b[1] - va[1]) * d[0]) / length > scale:
-                continue
-            ta = float(np.dot(a - va, d)) / (length * length)
-            tb = float(np.dot(b - va, d)) / (length * length)
-            if not (-tol <= min(ta, tb) and max(ta, tb) <= 1.0 + tol):
-                continue
-            side = (c[0] - va[0]) * d[1] - (c[1] - va[1]) * d[0]
-            if side < 0.0:  # interior point strictly left of the directed edge
-                return j
-        return None
+        a, b, c = (np.asarray(p, dtype=float)[:, None, :] for p in (a, b, interior_pt))
+        va, d = self.vertices, np.roll(self.vertices, -1, axis=0) - self.vertices
+        length = np.hypot(d[:, 0], d[:, 1])
+        len2 = length * length
+        scale = tol * np.maximum(1.0, length)
+
+        def cross(p):  # (S, m): d x (p - va), positive right of the directed edge
+            return (p[..., 0] - va[:, 0]) * d[:, 1] - (p[..., 1] - va[:, 1]) * d[:, 0]
+
+        def along(p):  # (S, m): parameter of p's projection onto the edge
+            return ((p[..., 0] - va[:, 0]) * d[:, 0] + (p[..., 1] - va[:, 1]) * d[:, 1]) / len2
+
+        ta, tb = along(a), along(b)
+        hold = (
+            (np.abs(cross(a)) / length <= scale)
+            & (np.abs(cross(b)) / length <= scale)
+            & (np.minimum(ta, tb) >= -tol)
+            & (np.maximum(ta, tb) <= 1.0 + tol)
+            & (cross(c) < 0.0)  # interior point strictly left of the directed edge
+        )
+        return np.where(hold.any(axis=1), hold.argmax(axis=1), -1)

@@ -125,10 +125,10 @@ def from_config(cfg: dict):
 
     Required: "vertices" (counterclockwise polygon walk) and either
     "macro" with explicit "nodes"/"quads" or "triangulation" with
-    "points"/"triangles" to be split into quads.  Optional
-    "assignments": list of {"quad", "kind", "rotation", "flip",
-    "layers_from_L"} overriding the automatic classification for the
-    listed quads.
+    "points"/"triangles" to be split into quads.  Every quad is
+    classified (``assign_refinement_patterns``); an optional
+    "assignments" list of {"quad", "kind", "rotation", "flip",
+    "layers_from_L"} overrides that for the listed quads.
     """
     polygon = Polygon(np.asarray(cfg["vertices"], dtype=float))
     if "macro" in cfg:
@@ -143,19 +143,17 @@ def from_config(cfg: dict):
     else:
         raise ValueError('config needs a "macro" or "triangulation" section')
 
-    assignments = None
-    if "assignments" in cfg:
-        assignments = list(assign_refinement_patterns(macro, polygon))
-        kinds = {k.value: k for k in PatchKind}
-        for entry in cfg["assignments"]:
-            qid = int(entry["quad"])
-            base = assignments[qid]
-            assignments[qid] = PatternAssignment(
-                kind=kinds[entry.get("kind", base.kind.value)],
-                rotation=int(entry.get("rotation", base.rotation)),
-                flip=bool(entry.get("flip", base.flip)),
-                layers_from_L=bool(entry.get("layers_from_L", base.layers_from_L)),
-            )
+    assignments = assign_refinement_patterns(macro, polygon)
+    kinds = {k.value: k for k in PatchKind}
+    for entry in cfg.get("assignments", []):
+        qid = int(entry["quad"])
+        base = assignments[qid]
+        assignments[qid] = PatternAssignment(
+            kind=kinds[entry.get("kind", base.kind.value)],
+            rotation=int(entry.get("rotation", base.rotation)),
+            flip=bool(entry.get("flip", base.flip)),
+            layers_from_L=bool(entry.get("layers_from_L", base.layers_from_L)),
+        )
     return polygon, macro, assignments
 
 

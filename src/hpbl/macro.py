@@ -7,7 +7,9 @@ refined sides land on the domain boundary, and the refined quads are
 glued into one global mesh.  Pattern boundary traces are geometric
 point sets measured from shared macro nodes, so gluing is exact: nodes
 are merged by symbolic keys (macro vertex, position along a macro edge,
-or quad-local interior id), never by coordinate fuzzing.
+or quad-local interior id), never by coordinate fuzzing.  ``Mesh`` keeps
+its elements as arrays per shape (connectivity, global ids, macro quads
+and pattern corners), which every consumer indexes without regrouping.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ __all__ = [
     "MacroTriangulation",
     "PatternAssignment",
     "Mesh",
-    "MeshElement",
     "BilinearMap",
     "ElementPlacement",
     "placement_for",
     "element_placements",
+    "element_points",
     "element_geometry",
     "inverse_2x2",
     "ValidationReport",
@@ -92,9 +94,6 @@ class MacroTriangulation:
                 b = xy[(k + 2) % 4] - xy[(k + 1) % 4]
                 if a[0] * b[1] - a[1] * b[0] <= 0.0:
                     raise ValueError(f"quad {quad} is not convex and counterclockwise")
-
-    def corner_coords(self, qid: int) -> np.ndarray:
-        return self.nodes[list(self.quads[qid])]
 
 
 def _split_edge(tri: tuple[int, int, int], u: int, v: int, p: int):
@@ -266,13 +265,15 @@ def assign_refinement_patterns(
     Anything else is rejected.
     """
     out: list[PatternAssignment] = []
+    quad_xy = macro.nodes[np.asarray(macro.quads, dtype=np.int64).reshape(-1, 4)]
+    centroids = quad_xy.mean(axis=1)
+    edges = polygon.supporting_edges(  # every quad edge k, from corner k to k + 1, at once
+        quad_xy.reshape(-1, 2), np.roll(quad_xy, -1, axis=1).reshape(-1, 2),
+        np.repeat(centroids, 4, axis=0),
+    ).reshape(-1, 4)
     for qid, quad in enumerate(macro.quads):
-        xy = macro.corner_coords(qid)
-        centroid = xy.mean(axis=0)
-        on_edge = []
-        for k in range(4):
-            j = polygon.supporting_edge(xy[k], xy[(k + 1) % 4], centroid)
-            on_edge.append(j is not None)
+        xy, centroid = quad_xy[qid], centroids[qid]
+        on_edge = (edges[qid] >= 0).tolist()
         corner_on = [polygon.point_on_boundary(xy[k]) for k in range(4)]
         corner_vertex = [
             polygon.vertex_at(xy[k], toward=centroid) is not None for k in range(4)
@@ -352,30 +353,20 @@ def _flip_pattern(patch: PatchMesh) -> PatchMesh:
     """Mirror a pattern across the diagonal y = x.
 
     Coordinates swap, triangles reverse their vertex order to stay
-    counterclockwise, and rectangles are re-listed from the lower-left
-    corner.  Boundary tags swap bottom and left.
+    counterclockwise, and rectangles, listed counterclockwise from the
+    lower-left corner, keep that corner and reverse the other three.
+    Boundary tags swap bottom and left.
     """
     from .patches import PatchElement
 
-    nodes = patch.nodes[:, ::-1].copy()
-    elements = []
-    for el in patch.elements:
-        if el.shape == "t":
-            elements.append(PatchElement("t", (el.nodes[2], el.nodes[1], el.nodes[0])))
-        else:
-            ids = list(el.nodes)
-            xy = nodes[ids]
-            x0, y0 = xy[:, 0].min(), xy[:, 1].min()
-            x1, y1 = xy[:, 0].max(), xy[:, 1].max()
-            order = []
-            for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
-                for i in ids:
-                    if nodes[i, 0] == cx and nodes[i, 1] == cy:
-                        order.append(i)
-                        break
-            elements.append(PatchElement("r", tuple(order)))
+    elements = [
+        PatchElement("t", el.nodes[::-1]) if el.shape == "t"
+        else PatchElement("r", el.nodes[:1] + el.nodes[:0:-1])
+        for el in patch.elements
+    ]
     swap = {GAMMA_BOTTOM: GAMMA_LEFT, GAMMA_LEFT: GAMMA_BOTTOM, GAMMA_ORIGIN: GAMMA_ORIGIN}
     gamma = frozenset(swap[g] for g in patch.gamma)
+    nodes = patch.nodes[:, ::-1].copy()
     return PatchMesh(patch.kind, patch.params, nodes, elements, gamma, patch.area)
 
 
@@ -386,52 +377,40 @@ def pattern_for(assignment: PatternAssignment, params: PatchParams) -> PatchMesh
     return _flip_pattern(patch) if assignment.flip else patch
 
 
-# reference edge k runs from corner k to corner k+1; the stored trace
-# parameter is the raw pattern coordinate measured from the corner where
-# it vanishes, so both quads sharing a macro edge derive bit-identical keys
-_EDGE_ANCHORS = {
-    0: (0, 1, 0),  # bottom: x from corner 0
-    1: (1, 2, 1),  # right:  y from corner 1
-    2: (3, 2, 0),  # top:    x from corner 3
-    3: (0, 3, 1),  # left:   y from corner 0
-}
+# reference edge k runs from corner _EDGE_ENDS[k, 0] to corner _EDGE_ENDS[k, 1];
+# the stored trace parameter is the raw pattern coordinate, which vanishes at
+# the first of them, so both quads sharing a macro edge derive bit-identical keys
+_EDGE_ENDS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])  # bottom, right, top, left
 
 
-def _node_location(x: float, y: float):
-    """Classify a pattern node: corner, boundary edge with coordinate, or interior.
+def _merge_keys(nodes: np.ndarray, oriented: np.ndarray, qids: np.ndarray) -> np.ndarray:
+    """Merge keys (Q, P, 3) of the P pattern nodes in the quads ``qids``.
 
-    Pattern coordinates are exact (0, 1, or a power of sigma), so exact
-    float comparison is the correct test.
+    ``oriented`` (Q, 4) holds each quad's macro nodes in pattern corner
+    order.  A pattern corner keys as (macro node, same node, 0), a node
+    on reference edge k as (lower macro node, higher macro node, bits of
+    the trace coordinate measured from the lower one) and an interior
+    node as (-1 - quad, local id, 0).  Pattern coordinates are exact (0,
+    1, or a power of sigma), so exact float comparison classifies them.
     """
-    left, right = x == 0.0, x == 1.0
-    bottom, top = y == 0.0, y == 1.0
-    if bottom and left:
-        return ("v", 0)
-    if bottom and right:
-        return ("v", 1)
-    if top and right:
-        return ("v", 2)
-    if top and left:
-        return ("v", 3)
-    if bottom:
-        return ("e", 0, x)
-    if right:
-        return ("e", 1, y)
-    if top:
-        return ("e", 2, x)
-    if left:
-        return ("e", 3, y)
-    return ("i",)
-
-
-@dataclass
-class MeshElement:
-    """One refined element: global node ids plus its pattern-frame footprint."""
-
-    shape: str  # 'r' or 't'
-    nodes: tuple[int, ...]
-    macro_id: int
-    ref_coords: np.ndarray  # pattern coordinates of the corner nodes
+    x, y = nodes[:, 0], nodes[:, 1]
+    left, right, bottom, top = x == 0.0, x == 1.0, y == 0.0, y == 1.0
+    # 0-3: corner k; 4-7: on reference edge k - 4; 8: interior
+    cls = np.select(
+        [bottom & left, bottom & right, top & right, top & left, bottom, right, top, left],
+        range(8), 8,
+    )
+    edge = (cls >= 4) & (cls < 8)
+    ends = _EDGE_ENDS[np.where(edge, cls - 4, 0)]
+    a, b = oriented[:, ends[:, 0]], oriented[:, ends[:, 1]]
+    t = np.where((cls == 4) | (cls == 6), x, y)
+    t = np.where(a < b, t, 1.0 - t)
+    corner = oriented[:, np.minimum(cls, 3)]
+    keys = np.zeros(a.shape + (3,), dtype=np.int64)
+    keys[..., 0] = np.where(cls < 4, corner, np.where(edge, np.minimum(a, b), -1 - qids[:, None]))
+    keys[..., 1] = np.where(cls < 4, corner, np.where(edge, np.maximum(a, b), np.arange(len(x))))
+    keys[..., 2] = np.where(edge, t.view(np.int64), 0)
+    return keys
 
 
 class BilinearMap:
@@ -487,29 +466,33 @@ def placement_for(shape: str, xy: np.ndarray) -> ElementPlacement:
 
 
 def element_placements(mesh: Mesh, shape: str):
-    """Element indices (E,) of one shape and their stacked affine placements
+    """Element ids (E,) of one shape and their stacked affine placements
     from the reference element onto the pattern frame."""
-    ids = np.array([ei for ei, el in enumerate(mesh.elements) if el.shape == shape], dtype=np.int64)
-    xy = np.array([mesh.elements[ei].ref_coords for ei in ids])
-    return ids, placement_for(shape, xy.reshape(len(ids), 4 if shape == "r" else 3, 2))
+    return mesh.eid[shape], placement_for(shape, mesh.ref[shape])
+
+
+def element_points(mesh: Mesh, shape: str, ref_pts: np.ndarray):
+    """Placements, bilinear macro maps and pattern points (E, P, 2) of all
+    elements of one shape at shared reference points; ``bil(pat)`` gives
+    the physical points."""
+    place = placement_for(shape, mesh.ref[shape])
+    pat = place.origin[:, None, :] + ref_pts @ np.swapaxes(place.mat, 1, 2)
+    return place, mesh.quad_map(mesh.macro_id[shape][:, None]), pat
 
 
 def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     """Maps of all elements of one shape at shared reference points.
 
     Reference element -> pattern frame (affine placement) -> physical
-    coordinates (bilinear macro quad map).  This is the only place
-    element maps and Jacobians are computed.  Returns ``(ids, pat, phys,
-    det, inv_jac)``: element indices (E,), pattern and physical points
-    (E, P, 2), Jacobian determinants (E, P) and inverse Jacobians
-    (E, P, 2, 2).
+    coordinates (bilinear macro quad map), the points from
+    ``element_points``.  This is the only place element Jacobians are
+    computed.  Returns ``(ids, pat, phys, det, inv_jac)``: element ids
+    (E,), pattern and physical points (E, P, 2), Jacobian determinants
+    (E, P) and inverse Jacobians (E, P, 2, 2).
     """
-    ids, place = element_placements(mesh, shape)
-    pat = place.origin[:, None, :] + ref_pts @ np.swapaxes(place.mat, 1, 2)
-    qids = np.array([mesh.elements[ei].macro_id for ei in ids], dtype=np.int64)
-    bil = mesh.quad_map(qids[:, None])
+    place, bil, pat = element_points(mesh, shape, ref_pts)
     det, inv = inverse_2x2(bil.jacobian(pat) @ place.mat[:, None])
-    return ids, pat, bil(pat), det, inv
+    return mesh.eid[shape], pat, bil(pat), det, inv
 
 
 def inverse_2x2(jac: np.ndarray):
@@ -523,25 +506,48 @@ def inverse_2x2(jac: np.ndarray):
 
 @dataclass
 class Mesh:
-    """Refined global mesh: merged nodes, elements, and per-quad pattern data."""
+    """Refined global mesh: merged nodes, per-shape element arrays and
+    per-quad pattern data.
+
+    Elements are numbered globally quad by quad, in pattern order within
+    a quad.  Per shape s ('r', 't'), ``conn[s]`` (E_s, 4 or 3) holds the
+    global nodes of its elements counterclockwise, ``eid[s]`` (E_s,) their
+    ascending global ids, ``macro_id[s]`` (E_s,) their macro quads and
+    ``ref[s]`` (E_s, 4 or 3, 2) the pattern coordinates of their corners.
+    ``oriented`` (Q, 4) lists each macro quad's nodes in pattern corner
+    order and ``boundary_facets`` (B, 2) the facets used once, as sorted
+    node pairs in lexicographic order.
+    """
 
     polygon: Polygon
     macro: MacroTriangulation
     params: PatchParams
     assignments: list[PatternAssignment]
     nodes: np.ndarray
-    elements: list[MeshElement]
-    oriented: list[tuple[int, int, int, int]]
+    conn: dict[str, np.ndarray]
+    eid: dict[str, np.ndarray]
+    macro_id: dict[str, np.ndarray]
+    ref: dict[str, np.ndarray]
+    oriented: np.ndarray
     patterns: list[PatchMesh]
-    boundary_facets: set[tuple[int, int]]
+    boundary_facets: np.ndarray
     merge_discrepancy: float
 
     def quad_map(self, qids) -> BilinearMap:
         """Bilinear maps of macro quads ``qids`` (an index or an array of them)."""
-        return BilinearMap(self.macro.nodes[np.asarray(self.oriented)[qids]])
+        return BilinearMap(self.macro.nodes[self.oriented[qids]])
+
+    @property
+    def elements(self) -> range:
+        """The global element ids; per-element data lives in the per-shape arrays."""
+        return range(self.element_count())
+
+    def by_shape(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per shape, the global element ids and connectivity (``eid``, ``conn``)."""
+        return {s: (self.eid[s], self.conn[s]) for s in self.conn}
 
     def element_count(self) -> int:
-        return len(self.elements)
+        return sum(len(ids) for ids in self.eid.values())
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -555,75 +561,65 @@ def build_geo_bl_mesh(
 ) -> Mesh:
     """Refine every macro quad by its pattern and glue the pieces.
 
-    Nodes are merged by symbolic keys: pattern corners map to macro node
-    ids, nodes on a pattern edge map to (macro edge, trace coordinate)
-    with the coordinate measured from the lower-numbered macro node, and
-    interior nodes stay quad-local.  Because matching traces on the two
-    sides of a macro edge condense toward the same macro node with the
-    same exact powers of sigma, both sides compute bit-identical keys.
-    The worst physical-coordinate disagreement between merged copies is
-    recorded on the mesh.
+    Each distinct pattern is built once and transplanted onto all quads
+    that carry it at once.  Nodes are merged by symbolic keys
+    (``_merge_keys``): matching traces on the two sides of a macro edge
+    condense toward the same macro node with the same exact powers of
+    sigma, so both sides compute bit-identical keys.  One ``np.unique``
+    over the keys of every pattern node copy, in quad order, merges them;
+    global nodes are numbered by first copy.  The worst physical-coordinate
+    disagreement between merged copies is recorded on the mesh.
     """
     if assignments is None:
         assignments = assign_refinement_patterns(macro, polygon)
     if len(assignments) != len(macro.quads):
         raise ValueError("need exactly one pattern assignment per macro quad")
 
-    key_to_gid: dict = {}
-    coords: list[np.ndarray] = []
-    elements: list[MeshElement] = []
-    oriented_all: list[tuple[int, int, int, int]] = []
-    patterns: list[PatchMesh] = []
-    max_disc = 0.0
+    quads = np.asarray(macro.quads, dtype=np.int64).reshape(-1, 4)
+    rotation = np.array([a.rotation for a in assignments], dtype=np.int64).reshape(-1, 1)
+    oriented = np.take_along_axis(quads, (rotation + np.arange(4)) % 4, axis=1)
+    groups: dict[tuple, list[int]] = {}  # quads per distinct pattern
+    for qid, asn in enumerate(assignments):
+        groups.setdefault((asn.kind, asn.flip, asn.layers_from_L), []).append(qid)
+    built = {key: pattern_for(assignments[qs[0]], params) for key, qs in groups.items()}
+    patterns = [built[(a.kind, a.flip, a.layers_from_L)] for a in assignments]
+    sizes = np.array([[len(p.nodes), len(p.elements)] for p in patterns], dtype=np.int64)
+    node_off, elem_off = (np.cumsum(sizes, axis=0) - sizes).reshape(-1, 2).T
 
-    for qid, (quad, asn) in enumerate(zip(macro.quads, assignments)):
-        pattern = pattern_for(asn, params)
-        oriented = tuple(quad[(asn.rotation + k) % 4] for k in range(4))
-        bil = BilinearMap(macro.nodes[list(oriented)])
-        phys = bil(pattern.nodes)
+    # every pattern node copy, quad by quad: merge key and physical point;
+    # element corners as indices of those copies
+    ncopies = int(sizes[:, 0].sum())
+    keys, phys = np.empty((ncopies, 3), dtype=np.int64), np.empty((ncopies, 2))
+    pieces: dict[str, list] = {s: [] for s in REF_CORNERS}
+    for key, qs in groups.items():
+        qs, pattern = np.array(qs), built[key]
+        at = node_off[qs, None] + np.arange(len(pattern.nodes))
+        keys[at] = _merge_keys(pattern.nodes, oriented[qs], qs)
+        phys[at] = BilinearMap(macro.nodes[oriented[qs]][:, None])(pattern.nodes)
+        for s, (local, lconn) in pattern.by_shape().items():
+            n, k = lconn.shape
+            corners = np.broadcast_to(pattern.nodes[lconn], (len(qs), n, k, 2))
+            pieces[s].append(((elem_off[qs, None] + local).ravel(), at[:, lconn].reshape(-1, k),
+                              np.repeat(qs, n), corners.reshape(-1, k, 2)))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    gid = np.empty(len(first), dtype=np.int64)
+    gid[by_first] = np.arange(len(first))
+    copy_gid = gid[inverse.ravel()]
+    nodes = phys[first[by_first]]
+    off = phys - nodes[copy_gid]
+    disc = float(np.hypot(off[:, 0], off[:, 1]).max(initial=0.0))
 
-        local_gid = []
-        for ln in range(len(pattern.nodes)):
-            loc = _node_location(pattern.nodes[ln, 0], pattern.nodes[ln, 1])
-            if loc[0] == "v":
-                key = ("v", oriented[loc[1]])
-            elif loc[0] == "e":
-                lo_corner, hi_corner, _axis = _EDGE_ANCHORS[loc[1]]
-                a, b = oriented[lo_corner], oriented[hi_corner]
-                t = loc[2]
-                key = ("e", a, b, t) if a < b else ("e", b, a, 1.0 - t)
-            else:
-                key = ("i", qid, ln)
-            gid = key_to_gid.get(key)
-            if gid is None:
-                gid = len(coords)
-                key_to_gid[key] = gid
-                coords.append(phys[ln])
-            else:
-                max_disc = max(max_disc, float(np.hypot(*(phys[ln] - coords[gid]))))
-            local_gid.append(gid)
-
-        for el in pattern.elements:
-            ids = tuple(local_gid[i] for i in el.nodes)
-            ref = pattern.nodes[list(el.nodes)].copy()
-            elements.append(MeshElement(el.shape, ids, qid, ref))
-        oriented_all.append(oriented)
-        patterns.append(pattern)
-
-    incidence = facet_incidence(elements)
-    boundary = {f for f, uses in incidence.items() if len(uses) == 1}
-    return Mesh(
-        polygon=polygon,
-        macro=macro,
-        params=params,
-        assignments=assignments,
-        nodes=np.asarray(coords),
-        elements=elements,
-        oriented=oriented_all,
-        patterns=patterns,
-        boundary_facets=boundary,
-        merge_discrepancy=max_disc,
-    )
+    conn, eid, macro_id, ref = {}, {}, {}, {}
+    for s, rows in pieces.items():  # into global element order
+        e, c, q, r = (np.concatenate(col) for col in zip(*rows))
+        order = np.argsort(e)
+        eid[s], conn[s], macro_id[s], ref[s] = e[order], copy_gid[c[order]], q[order], r[order]
+    mesh = Mesh(polygon, macro, params, assignments, nodes, conn, eid, macro_id, ref, oriented,
+                patterns, np.empty((0, 2), dtype=np.int64), disc)
+    table = facet_incidence(mesh)
+    mesh.boundary_facets = table.pairs[table.count == 1]
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -677,30 +673,32 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
             f"merged node coordinates disagree by {mesh.merge_discrepancy:.3e}"
         )
 
-    # one facet table, re-derived from the element table rather than
+    # one facet table, re-derived from the element arrays rather than
     # trusting the stored marking; once-used facets must tile the polygon
     # edges exactly
-    incidence = facet_incidence(mesh.elements)
-    rep.violations.extend(conformity_violations(mesh.nodes, incidence))
-    once = {f for f, uses in incidence.items() if len(uses) == 1}
-    if once != mesh.boundary_facets:
+    table = facet_incidence(mesh)
+    rep.violations.extend(conformity_violations(mesh.nodes, table))
+    once = np.flatnonzero(table.count == 1)
+    pairs = table.pairs[once]
+    stored = np.reshape(mesh.boundary_facets, (-1, 2))
+    differ = set(map(tuple, pairs.tolist())) ^ set(map(tuple, stored.tolist()))
+    if differ:
         rep.violations.append(
             f"stored boundary marking disagrees with element incidence "
-            f"({len(once ^ mesh.boundary_facets)} facets differ)"
+            f"({len(differ)} facets differ)"
         )
-    edge_len = np.zeros(mesh.polygon.m)
-    for a, b in sorted(once):
-        uses = incidence[(a, b)]
-        ei = uses[0][0]
-        el = mesh.elements[ei]
-        interior = mesh.nodes[list(el.nodes)].mean(axis=0)
-        j = mesh.polygon.supporting_edge(mesh.nodes[a], mesh.nodes[b], interior)
-        if j is None:
-            rep.violations.append(
-                f"facet ({a},{b}) of element {ei} is exposed but not on the boundary"
-            )
-        else:
-            edge_len[j] += float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
+    centroid = np.empty((mesh.element_count(), 2))
+    for s, ids in mesh.eid.items():
+        centroid[ids] = mesh.nodes[mesh.conn[s]].mean(axis=1)
+    elem = table.elem[table.first[once]]
+    a, b = mesh.nodes[pairs[:, 0]], mesh.nodes[pairs[:, 1]]
+    edge = mesh.polygon.supporting_edges(a, b, centroid[elem])
+    for (fa, fb), ei in zip(pairs[edge < 0].tolist(), elem[edge < 0].tolist()):
+        rep.violations.append(
+            f"facet ({fa},{fb}) of element {ei} is exposed but not on the boundary"
+        )
+    length = np.hypot(*(b - a)[edge >= 0].T)
+    edge_len = np.bincount(edge[edge >= 0], weights=length, minlength=mesh.polygon.m)
     for j in range(mesh.polygon.m):
         va, vb = mesh.polygon.edge(j)
         want = float(np.hypot(*(vb - va)))
@@ -721,6 +719,9 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
     return rep
 
 
+_DIAGONAL_KINDS = (PatchKind.CORNER, PatchKind.TENSOR, PatchKind.MIXED)
+
+
 def _check_corner_splits(mesh: Mesh, rep: ValidationReport) -> None:
     """Warn where no marked mesh line splits a vertex angle into parts < pi.
 
@@ -732,40 +733,32 @@ def _check_corner_splits(mesh: Mesh, rep: ValidationReport) -> None:
     # pattern lines through each reference corner, as direction targets
     # (other corner the line runs toward); the diagonal joins corners 0 and 2
     lines_at_corner = {0: (1, 3, 2), 1: (0,), 2: (0,), 3: (0,)}
+    quad_xy = mesh.macro.nodes[mesh.oriented]
     for j in range(mesh.polygon.m):
         corner = mesh.polygon.vertices[j]
         omega = mesh.polygon.interior_angle(j)
+        shared = len(mesh.polygon.vertex_candidates(corner)) > 1
         ok = False
-        for qid, oriented in enumerate(mesh.oriented):
-            xy = mesh.macro.nodes[list(oriented)]
-            centroid = xy.mean(axis=0)
-            for m in range(4):
-                if np.hypot(*(xy[m] - corner)) > TOL:
-                    continue
-                if len(mesh.polygon.vertex_candidates(corner)) > 1:
-                    if not mesh.polygon.sector_contains(j, centroid - corner):
-                        continue
-                has_diag = mesh.assignments[qid].kind in (
-                    PatchKind.CORNER,
-                    PatchKind.TENSOR,
-                    PatchKind.MIXED,
-                )
-                for target in lines_at_corner[m]:
-                    if (m, target) in ((0, 2), (2, 0)):
-                        if not has_diag:  # the diagonal is a mesh line only here
-                            continue
-                        # diagonal tangent at the corner under the bilinear map
-                        d = (xy[1] - xy[0]) + (xy[3] - xy[0])
-                        if m == 2:
-                            d = (xy[1] - xy[2]) + (xy[3] - xy[2])
-                    else:
-                        d = xy[target] - xy[m]
-                    phi = mesh.polygon.sector_offset(j, d)
-                    if phi > omega + 1e-9:  # wrapped just below the sector start
-                        phi -= 2.0 * math.pi
-                    phi = min(max(phi, 0.0), omega)
-                    if phi < math.pi - 1e-9 and omega - phi < math.pi - 1e-9:
-                        ok = True
+        # only quads with a corner at the vertex
+        near = np.hypot(*np.moveaxis(quad_xy - corner, -1, 0)) <= TOL
+        for qid, m in np.argwhere(near).tolist():
+            xy = quad_xy[qid]
+            if shared and not mesh.polygon.sector_contains(j, xy.mean(axis=0) - corner):
+                continue
+            for target in lines_at_corner[m]:
+                if (m, target) in ((0, 2), (2, 0)):
+                    if mesh.assignments[qid].kind not in _DIAGONAL_KINDS:
+                        continue  # the diagonal is a mesh line only of these patterns
+                    # diagonal tangent at the corner under the bilinear map
+                    d = (xy[1] - xy[m]) + (xy[3] - xy[m])
+                else:
+                    d = xy[target] - xy[m]
+                phi = mesh.polygon.sector_offset(j, d)
+                if phi > omega + 1e-9:  # wrapped just below the sector start
+                    phi -= 2.0 * math.pi
+                phi = min(max(phi, 0.0), omega)
+                if phi < math.pi - 1e-9 and omega - phi < math.pi - 1e-9:
+                    ok = True
         if not ok:
             rep.warnings.append(
                 f"vertex {j} (angle {omega:.6f}): no bottom/left/diagonal mesh "

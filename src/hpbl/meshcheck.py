@@ -3,33 +3,69 @@
 A mesh of straight-edged cells is conforming when every interior facet
 is shared by exactly two elements (traversed once in each direction)
 and no node lies in the open interior of another element's facet.
-Facets are undirected node-index pairs; the hanging-node test is
-geometric and therefore assumes the supplied node coordinates are exact
-for the facets (true for patterns, and for meshes when checked patch by
-patch in pattern coordinates).  It is a sweep-and-prune over the nodes
-sorted along each facet's narrower axis.  Both checks accept an element
-sequence or the ``facet_incidence`` table of one.
+Facets are undirected node-index pairs, tabulated as arrays by
+``facet_incidence``.  The hanging-node test is geometric and therefore
+assumes the supplied node coordinates are exact for the facets (true for
+patterns, and for meshes when checked patch by patch in pattern
+coordinates); it is a sweep-and-prune over the nodes sorted along each
+facet's narrower axis.  Both checks accept an element sequence, an
+object with per-shape arrays (``Mesh``, ``PatchMesh``) or a ``FacetTable``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["facet_incidence", "hanging_nodes", "conformity_violations"]
+__all__ = ["FacetTable", "facet_incidence", "hanging_nodes", "conformity_violations"]
 
 
-def facet_incidence(elements) -> dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]:
-    """Map each undirected facet to the (element, directed pair) list."""
-    fmap: dict[tuple[int, int], list] = defaultdict(list)
-    for ei, e in enumerate(elements):
-        ids = e.nodes if hasattr(e, "nodes") else tuple(e)
-        m = len(ids)
-        for k in range(m):
-            a, b = ids[k], ids[(k + 1) % m]
-            fmap[(min(a, b), max(a, b))].append((ei, (a, b)))
-    return dict(fmap)
+@dataclass
+class FacetTable:
+    """Facets and their uses as arrays.  ``pairs`` (F, 2) are the distinct
+    undirected facets (min, max) in lexicographic order, ``count`` (F,)
+    their numbers of uses and ``first`` (F,) their first uses.  The uses
+    are the element edges in element order, edge k of an element running
+    from its node k to node k + 1: ``facet`` (U,) is the pair of each use,
+    ``elem`` (U,) its element and ``forward`` (U,) whether it runs from the
+    pair's lower node."""
+
+    pairs: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    facet: np.ndarray
+    elem: np.ndarray
+    forward: np.ndarray
+
+
+def _blocks(elements):
+    """(element ids, node ids (E, k)) per block of equal-size elements."""
+    if hasattr(elements, "by_shape"):
+        return list(elements.by_shape().values())
+    rows = [e.nodes if hasattr(e, "nodes") else tuple(e) for e in elements]
+    by_size = defaultdict(list)
+    for ei, row in enumerate(rows):
+        by_size[len(row)].append(ei)
+    return [(np.array(ids, dtype=np.int64), np.array([rows[i] for i in ids], dtype=np.int64))
+            for ids in by_size.values()]
+
+
+def facet_incidence(elements) -> FacetTable:
+    """The ``FacetTable`` of an element sequence or of per-shape element arrays."""
+    blocks = _blocks(elements) + [(np.empty(0, np.int64), np.empty((0, 1), np.int64))]
+    elem = np.concatenate([np.repeat(ids, conn.shape[1]) for ids, conn in blocks])
+    order = np.argsort(elem, kind="stable")  # element order, each element's edges in turn
+    tail = np.concatenate([conn.ravel() for _, conn in blocks])[order]
+    head = np.concatenate([np.roll(conn, -1, axis=1).ravel() for _, conn in blocks])[order]
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    nv = int(hi.max(initial=0)) + 1
+    keys, first, facet, count = np.unique(
+        lo * nv + hi, return_index=True, return_inverse=True, return_counts=True
+    )
+    pairs = np.column_stack([keys // nv, keys % nv])
+    return FacetTable(pairs, count, first, facet.ravel(), elem[order], tail < head)
 
 
 _CHUNK = 1 << 20  # candidate pairs built at once, to bound memory on big meshes
@@ -67,8 +103,8 @@ def hanging_nodes(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[tuple
     result is that of the same test on every node-facet pair.
     """
     nodes = np.asarray(nodes, dtype=float)
-    table = elements if isinstance(elements, dict) else facet_incidence(elements)
-    facets = np.array(list(table), dtype=np.intp)
+    table = elements if isinstance(elements, FacetTable) else facet_incidence(elements)
+    facets = table.pairs
     if not len(facets) or not len(nodes):
         return []
     a, b = nodes[facets[:, 0]], nodes[facets[:, 1]]
@@ -92,14 +128,19 @@ def hanging_nodes(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[tuple
 
 
 def conformity_violations(nodes: np.ndarray, elements, tol: float = 1e-12) -> list[str]:
-    """Human-readable list of conformity defects (empty when conforming)."""
+    """Human-readable list of conformity defects (empty when conforming).
+
+    Facets used more than twice, or twice in the same direction, are
+    reported in the order of their first use, then the hanging nodes.
+    """
+    table = elements if isinstance(elements, FacetTable) else facet_incidence(elements)
+    forward = np.bincount(table.facet[table.forward], minlength=len(table.count))
+    bad = np.flatnonzero((table.count > 2) | ((table.count == 2) & (forward != 1)))
     problems = []
-    incidence = elements if isinstance(elements, dict) else facet_incidence(elements)
-    for facet, uses in incidence.items():
-        if len(uses) > 2:
-            problems.append(f"facet {facet} shared by {len(uses)} elements")
-        elif len(uses) == 2 and uses[0][1] == uses[1][1]:
-            problems.append(f"facet {facet} traversed twice in the same direction")
-    for node, facet in hanging_nodes(nodes, incidence, tol):
+    for f in bad[np.argsort(table.first[bad])].tolist():
+        facet, n = tuple(table.pairs[f].tolist()), int(table.count[f])
+        problems.append(f"facet {facet} shared by {n} elements" if n > 2
+                        else f"facet {facet} traversed twice in the same direction")
+    for node, facet in hanging_nodes(nodes, table, tol):
         problems.append(f"node {node} hangs on facet {facet}")
     return problems

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .macro import REF_CORNERS, Mesh, element_geometry
+from .macro import REF_CORNERS, Mesh, element_points
 from .patches import PatchMesh
 
 __all__ = [
@@ -38,17 +38,13 @@ _FILL = {
 }
 
 
-def _element_rows(obj):
-    """Yield (shape, node index tuple) for a PatchMesh or Mesh."""
-    for el in obj.elements:
-        yield el.shape, el.nodes
-
-
 def mesh_text(obj) -> str:
     lines = [f"v {float(p[0])!r} {float(p[1])!r}" for p in np.asarray(obj.nodes)]
-    for shape, ids in _element_rows(obj):
-        lines.append(shape + " " + " ".join(map(str, ids)))
-    return "\n".join(lines) + "\n"
+    rows = [None] * len(obj.elements)
+    for shape, (ids, conn) in obj.by_shape().items():
+        for ei, row in zip(ids.tolist(), conn.tolist()):
+            rows[ei] = shape + " " + " ".join(map(str, row))
+    return "\n".join(lines + rows) + "\n"
 
 
 def write_mesh_text(obj, path: str) -> None:
@@ -57,25 +53,24 @@ def write_mesh_text(obj, path: str) -> None:
 
 
 def _outlines(obj, samples: int = 8):
-    """Yield ``(ids, rings)`` per element shape: storage indices (E_s,)
-    and polygon outlines (E_s, k, 2) in physical coordinates.
+    """Yield ``(shape, ids, rings)`` per element shape: storage indices
+    (E_s,) and polygon outlines (E_s, k, 2) in physical coordinates.
 
     Pattern rectangles stay straight-sided under a bilinear map, but a
     triangle edge that is not axis-aligned in pattern coordinates maps to
     a curve, so each edge of a Mesh element is sampled ``samples`` times,
-    starting at its corner.  A PatchMesh outline is its element's nodes.
+    starting at its corner; only the points of the element maps are
+    formed, no Jacobians.  A PatchMesh outline is its element's nodes.
     """
     if not isinstance(obj, Mesh):
-        for shape in REF_CORNERS:
-            ids = [ei for ei, el in enumerate(obj.elements) if el.shape == shape]
-            if ids:
-                yield np.array(ids), obj.nodes[np.array([obj.elements[ei].nodes for ei in ids])]
+        for shape, (ids, conn) in obj.by_shape().items():
+            yield shape, ids, obj.nodes[conn]
         return
     t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
     for shape, corners in REF_CORNERS.items():
         edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
-        ids, _, phys, _, _ = element_geometry(obj, shape, edges.reshape(-1, 2))
-        yield ids, phys
+        _, bil, pat = element_points(obj, shape, edges.reshape(-1, 2))
+        yield shape, obj.eid[shape], bil(pat)
 
 
 # elements formatted per batch: each holds 2k Python floats per element, and
@@ -99,28 +94,28 @@ def mesh_svg(obj, width: int = 640) -> str:
         svg = np.stack([(pts[..., 0] - lo[0]) * scale, (hi[1] - pts[..., 1]) * scale], axis=-1)
         return svg.reshape(len(pts), -1).tolist()
 
-    if isinstance(obj, Mesh):
-        macro_fill = [_FILL.get(a.kind.value, "#ffffff") for a in obj.assignments]
-        fills = [macro_fill[el.macro_id] for el in obj.elements]
-    else:
-        fills = [_FILL.get(obj.kind.value, "#ffffff")] * len(obj.elements)
+    mesh = isinstance(obj, Mesh)
+    kinds = [a.kind for a in obj.assignments] if mesh else [obj.kind]
+    fill_of = [_FILL.get(k.value, "#ffffff") for k in kinds]
     polygons = [None] * len(obj.elements)
-    for ids, rings in _outlines(obj):
+    for shape, ids, rings in _outlines(obj):
+        fills = [fill_of[q] for q in (obj.macro_id[shape].tolist() if mesh else [0] * len(ids))]
         template = (
             '<polygon points="' + " ".join(["%.3f,%.3f"] * rings.shape[1])
             + '" fill="%s" stroke="#444444" stroke-width="0.6"/>'
         )
         for b in range(0, len(ids), _BLOCK):
-            for ei, row in zip(ids[b:b + _BLOCK].tolist(), rows(rings[b:b + _BLOCK])):
-                row.append(fills[ei])
+            block = zip(ids[b:b + _BLOCK].tolist(), rows(rings[b:b + _BLOCK]), fills[b:b + _BLOCK])
+            for ei, row, fill in block:
+                row.append(fill)
                 polygons[ei] = template % tuple(row)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         *polygons,
     ]
-    if isinstance(obj, Mesh):
-        facets = np.array(sorted(obj.boundary_facets), dtype=np.int64).reshape(-1, 2)
+    if mesh:
+        facets = obj.boundary_facets
         line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#cc2222" stroke-width="1.6"/>'
         out.extend(line % tuple(row) for row in rows(nodes[facets]))
     out.append("</svg>")

@@ -140,6 +140,16 @@ class PatchMesh:
     def element_coords(self, e: PatchElement) -> np.ndarray:
         return self.nodes[list(e.nodes)]
 
+    def by_shape(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per element shape ('r', then 't'), the element indices (E_s,)
+        and their node ids (E_s, 4 or 3)."""
+        out = {}
+        for shape, k in (("r", 4), ("t", 3)):
+            ids = [i for i, e in enumerate(self.elements) if e.shape == shape]
+            conn = np.array([self.elements[i].nodes for i in ids], dtype=np.int64)
+            out[shape] = (np.array(ids, dtype=np.int64), conn.reshape(len(ids), k))
+        return out
+
 
 class _NodePool:
     """Deduplicates nodes by exact coordinate equality, insertion-ordered."""
@@ -307,70 +317,20 @@ class ElementMetrics:
     touches_origin: bool
 
 
-def _seg_point_dist(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
-    ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(a + t * ab - p)))
-
-
-def _poly_point_dist(xy: np.ndarray, p: np.ndarray) -> float:
-    m = len(xy)
-    return min(_seg_point_dist(xy[i], xy[(i + 1) % m], p) for i in range(m))
-
-
-def _element_metrics(patch: PatchMesh, e: PatchElement) -> ElementMetrics:
-    xy = patch.element_coords(e)
-    m = len(xy)
-    edge_len = [float(np.hypot(*(xy[(i + 1) % m] - xy[i]))) for i in range(m)]
-    if e.shape == "r":
-        hx, hy = edge_len[0], edge_len[1]
-        h = math.hypot(hx, hy)
-        h_min, h_max = min(hx, hy), max(hx, hy)
-    else:
-        h = max(edge_len)
-        h_min = h_max = h
-    dist_origin = _poly_point_dist(xy, np.zeros(2))
-    touches_origin = any(x == 0.0 and y == 0.0 for x, y in xy)
-    if touches_origin:
-        dist_origin = 0.0
-    dists = []
-    if GAMMA_BOTTOM in patch.gamma:
-        dists.append(float(xy[:, 1].min()))
-    if GAMMA_LEFT in patch.gamma:
-        dists.append(float(xy[:, 0].min()))
-    if GAMMA_ORIGIN in patch.gamma:
-        dists.append(dist_origin)
-    dist_gamma = min(dists) if dists else None
-    touches = dist_gamma == 0.0 if dist_gamma is not None else False
-    return ElementMetrics(
-        shape=e.shape,
-        h=h,
-        h_min=h_min,
-        h_max=h_max,
-        dist_gamma=dist_gamma,
-        dist_origin=dist_origin,
-        touches_gamma=touches,
-        touches_origin=touches_origin,
-    )
-
-
 def patch_metrics(patch: PatchMesh) -> list[ElementMetrics]:
     """Diameters, side lengths and distances to the boundary image.
 
-    Batch version of _element_metrics (same numbers, grouped by shape so
-    numpy does the geometry); the result is cached on the patch because
-    patch_sums and the invariant sweeps ask for it repeatedly.
+    Grouped by shape so numpy does the geometry; the result is cached on
+    the patch because patch_sums and the invariant sweeps ask for it
+    repeatedly.
     """
     cached = getattr(patch, "_metrics", None)
     if cached is not None:
         return cached
     out: list[ElementMetrics] = [None] * len(patch.elements)  # type: ignore[list-item]
-    for shape in ("t", "r"):
-        idx = [i for i, e in enumerate(patch.elements) if e.shape == shape]
-        if not idx:
+    for shape, (idx, conn) in patch.by_shape().items():
+        if not len(idx):
             continue
-        conn = np.array([patch.elements[i].nodes for i in idx])
         xy = patch.nodes[conn]  # (m, 3 or 4, 2)
         edge = np.roll(xy, -1, axis=1) - xy
         elen = np.hypot(edge[..., 0], edge[..., 1])
@@ -396,7 +356,7 @@ def patch_metrics(patch: PatchMesh) -> list[ElementMetrics]:
         if GAMMA_ORIGIN in patch.gamma:
             dists.append(d_orig)
         d_gamma = np.min(dists, axis=0) if dists else None
-        for row, i in enumerate(idx):
+        for row, i in enumerate(idx.tolist()):
             dg = float(d_gamma[row]) if d_gamma is not None else None
             out[i] = ElementMetrics(
                 shape=shape,

@@ -277,12 +277,11 @@ def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c
     Integration runs over the finer field's elements (the reference), with
     the coarser field evaluated through shared pattern coordinates.
     """
-    if ref.mesh.oriented != fld.mesh.oriented:
+    if not np.array_equal(ref.mesh.oriented, fld.mesh.oriented):
         raise ValueError("fields live on different macro layouts")
-    macro_of = np.array([el.macro_id for el in ref.mesh.elements], dtype=np.int64)
 
-    def coarse_at(ids, pat, phys):
-        qids = np.repeat(macro_of[ids], pat.shape[1])
+    def coarse_at(shape, pat, phys):
+        qids = np.repeat(ref.mesh.macro_id[shape], pat.shape[1])
         vals, grads = fld.at_pattern(qids, pat.reshape(-1, 2))
         return vals.reshape(pat.shape[:2]), grads.reshape(pat.shape)
 

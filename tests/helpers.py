@@ -1,19 +1,44 @@
 """Shared test fixtures that are plain functions."""
 
 import math
+from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
 from hpbl.geometry import Polygon
 from hpbl.macro import (
+    _JAC_SAMPLES,
+    _TRI_SAMPLES,
     REF_CORNERS,
+    TOL,
+    BilinearMap,
     MacroTriangulation,
     Mesh,
     PatternAssignment,
+    assign_refinement_patterns,
     build_geo_bl_mesh,
     element_geometry,
+    pattern_for,
+    placement_for,
 )
+from hpbl.meshcheck import hanging_nodes
 from hpbl.meshio import _FILL
+from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, ElementMetrics, PatchKind
+
+# one element of a mesh: shape 'r'/'t', global node ids, macro quad, and the
+# pattern coordinates of its corners
+Element = namedtuple("Element", "shape nodes macro_id ref")
+
+
+def element_rows(mesh):
+    """The elements of a Mesh as ``Element`` rows, in global element order."""
+    rows = [None] * mesh.element_count()
+    for s, ids in mesh.eid.items():
+        for ei, nodes, qid, ref in zip(ids.tolist(), mesh.conn[s].tolist(),
+                                       mesh.macro_id[s].tolist(), mesh.ref[s]):
+            rows[ei] = Element(s, tuple(nodes), qid, ref)
+    return rows
 
 
 def pattern_mesh(kind, params):
@@ -39,7 +64,7 @@ def reference_mesh_svg(obj, width=640):
             ids, _, phys, _, _ = element_geometry(obj, shape, edges.reshape(-1, 2))
             for ei, ring in zip(ids, phys):
                 rings[ei] = ring
-        kinds = [obj.assignments[el.macro_id].kind.value for el in obj.elements]
+        kinds = [obj.assignments[el.macro_id].kind.value for el in element_rows(obj)]
     else:
         rings = [obj.nodes[list(el.nodes)] for el in obj.elements]
         kinds = [obj.kind.value] * len(obj.elements)
@@ -68,7 +93,7 @@ def reference_mesh_svg(obj, width=640):
             'stroke-width="0.6"/>'
         )
     if isinstance(obj, Mesh):
-        for a, b in sorted(obj.boundary_facets):
+        for a, b in sorted(map(tuple, obj.boundary_facets.tolist())):
             xa, ya = xy(obj.nodes[a])
             xb, yb = xy(obj.nodes[b])
             out.append(
@@ -77,3 +102,252 @@ def reference_mesh_svg(obj, width=640):
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _seg_point_dist(a, b, p):
+    ab = b - a
+    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
+    t = min(1.0, max(0.0, t))
+    return float(np.hypot(*(a + t * ab - p)))
+
+
+def _poly_point_dist(xy, p):
+    m = len(xy)
+    return min(_seg_point_dist(xy[i], xy[(i + 1) % m], p) for i in range(m))
+
+
+def element_metrics(patch, e):
+    """The metrics of one pattern element, one element at a time: the
+    reference ``patches.patch_metrics`` must agree with."""
+    xy = patch.element_coords(e)
+    m = len(xy)
+    edge_len = [float(np.hypot(*(xy[(i + 1) % m] - xy[i]))) for i in range(m)]
+    if e.shape == "r":
+        hx, hy = edge_len[0], edge_len[1]
+        h = math.hypot(hx, hy)
+        h_min, h_max = min(hx, hy), max(hx, hy)
+    else:
+        h = max(edge_len)
+        h_min = h_max = h
+    dist_origin = _poly_point_dist(xy, np.zeros(2))
+    touches_origin = any(x == 0.0 and y == 0.0 for x, y in xy)
+    if touches_origin:
+        dist_origin = 0.0
+    dists = []
+    if GAMMA_BOTTOM in patch.gamma:
+        dists.append(float(xy[:, 1].min()))
+    if GAMMA_LEFT in patch.gamma:
+        dists.append(float(xy[:, 0].min()))
+    if GAMMA_ORIGIN in patch.gamma:
+        dists.append(dist_origin)
+    dist_gamma = min(dists) if dists else None
+    touches = dist_gamma == 0.0 if dist_gamma is not None else False
+    return ElementMetrics(
+        shape=e.shape,
+        h=h,
+        h_min=h_min,
+        h_max=h_max,
+        dist_gamma=dist_gamma,
+        dist_origin=dist_origin,
+        touches_gamma=touches,
+        touches_origin=touches_origin,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the object path that the array-native Mesh replaced, kept as the reference
+
+
+def _node_location(x: float, y: float):
+    """Classify a pattern node: corner, boundary edge with coordinate, or interior."""
+    left, right = x == 0.0, x == 1.0
+    bottom, top = y == 0.0, y == 1.0
+    if bottom and left:
+        return ("v", 0)
+    if bottom and right:
+        return ("v", 1)
+    if top and right:
+        return ("v", 2)
+    if top and left:
+        return ("v", 3)
+    if bottom:
+        return ("e", 0, x)
+    if right:
+        return ("e", 1, y)
+    if top:
+        return ("e", 2, x)
+    if left:
+        return ("e", 3, y)
+    return ("i",)
+
+
+# reference edge k: (corner the trace coordinate is measured from, other corner)
+_EDGE_ANCHORS = {0: (0, 1), 1: (1, 2), 2: (3, 2), 3: (0, 3)}
+
+
+def facet_uses(elements):
+    """Map each undirected facet to its (element, directed pair) uses, in first-use order."""
+    fmap = {}
+    for ei, e in enumerate(elements):
+        m = len(e.nodes)
+        for k in range(m):
+            a, b = e.nodes[k], e.nodes[(k + 1) % m]
+            fmap.setdefault((min(a, b), max(a, b)), []).append((ei, (a, b)))
+    return fmap
+
+
+def build_by_dict(macro, polygon, params, assignments=None):
+    """The mesh glued one pattern node at a time through a dict of symbolic
+    keys, one pattern built per quad.  Returns a namespace with the fields
+    ``validate_by_element`` reads: nodes, ``Element`` rows, the boundary
+    facets as a set, merge_discrepancy, oriented corner tuples, patterns."""
+    if assignments is None:
+        assignments = assign_refinement_patterns(macro, polygon)
+    key_to_gid, coords, elements, oriented_all, patterns = {}, [], [], [], []
+    max_disc = 0.0
+    for qid, (quad, asn) in enumerate(zip(macro.quads, assignments)):
+        pattern = pattern_for(asn, params)
+        oriented = tuple(quad[(asn.rotation + k) % 4] for k in range(4))
+        phys = BilinearMap(macro.nodes[list(oriented)])(pattern.nodes)
+        local_gid = []
+        for ln in range(len(pattern.nodes)):
+            loc = _node_location(pattern.nodes[ln, 0], pattern.nodes[ln, 1])
+            if loc[0] == "v":
+                key = ("v", oriented[loc[1]])
+            elif loc[0] == "e":
+                lo_corner, hi_corner = _EDGE_ANCHORS[loc[1]]
+                a, b = oriented[lo_corner], oriented[hi_corner]
+                t = loc[2]
+                key = ("e", a, b, t) if a < b else ("e", b, a, 1.0 - t)
+            else:
+                key = ("i", qid, ln)
+            gid = key_to_gid.get(key)
+            if gid is None:
+                gid = len(coords)
+                key_to_gid[key] = gid
+                coords.append(phys[ln])
+            else:
+                max_disc = max(max_disc, float(np.hypot(*(phys[ln] - coords[gid]))))
+            local_gid.append(gid)
+        for el in pattern.elements:
+            ids = tuple(local_gid[i] for i in el.nodes)
+            elements.append(Element(el.shape, ids, qid, pattern.nodes[list(el.nodes)].copy()))
+        oriented_all.append(oriented)
+        patterns.append(pattern)
+    boundary = {f for f, uses in facet_uses(elements).items() if len(uses) == 1}
+    return SimpleNamespace(polygon=polygon, macro=macro, assignments=assignments,
+                           nodes=np.asarray(coords), elements=elements, boundary_facets=boundary,
+                           merge_discrepancy=max_disc, oriented=oriented_all, patterns=patterns)
+
+
+def _conformity_by_dict(nodes, elements):
+    fmap = facet_uses(elements)
+    problems = []
+    for facet, uses in fmap.items():
+        if len(uses) > 2:
+            problems.append(f"facet {facet} shared by {len(uses)} elements")
+        elif len(uses) == 2 and uses[0][1] == uses[1][1]:
+            problems.append(f"facet {facet} traversed twice in the same direction")
+    for node, facet in hanging_nodes(nodes, list(fmap)):
+        problems.append(f"node {node} hangs on facet {facet}")
+    return problems
+
+
+def _supporting_edge(polygon, a, b, c, tol=TOL):
+    """Scalar boundary-edge test of segment [a, b] seen from interior point c."""
+    for j in range(polygon.m):
+        va, vb = polygon.edge(j)
+        d = vb - va
+        length = math.hypot(*d)
+        scale = tol * max(1.0, length)
+        if abs((a[0] - va[0]) * d[1] - (a[1] - va[1]) * d[0]) / length > scale:
+            continue
+        if abs((b[0] - va[0]) * d[1] - (b[1] - va[1]) * d[0]) / length > scale:
+            continue
+        ta = float(np.dot(a - va, d)) / (length * length)
+        tb = float(np.dot(b - va, d)) / (length * length)
+        if not (-tol <= min(ta, tb) and max(ta, tb) <= 1.0 + tol):
+            continue
+        if (c[0] - va[0]) * d[1] - (c[1] - va[1]) * d[0] < 0.0:
+            return j
+    return None
+
+
+def validate_by_element(mesh, check_corner_condition=True):
+    """``validate_mesh`` element by element on a ``build_by_dict`` mesh:
+    (violations, warnings)."""
+    violations, warnings = [], []
+    for qid, pattern in enumerate(mesh.patterns):
+        violations += [f"quad {qid}: {msg}" for msg in _conformity_by_dict(pattern.nodes, pattern.elements)]
+    if mesh.merge_discrepancy > 1e-12:
+        violations.append(f"merged node coordinates disagree by {mesh.merge_discrepancy:.3e}")
+    fmap = facet_uses(mesh.elements)
+    violations += _conformity_by_dict(mesh.nodes, mesh.elements)
+    once = {f for f, uses in fmap.items() if len(uses) == 1}
+    if once != mesh.boundary_facets:
+        violations.append(f"stored boundary marking disagrees with element incidence "
+                          f"({len(once ^ mesh.boundary_facets)} facets differ)")
+    edge_len = np.zeros(mesh.polygon.m)
+    for a, b in sorted(once):
+        ei = fmap[(a, b)][0][0]
+        interior = mesh.nodes[list(mesh.elements[ei].nodes)].mean(axis=0)
+        j = _supporting_edge(mesh.polygon, mesh.nodes[a], mesh.nodes[b], interior)
+        if j is None:
+            violations.append(f"facet ({a},{b}) of element {ei} is exposed but not on the boundary")
+        else:
+            edge_len[j] += float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
+    for j in range(mesh.polygon.m):
+        va, vb = mesh.polygon.edge(j)
+        want = float(np.hypot(*(vb - va)))
+        if abs(edge_len[j] - want) > 1e-9 * max(1.0, want):
+            violations.append(f"polygon edge {j} covered by facets of total length "
+                              f"{edge_len[j]:.12g}, expected {want:.12g}")
+    for ei, el in enumerate(mesh.elements):
+        place = placement_for(el.shape, el.ref)
+        pat = place.origin + (_JAC_SAMPLES if el.shape == "r" else _TRI_SAMPLES) @ place.mat.T
+        J = BilinearMap(mesh.macro.nodes[list(mesh.oriented[el.macro_id])]).jacobian(pat) @ place.mat
+        if np.any(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0] <= 0.0):
+            violations.append(f"element {ei} has a non-positive Jacobian")
+    if check_corner_condition:
+        warnings += _corner_warnings(mesh)
+    return violations, warnings
+
+
+def _corner_warnings(mesh):
+    """The corner-split warnings from a scan of every quad corner at every vertex."""
+    out = []
+    lines_at_corner = {0: (1, 3, 2), 1: (0,), 2: (0,), 3: (0,)}
+    for j in range(mesh.polygon.m):
+        corner = mesh.polygon.vertices[j]
+        omega = mesh.polygon.interior_angle(j)
+        ok = False
+        for qid, oriented in enumerate(mesh.oriented):
+            xy = mesh.macro.nodes[list(oriented)]
+            centroid = xy.mean(axis=0)
+            for m in range(4):
+                if np.hypot(*(xy[m] - corner)) > TOL:
+                    continue
+                if len(mesh.polygon.vertex_candidates(corner)) > 1:
+                    if not mesh.polygon.sector_contains(j, centroid - corner):
+                        continue
+                has_diag = mesh.assignments[qid].kind in (
+                    PatchKind.CORNER, PatchKind.TENSOR, PatchKind.MIXED)
+                for target in lines_at_corner[m]:
+                    if (m, target) in ((0, 2), (2, 0)):
+                        if not has_diag:
+                            continue
+                        d = (xy[1] - xy[0]) + (xy[3] - xy[0])
+                        if m == 2:
+                            d = (xy[1] - xy[2]) + (xy[3] - xy[2])
+                    else:
+                        d = xy[target] - xy[m]
+                    phi = mesh.polygon.sector_offset(j, d)
+                    if phi > omega + 1e-9:
+                        phi -= 2.0 * math.pi
+                    phi = min(max(phi, 0.0), omega)
+                    if phi < math.pi - 1e-9 and omega - phi < math.pi - 1e-9:
+                        ok = True
+        if not ok:
+            out.append(f"vertex {j} (angle {omega:.6f}): no bottom/left/diagonal mesh "
+                       "line splits the angle into parts below pi")
+    return out

@@ -26,12 +26,11 @@ from hpbl.macro import (
     element_placements,
     validate_mesh,
 )
-from hpbl.meshcheck import facet_incidence
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import pattern_mesh
+from helpers import element_rows, facet_uses, pattern_mesh
 
 
 def _unit_square_trivial():
@@ -282,12 +281,13 @@ def _numbering_by_element(mesh, q):
 
     Returns (ndofs, nskeleton, dirichlet, per-element dof arrays).
     """
+    elements = element_rows(mesh)
     offset, off = {}, len(mesh.nodes)
-    for f in sorted(facet_incidence(mesh.elements)):
+    for f in sorted(facet_uses(elements)):
         offset[f] = off
         off += q - 1
     nskeleton, elem_dofs = off, []
-    for el in mesh.elements:
+    for el in elements:
         basis = rect_basis(q) if el.shape == "r" else tri_basis(q)
         gd = np.empty(basis.ndofs, dtype=np.int64)
         nc = len(el.nodes)
@@ -303,7 +303,7 @@ def _numbering_by_element(mesh, q):
         off += ni
         elem_dofs.append(gd)
     dirichlet = np.zeros(off, dtype=bool)
-    for a, b in mesh.boundary_facets:
+    for a, b in mesh.boundary_facets.tolist():
         dirichlet[[a, b]] = True
         dirichlet[offset[(a, b)] : offset[(a, b)] + q - 1] = True
     return off, nskeleton, dirichlet, elem_dofs
@@ -330,7 +330,7 @@ def test_dofmap_tables_match_per_element_numbering(name, sigma, L, extra, q):
     np.testing.assert_array_equal(dm.dirichlet, dirichlet)
     np.testing.assert_array_equal(dm.free, np.flatnonzero(~dirichlet))
     for shape, gd in dm.dofs.items():
-        rows = [elem_dofs[ei] for ei, el in enumerate(mesh.elements) if el.shape == shape]
+        rows = [elem_dofs[ei] for ei, el in enumerate(element_rows(mesh)) if el.shape == shape]
         np.testing.assert_array_equal(gd, np.array(rows, dtype=np.int64).reshape(gd.shape))
 
 
@@ -342,8 +342,8 @@ def _locate_by_scan(mesh, qids, pat):
     Returns element ids, clipped reference coordinates and the per-element
     placement inverses.
     """
-    macro_of = np.array([el.macro_id for el in mesh.elements])
-    tri = np.array([el.shape == "t" for el in mesh.elements])
+    macro_of = np.array([el.macro_id for el in element_rows(mesh)])
+    tri = np.array([el.shape == "t" for el in element_rows(mesh)])
     origin = np.empty((len(tri), 2))
     inv = np.empty((len(tri), 2, 2))
     for shape in ("r", "t"):
@@ -388,8 +388,8 @@ def _hard_pattern_points(mesh, rng):
         for c in (0.0, 1.0):  # on the frame
             add(qid, np.column_stack([np.full(8, c), t]))
             add(qid, np.column_stack([t, np.full(8, c)]))
-    for el in mesh.elements:  # on every element facet, and within the 1e-9 slack of it
-        c = el.ref_coords
+    for el in element_rows(mesh):  # on every element facet, and within the 1e-9 slack of it
+        c = el.ref
         edge = np.roll(c, -1, axis=0) - c
         on = c + rng.random((len(c), 1)) * edge
         add(el.macro_id, on)

@@ -42,11 +42,10 @@ def test_duplicated_slit_vertex_resolution():
 
 def test_supporting_edge_side():
     poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    a, b = np.array([0.2, 0.0]), np.array([0.7, 0.0])
-    j = poly.supporting_edge(a, b, np.array([0.5, 0.5]))
-    assert j == 0
-    assert poly.supporting_edge(np.array([0.2, 0.5]), np.array([0.7, 0.5]),
-                                np.array([0.5, 0.8])) is None
+    # [a, b] on edge 0 seen from inside; the same segment moved to y=0.5 is on none
+    a, b = np.array([[0.2, 0.0], [0.2, 0.5]]), np.array([[0.7, 0.0], [0.7, 0.5]])
+    j = poly.supporting_edges(a, b, np.array([[0.5, 0.5], [0.5, 0.8]]))
+    assert j.tolist() == [0, -1]
 
 
 def test_point_on_boundary():

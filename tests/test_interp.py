@@ -8,7 +8,7 @@ from hpbl.oracles import boundary_layer_fn, corner_singularity_fn
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import pattern_mesh
+from helpers import element_rows, pattern_mesh
 
 
 class _Poly:
@@ -41,13 +41,14 @@ def test_interpolant_continuity_across_facets():
     f = boundary_layer_fn(1.0, 0.05)
     fld = interpolate(mesh, 4, f.value)
     t = np.linspace(0.0, 1.0, 13)
-    lines = sorted({el.ref_coords[:, 1].max() for el in mesh.elements})[:-1]
+    elements = element_rows(mesh)
+    lines = sorted({el.ref[:, 1].max() for el in elements})[:-1]
     for y0 in lines:
         below = above = None
-        for idx, el in enumerate(mesh.elements):
-            if el.ref_coords[:, 1].max() == y0:
+        for idx, el in enumerate(elements):
+            if el.ref[:, 1].max() == y0:
                 below = idx
-            if el.ref_coords[:, 1].min() == y0:
+            if el.ref[:, 1].min() == y0:
                 above = idx
         pts = np.column_stack([t, np.full_like(t, y0)])
         np.testing.assert_allclose(_eval_at(fld, below, pts), _eval_at(fld, above, pts), atol=1e-13)
@@ -55,7 +56,7 @@ def test_interpolant_continuity_across_facets():
 
 def _eval_at(fld, idx, pattern_pts):
     """Values at pattern points of element idx, from its own dof row."""
-    shape = fld.mesh.elements[idx].shape
+    shape = element_rows(fld.mesh)[idx].shape
     ids, place = element_placements(fld.mesh, shape)
     k = int(np.searchsorted(ids, idx))
     ref = (pattern_pts - place.origin[k]) @ place.inv[k].T

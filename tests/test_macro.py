@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hpbl.macro
 from hpbl.geometry import Polygon
@@ -20,6 +22,8 @@ from hpbl.macro import (
 from hpbl.meshcheck import conformity_violations
 from hpbl.patches import PatchElement, PatchKind, PatchParams
 
+from helpers import build_by_dict, element_rows, validate_by_element
+
 
 def test_scale_resolution_L():
     assert scale_resolution_L(0.25, 1.0, 1.0) == 0
@@ -35,7 +39,7 @@ def test_triangle_split_oracle():
     )
     assert len(macro.quads) == 3
     # quad at vertex (0,0): corners (0,0), edge midpoint, barycenter, edge midpoint
-    q0 = macro.corner_coords(0)
+    q0 = macro.nodes[list(macro.quads[0])]
     np.testing.assert_allclose(
         q0, [[0, 0], [0.5, 0], [1 / 3, 1 / 3], [0, 0.5]], atol=1e-15
     )
@@ -149,9 +153,9 @@ def test_unmerged_interface_node_flagged():
     )
     dup = len(mesh.nodes)
     mesh.nodes = np.vstack([mesh.nodes, mesh.nodes[interface]])
-    for ei, el in enumerate(mesh.elements):
-        if interface in el.nodes and mesh.elements[ei].macro_id in (1, 3):
-            el.nodes = tuple(dup if n == interface else n for n in el.nodes)
+    for s, conn in mesh.conn.items():
+        in_13 = np.isin(mesh.macro_id[s], (1, 3))[:, None]
+        conn[in_13 & (conn == interface)] = dup
     report = validate_mesh(mesh, check_corner_condition=False)
     assert any("exposed" in v or "hangs" in v for v in report.violations)
 
@@ -239,3 +243,87 @@ def test_pattern_defects_are_reported_under_every_quad_that_carries_them():
     assert not any(v.startswith("quad ") for v in got[len(want):])
     # each distinct pattern content once, plus the glued mesh
     assert spy.call_count < len(pats) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit"]),
+    sigma=st.floats(0.1, 0.5),
+    L=st.integers(0, 7),
+    extra=st.integers(0, 3),
+)
+def test_array_mesh_matches_object_path(name, sigma, L, extra):
+    # the one-pass key merge against the node-by-node dict merge, and
+    # validate_mesh on the arrays against the element-by-element checks
+    poly, macro = builtin_layout(name)
+    params = PatchParams(sigma=sigma, L=L, n=L + extra)
+    mesh = build_geo_bl_mesh(macro, poly, params)
+    want = build_by_dict(macro, poly, params)
+    assert mesh.nodes.shape == want.nodes.shape
+    assert mesh.nodes.tobytes() == want.nodes.tobytes()
+    got = element_rows(mesh)
+    assert [e[:3] for e in got] == [e[:3] for e in want.elements]
+    assert all(a.ref.tobytes() == b.ref.tobytes() for a, b in zip(got, want.elements))
+    assert mesh.boundary_facets.tolist() == sorted(map(list, want.boundary_facets))
+    assert mesh.merge_discrepancy == want.merge_discrepancy
+    report = validate_mesh(mesh)
+    assert (report.violations, report.warnings) == validate_by_element(want)
+
+
+# validate_mesh on each built-in L=2 mesh with element `dup` appended again
+# and the node order of the last original element reversed, as the
+# element-object mesh reported it
+_CORRUPTED = {
+    "square": (0, [
+        "facet (0, 1) traversed twice in the same direction",
+        "facet (1, 2) shared by 3 elements",
+        "facet (2, 3) shared by 3 elements",
+        "facet (0, 3) shared by 3 elements",
+        "facet (43, 44) traversed twice in the same direction",
+        "facet (43, 48) traversed twice in the same direction",
+        "stored boundary marking disagrees with element incidence (1 facets differ)",
+        "polygon edge 0 covered by facets of total length 0.90625, expected 1",
+    ]),
+    "lshape": (8, [
+        "facet (0, 3) shared by 3 elements",
+        "facet (0, 15) traversed twice in the same direction",
+        "facet (3, 15) shared by 3 elements",
+        "facet (126, 127) traversed twice in the same direction",
+        "facet (126, 131) traversed twice in the same direction",
+        "stored boundary marking disagrees with element incidence (1 facets differ)",
+        "polygon edge 4 covered by facets of total length 0.979166666667, expected 1",
+    ]),
+    "slit": (8, [
+        "facet (0, 3) shared by 3 elements",
+        "facet (0, 15) traversed twice in the same direction",
+        "facet (3, 15) shared by 3 elements",
+        "facet (160, 161) traversed twice in the same direction",
+        "facet (160, 165) traversed twice in the same direction",
+        "stored boundary marking disagrees with element incidence (1 facets differ)",
+        "polygon edge 5 covered by facets of total length 1.97916666667, expected 2",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTED))
+def test_corrupted_connectivity_reports(name):
+    dup, want = _CORRUPTED[name]
+    poly, macro = builtin_layout(name)
+    params = PatchParams(sigma=0.25, L=2, n=2)
+    mesh = build_geo_bl_mesh(macro, poly, params)
+    flip = mesh.element_count() - 1
+    for s in mesh.conn:  # a copy of element dup's row, as a new last element
+        row = np.flatnonzero(mesh.eid[s] == dup)
+        mesh.conn[s] = np.vstack([mesh.conn[s], mesh.conn[s][row]])
+        mesh.eid[s] = np.append(mesh.eid[s], np.full(len(row), flip + 1))
+        mesh.macro_id[s] = np.append(mesh.macro_id[s], mesh.macro_id[s][row])
+        mesh.ref[s] = np.concatenate([mesh.ref[s], mesh.ref[s][row]])
+    for s in mesh.conn:
+        rows = mesh.eid[s] == flip
+        mesh.conn[s][rows] = mesh.conn[s][rows, ::-1]
+    assert validate_mesh(mesh, check_corner_condition=False).violations == want
+
+    ref = build_by_dict(macro, poly, params)
+    ref.elements.append(ref.elements[dup])
+    ref.elements[flip] = ref.elements[flip]._replace(nodes=ref.elements[flip].nodes[::-1])
+    assert validate_by_element(ref, check_corner_condition=False)[0] == want

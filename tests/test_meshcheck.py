@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from hpbl import meshcheck
 from hpbl.layouts import builtin_layout
 from hpbl.macro import build_geo_bl_mesh
-from hpbl.meshcheck import facet_incidence, hanging_nodes
+from hpbl.meshcheck import hanging_nodes
 from hpbl.patches import PatchParams
+
+from helpers import element_rows, facet_uses
 
 
 def _all_pairs_hanging_nodes(nodes, elements, tol=1e-12):
     """Reference: every node tested against every facet, in blocks of 256 facets."""
     out = []
     nodes = np.asarray(nodes, dtype=float)
-    facets = list(facet_incidence(elements))
+    facets = list(facet_uses(elements))
     if not facets or len(nodes) == 0:
         return out
     fa = np.array([f[0] for f in facets])
@@ -74,8 +76,9 @@ def test_sweep_matches_all_pairs_scan(name, sigma, L, extra, glued, which, tol, 
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=sigma, L=L, n=L + extra))
     # the glued mesh, or one pattern in pattern coordinates
     target = mesh if glued else mesh.patterns[which % len(mesh.patterns)]
-    nodes, elements = target.nodes.copy(), target.elements
-    facets = list(facet_incidence(elements))
+    nodes = target.nodes.copy()
+    elements = element_rows(target) if glued else target.elements
+    facets = list(facet_uses(elements))
     rng = np.random.default_rng(seed)
     for j in rng.choice(len(facets), size=min(12, len(facets)), replace=False):
         a, b = facets[j]
@@ -86,7 +89,7 @@ def test_sweep_matches_all_pairs_scan(name, sigma, L, extra, glued, which, tol, 
             nodes[k] = nodes[a] + t * ab + d * np.array([-ab[1], ab[0]])
     # a small chunk budget splits the candidate pairs across many chunks
     with mock.patch.object(meshcheck, "_CHUNK", chunk):
-        got = hanging_nodes(nodes, elements, tol)
+        got = hanging_nodes(nodes, target, tol)
     # a node moved onto a neighbour makes a facet of length zero: the scan
     # divides by zero there and accepts no pair on it
     with np.errstate(divide="ignore", invalid="ignore"):

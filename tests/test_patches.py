@@ -240,9 +240,9 @@ def test_determinism():
 
 
 def test_batch_metrics_match_scalar_reference():
-    # patch_metrics computes everything in grouped numpy; _element_metrics
+    # patch_metrics computes everything in grouped numpy; element_metrics
     # is the one-element-at-a-time version it must agree with
-    from hpbl.patches import _element_metrics
+    from helpers import element_metrics
 
     for kind, build in (
         (PatchKind.TENSOR, build_pattern),
@@ -250,7 +250,7 @@ def test_batch_metrics_match_scalar_reference():
     ):
         patch = build(kind, PatchParams(sigma=0.3, L=2, n=4))
         for e, got in zip(patch.elements, patch_metrics(patch)):
-            ref = _element_metrics(patch, e)
+            ref = element_metrics(patch, e)
             assert got.shape == ref.shape
             assert got.touches_gamma == ref.touches_gamma
             assert got.touches_origin == ref.touches_origin

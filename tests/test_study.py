@@ -1,12 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import hpbl.layouts
+import hpbl.macro
 from hpbl import study
 from hpbl.fem import assemble, interpolate
-from hpbl.macro import build_geo_bl_mesh
+from hpbl.macro import assign_refinement_patterns, build_geo_bl_mesh
 from hpbl.meshio import mesh_svg
 from hpbl.oracles import manufactured_layer_solution
 from hpbl.study import (
@@ -81,6 +84,24 @@ def test_reference_is_cached_and_reused():
     b = reference_solution(cfg, 1e-1)
     assert a is b
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def test_config_file_layout_is_classified_once(tmp_path):
+    # a config file without an "assignments" section is classified when it
+    # is loaded, and every later mesh reuses the cached assignments
+    nodes = [[x, y] for y in (0, 0.5, 1) for x in (0, 0.5, 1)]
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+        "macro": {"nodes": nodes, "quads": [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]},
+    }))
+    cfg = ExperimentConfig(domain=str(path), eps=(0.1,))
+    spy = mock.Mock(wraps=assign_refinement_patterns)
+    with mock.patch.object(hpbl.layouts, "assign_refinement_patterns", spy), \
+            mock.patch.object(hpbl.macro, "assign_refinement_patterns", spy):
+        meshes = [mesh_for(cfg, p, 0.1) for p in (1, 2)]
+    assert spy.call_count == 1
+    assert [a.kind for a in meshes[1].assignments] == [a.kind for a in study.load_domain(str(path))[2]]
 
 
 def test_rewritten_config_file_gets_new_layout_and_reference(tmp_path):
