@@ -130,6 +130,8 @@ def from_config(cfg: dict):
     "assignments" list of {"quad", "kind", "rotation", "flip",
     "layers_from_L"} overrides that for the listed quads.
     """
+    if not isinstance(cfg, dict) or "vertices" not in cfg:
+        raise ValueError('a layout config must be a JSON object with a "vertices" entry')
     polygon = Polygon(np.asarray(cfg["vertices"], dtype=float))
     if "macro" in cfg:
         spec = cfg["macro"]
@@ -144,12 +146,13 @@ def from_config(cfg: dict):
         raise ValueError('config needs a "macro" or "triangulation" section')
 
     assignments = assign_refinement_patterns(macro, polygon)
-    kinds = {k.value: k for k in PatchKind}
     for entry in cfg.get("assignments", []):
         qid = int(entry["quad"])
+        if not 0 <= qid < len(assignments):
+            raise ValueError(f"assignment names quad {qid} of {len(assignments)} quads")
         base = assignments[qid]
         assignments[qid] = PatternAssignment(
-            kind=kinds[entry.get("kind", base.kind.value)],
+            kind=PatchKind(entry.get("kind", base.kind.value)),  # names an unknown kind
             rotation=int(entry.get("rotation", base.rotation)),
             flip=bool(entry.get("flip", base.flip)),
             layers_from_L=bool(entry.get("layers_from_L", base.layers_from_L)),

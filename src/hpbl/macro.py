@@ -15,7 +15,7 @@ and pattern corners), which every consumer indexes without regrouping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +87,9 @@ class MacroTriangulation:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        for quad in self.quads:
+        for qid, quad in enumerate(self.quads):
+            if len(quad) != 4 or not all(0 <= i < len(self.nodes) for i in quad):
+                raise ValueError(f"quad {qid} {quad} needs 4 node indices below {len(self.nodes)}")
             xy = self.nodes[list(quad)]
             for k in range(4):
                 a = xy[(k + 1) % 4] - xy[k]
@@ -357,17 +359,10 @@ def _flip_pattern(patch: PatchMesh) -> PatchMesh:
     lower-left corner, keep that corner and reverse the other three.
     Boundary tags swap bottom and left.
     """
-    from .patches import PatchElement
-
-    elements = [
-        PatchElement("t", el.nodes[::-1]) if el.shape == "t"
-        else PatchElement("r", el.nodes[:1] + el.nodes[:0:-1])
-        for el in patch.elements
-    ]
     swap = {GAMMA_BOTTOM: GAMMA_LEFT, GAMMA_LEFT: GAMMA_BOTTOM, GAMMA_ORIGIN: GAMMA_ORIGIN}
-    gamma = frozenset(swap[g] for g in patch.gamma)
-    nodes = patch.nodes[:, ::-1].copy()
-    return PatchMesh(patch.kind, patch.params, nodes, elements, gamma, patch.area)
+    conn = {s: c[:, [0, 3, 2, 1]] if s == "r" else c[:, ::-1] for s, c in patch.conn.items()}
+    return replace(patch, nodes=patch.nodes[:, ::-1].copy(), conn=conn,
+                   gamma=frozenset(swap[g] for g in patch.gamma))
 
 
 def pattern_for(assignment: PatternAssignment, params: PatchParams) -> PatchMesh:
@@ -542,10 +537,6 @@ class Mesh:
         """The global element ids; per-element data lives in the per-shape arrays."""
         return range(self.element_count())
 
-    def by_shape(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per shape, the global element ids and connectivity (``eid``, ``conn``)."""
-        return {s: (self.eid[s], self.conn[s]) for s in self.conn}
-
     def element_count(self) -> int:
         return sum(len(ids) for ids in self.eid.values())
 
@@ -583,7 +574,7 @@ def build_geo_bl_mesh(
         groups.setdefault((asn.kind, asn.flip, asn.layers_from_L), []).append(qid)
     built = {key: pattern_for(assignments[qs[0]], params) for key, qs in groups.items()}
     patterns = [built[(a.kind, a.flip, a.layers_from_L)] for a in assignments]
-    sizes = np.array([[len(p.nodes), len(p.elements)] for p in patterns], dtype=np.int64)
+    sizes = np.array([[len(p.nodes), p.element_count()] for p in patterns], dtype=np.int64)
     node_off, elem_off = (np.cumsum(sizes, axis=0) - sizes).reshape(-1, 2).T
 
     # every pattern node copy, quad by quad: merge key and physical point;
@@ -596,11 +587,12 @@ def build_geo_bl_mesh(
         at = node_off[qs, None] + np.arange(len(pattern.nodes))
         keys[at] = _merge_keys(pattern.nodes, oriented[qs], qs)
         phys[at] = BilinearMap(macro.nodes[oriented[qs]][:, None])(pattern.nodes)
-        for s, (local, lconn) in pattern.by_shape().items():
+        for s, lconn in pattern.conn.items():
             n, k = lconn.shape
             corners = np.broadcast_to(pattern.nodes[lconn], (len(qs), n, k, 2))
-            pieces[s].append(((elem_off[qs, None] + local).ravel(), at[:, lconn].reshape(-1, k),
-                              np.repeat(qs, n), corners.reshape(-1, k, 2)))
+            pieces[s].append(((elem_off[qs, None] + pattern.eid[s]).ravel(),
+                              at[:, lconn].reshape(-1, k), np.repeat(qs, n),
+                              corners.reshape(-1, k, 2)))
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     gid = np.empty(len(first), dtype=np.int64)
@@ -662,10 +654,10 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
     # quads share few distinct patterns; the key holds all the check reads
     checked = {}
     for qid, pattern in enumerate(mesh.patterns):
-        nodes = np.asarray(pattern.nodes, dtype=float)
-        key = (nodes.tobytes(), tuple(tuple(el.nodes) for el in pattern.elements))
+        key = (pattern.nodes.tobytes(),
+               *(a.tobytes() for s in pattern.conn for a in (pattern.eid[s], pattern.conn[s])))
         if key not in checked:
-            checked[key] = conformity_violations(nodes, pattern.elements)
+            checked[key] = conformity_violations(pattern.nodes, pattern)
         rep.violations.extend(f"quad {qid}: {msg}" for msg in checked[key])
 
     if mesh.merge_discrepancy > 1e-12:

@@ -8,8 +8,10 @@ Facets are undirected node-index pairs, tabulated as arrays by
 assumes the supplied node coordinates are exact for the facets (true for
 patterns, and for meshes when checked patch by patch in pattern
 coordinates); it is a sweep-and-prune over the nodes sorted along each
-facet's narrower axis.  Both checks accept an element sequence, an
-object with per-shape arrays (``Mesh``, ``PatchMesh``) or a ``FacetTable``.
+facet's narrower axis.  Both checks accept a sequence of node-id tuples,
+a ``FacetTable``, or a pattern or mesh (``PatchMesh``, ``Mesh``), which
+share one element layout: per shape s, ``conn[s]`` (E_s, k) node ids
+and ``eid[s]`` (E_s,) element indices.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class FacetTable:
 
 def _blocks(elements):
     """(element ids, node ids (E, k)) per block of equal-size elements."""
-    if hasattr(elements, "by_shape"):
-        return list(elements.by_shape().values())
-    rows = [e.nodes if hasattr(e, "nodes") else tuple(e) for e in elements]
+    if hasattr(elements, "conn"):
+        return [(elements.eid[s], conn) for s, conn in elements.conn.items()]
+    rows = [tuple(e) for e in elements]
     by_size = defaultdict(list)
     for ei, row in enumerate(rows):
         by_size[len(row)].append(ei)

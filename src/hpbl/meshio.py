@@ -36,13 +36,15 @@ _FILL = {
     "corner_half": "#f7d9cf",
     "corner_half_flip": "#f7d9cf",
 }
+_SAMPLES = 8  # outline points per edge of a Mesh element, the first at its corner
+_PLOT_WIDTH, _PLOT_HEIGHT = 560, 420  # convergence plot size in pixels
 
 
 def mesh_text(obj) -> str:
     lines = [f"v {float(p[0])!r} {float(p[1])!r}" for p in np.asarray(obj.nodes)]
-    rows = [None] * len(obj.elements)
-    for shape, (ids, conn) in obj.by_shape().items():
-        for ei, row in zip(ids.tolist(), conn.tolist()):
+    rows = [None] * obj.element_count()
+    for shape, ids in obj.eid.items():
+        for ei, row in zip(ids.tolist(), obj.conn[shape].tolist()):
             rows[ei] = shape + " " + " ".join(map(str, row))
     return "\n".join(lines + rows) + "\n"
 
@@ -52,21 +54,21 @@ def write_mesh_text(obj, path: str) -> None:
         fh.write(mesh_text(obj))
 
 
-def _outlines(obj, samples: int = 8):
+def _outlines(obj):
     """Yield ``(shape, ids, rings)`` per element shape: storage indices
     (E_s,) and polygon outlines (E_s, k, 2) in physical coordinates.
 
     Pattern rectangles stay straight-sided under a bilinear map, but a
     triangle edge that is not axis-aligned in pattern coordinates maps to
-    a curve, so each edge of a Mesh element is sampled ``samples`` times,
+    a curve, so each edge of a Mesh element is sampled ``_SAMPLES`` times,
     starting at its corner; only the points of the element maps are
     formed, no Jacobians.  A PatchMesh outline is its element's nodes.
     """
     if not isinstance(obj, Mesh):
-        for shape, (ids, conn) in obj.by_shape().items():
-            yield shape, ids, obj.nodes[conn]
+        for shape, ids in obj.eid.items():
+            yield shape, ids, obj.nodes[obj.conn[shape]]
         return
-    t = np.linspace(0.0, 1.0, samples, endpoint=False)[:, None]
+    t = np.linspace(0.0, 1.0, _SAMPLES, endpoint=False)[:, None]
     for shape, corners in REF_CORNERS.items():
         edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
         _, bil, pat = element_points(obj, shape, edges.reshape(-1, 2))
@@ -97,7 +99,7 @@ def mesh_svg(obj, width: int = 640) -> str:
     mesh = isinstance(obj, Mesh)
     kinds = [a.kind for a in obj.assignments] if mesh else [obj.kind]
     fill_of = [_FILL.get(k.value, "#ffffff") for k in kinds]
-    polygons = [None] * len(obj.elements)
+    polygons = [None] * obj.element_count()
     for shape, ids, rings in _outlines(obj):
         fills = [fill_of[q] for q in (obj.macro_id[shape].tolist() if mesh else [0] * len(ids))]
         template = (
@@ -127,12 +129,12 @@ def write_mesh_svg(obj, path: str, width: int = 640) -> None:
         fh.write(mesh_svg(obj, width))
 
 
-def convergence_svg(series, width: int = 560, height: int = 420, xlabel: str = "p") -> str:
-    """Semi-log convergence plot: one polyline per labelled series.
+def convergence_svg(series) -> str:
+    """Semi-log plot of error against p: one polyline per labelled series.
 
     ``series`` is a list of (label, xs, errors); errors must be positive.
     """
-    pad = 56
+    width, height, pad = _PLOT_WIDTH, _PLOT_HEIGHT, 56
     xs_all = [x for _, xs, _ in series for x in xs]
     es_all = [e for _, _, es in series for e in es]
     if not xs_all:
@@ -185,7 +187,7 @@ def convergence_svg(series, width: int = 560, height: int = 420, xlabel: str = "
         )
     out.append(
         f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="12">{xlabel}</text>'
+        'font-size="12">p</text>'
     )
     for k, (label, xs, es) in enumerate(series):
         color = colors[k % len(colors)]

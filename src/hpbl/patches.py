@@ -22,20 +22,24 @@ the left edge and/or the origin.
 All geometric-scale coordinates are powers of the grading factor sigma,
 computed by repeated multiplication so that identical parameters give
 bit-identical patterns and shared traces merge exactly.
+
+A pattern keeps its elements in the layout of the glued ``macro.Mesh``:
+per shape s ('r', 't'), ``conn[s]`` (E_s, 4 or 3) node ids and ``eid[s]``
+(E_s,) element indices in pattern order.  The builders emit (shape, node
+ids) rows, which ``_patch`` turns into these arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PatchKind",
     "PatchParams",
-    "PatchElement",
     "PatchMesh",
     "ElementMetrics",
     "build_pattern",
@@ -62,7 +66,9 @@ class PatchKind(enum.Enum):
     CORNER_HALF_FLIP = "corner_half_flip"
 
 
-_HALF_KINDS = {PatchKind.MIXED_HALF, PatchKind.CORNER_HALF, PatchKind.CORNER_HALF_FLIP}
+# each half kind and the full pattern it restricts
+_HALF_OF = {PatchKind.MIXED_HALF: PatchKind.MIXED, PatchKind.CORNER_HALF: PatchKind.CORNER,
+            PatchKind.CORNER_HALF_FLIP: PatchKind.CORNER}
 
 _GAMMA = {
     PatchKind.TRIVIAL: frozenset(),
@@ -116,39 +122,26 @@ def sigma_powers(sigma: float, k: int) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class PatchElement:
-    """One cell of a pattern: ``shape`` is 't' or 'r', nodes are indices.
-
-    Rectangle corners are listed counterclockwise from the lower left;
-    triangles counterclockwise.
-    """
-
-    shape: str
-    nodes: tuple[int, ...]
-
-
 @dataclass
 class PatchMesh:
+    """A refinement pattern: nodes in the unit square and per-shape element
+    arrays laid out as in ``macro.Mesh``.
+
+    Per shape s ('r', 't'), ``conn[s]`` (E_s, 4 or 3) holds the nodes of
+    its elements counterclockwise, rectangles from the lower-left corner,
+    and ``eid[s]`` (E_s,) their ascending element indices in pattern order.
+    """
+
     kind: PatchKind
     params: PatchParams
     nodes: np.ndarray  # (nnodes, 2)
-    elements: list[PatchElement]
+    conn: dict[str, np.ndarray]
+    eid: dict[str, np.ndarray]
     gamma: frozenset[str]
     area: float  # area of the patterned region (1.0, or 0.5 for halves)
 
-    def element_coords(self, e: PatchElement) -> np.ndarray:
-        return self.nodes[list(e.nodes)]
-
-    def by_shape(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per element shape ('r', then 't'), the element indices (E_s,)
-        and their node ids (E_s, 4 or 3)."""
-        out = {}
-        for shape, k in (("r", 4), ("t", 3)):
-            ids = [i for i, e in enumerate(self.elements) if e.shape == shape]
-            conn = np.array([self.elements[i].nodes for i in ids], dtype=np.int64)
-            out[shape] = (np.array(ids, dtype=np.int64), conn.reshape(len(ids), k))
-        return out
+    def element_count(self) -> int:
+        return sum(len(ids) for ids in self.eid.values())
 
 
 class _NodePool:
@@ -172,13 +165,11 @@ class _NodePool:
 
 
 def _emit_rect(pool, elements, x0, x1, y0, y1):
-    ids = (pool.add(x0, y0), pool.add(x1, y0), pool.add(x1, y1), pool.add(x0, y1))
-    elements.append(PatchElement("r", ids))
+    elements.append(("r", (pool.add(x0, y0), pool.add(x1, y0), pool.add(x1, y1), pool.add(x0, y1))))
 
 
 def _emit_tri(pool, elements, a, b, c):
-    ids = (pool.add(*a), pool.add(*b), pool.add(*c))
-    elements.append(PatchElement("t", ids))
+    elements.append(("t", (pool.add(*a), pool.add(*b), pool.add(*c))))
 
 
 def _corner_rings(pool, elements, levels):
@@ -254,26 +245,24 @@ _BUILDERS = {
 }
 
 
+def _patch(kind: PatchKind, params: PatchParams, pool: _NodePool, rows, area: float) -> PatchMesh:
+    """The PatchMesh of (shape, node ids) rows listed in pattern order."""
+    conn, eid = {}, {}
+    for shape, k in (("r", 4), ("t", 3)):
+        ids = [i for i, (s, _) in enumerate(rows) if s == shape]
+        eid[shape] = np.array(ids, dtype=np.int64)
+        conn[shape] = np.array([rows[i][1] for i in ids], dtype=np.int64).reshape(len(ids), k)
+    return PatchMesh(kind, params, pool.array(), conn, eid, _GAMMA[kind], area)
+
+
 def build_pattern(kind: PatchKind, params: PatchParams) -> PatchMesh:
     """Construct the refinement pattern ``kind`` on the unit square."""
-    if kind in _HALF_KINDS:
+    if kind in _HALF_OF:
         return build_half_patch(kind, params)
     pool = _NodePool()
-    elements: list[PatchElement] = []
-    _BUILDERS[kind](pool, elements, params)
-    return PatchMesh(kind, params, pool.array(), elements, _GAMMA[kind], 1.0)
-
-
-def _restrict_below_diagonal(full: PatchMesh, kind: PatchKind) -> PatchMesh:
-    pool = _NodePool()
-    elements: list[PatchElement] = []
-    for e in full.elements:
-        xy = full.element_coords(e)
-        bx, by = xy.mean(axis=0)
-        if by < bx:
-            ids = tuple(pool.add(x, y) for x, y in xy)
-            elements.append(PatchElement(e.shape, ids))
-    return PatchMesh(kind, full.params, pool.array(), elements, _GAMMA[kind], 0.5)
+    rows: list[tuple[str, tuple[int, ...]]] = []
+    _BUILDERS[kind](pool, rows, params)
+    return _patch(kind, params, pool, rows, 1.0)
 
 
 def build_half_patch(kind: PatchKind, params: PatchParams) -> PatchMesh:
@@ -285,20 +274,20 @@ def build_half_patch(kind: PatchKind, params: PatchParams) -> PatchMesh:
     corner half mirrored across the diagonal, with vertex order reversed
     to stay counterclockwise.
     """
-    if kind is PatchKind.MIXED_HALF:
-        return _restrict_below_diagonal(build_pattern(PatchKind.MIXED, params), kind)
-    if kind is PatchKind.CORNER_HALF:
-        return _restrict_below_diagonal(build_pattern(PatchKind.CORNER, params), kind)
-    if kind is PatchKind.CORNER_HALF_FLIP:
-        half = _restrict_below_diagonal(build_pattern(PatchKind.CORNER, params), kind)
-        pool = _NodePool()
-        elements = []
-        for e in half.elements:
-            xy = half.nodes[list(e.nodes)][::-1]  # reverse to restore orientation
-            ids = tuple(pool.add(y, x) for x, y in xy)
-            elements.append(PatchElement(e.shape, ids))
-        return PatchMesh(kind, params, pool.array(), elements, _GAMMA[kind], 0.5)
-    raise ValueError(f"not a half-patch kind: {kind}")
+    if kind not in _HALF_OF:
+        raise ValueError(f"not a half-patch kind: {kind}")
+    full, rows = _NodePool(), []
+    _BUILDERS[_HALF_OF[kind]](full, rows, params)
+    xy = full.array()
+    pool, kept = _NodePool(), []
+    for shape, ids in rows:
+        pts = xy[list(ids)]
+        bx, by = pts.mean(axis=0)
+        if by < bx:
+            if kind is PatchKind.CORNER_HALF_FLIP:  # mirror, reversed to stay counterclockwise
+                pts = pts[::-1, ::-1]
+            kept.append((shape, tuple(pool.add(x, y) for x, y in pts)))
+    return _patch(kind, params, pool, kept, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +316,11 @@ def patch_metrics(patch: PatchMesh) -> list[ElementMetrics]:
     cached = getattr(patch, "_metrics", None)
     if cached is not None:
         return cached
-    out: list[ElementMetrics] = [None] * len(patch.elements)  # type: ignore[list-item]
-    for shape, (idx, conn) in patch.by_shape().items():
+    out: list[ElementMetrics] = [None] * patch.element_count()  # type: ignore[list-item]
+    for shape, idx in patch.eid.items():
         if not len(idx):
             continue
-        xy = patch.nodes[conn]  # (m, 3 or 4, 2)
+        xy = patch.nodes[patch.conn[shape]]  # (m, 3 or 4, 2)
         edge = np.roll(xy, -1, axis=1) - xy
         elen = np.hypot(edge[..., 0], edge[..., 1])
         if shape == "r":

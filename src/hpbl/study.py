@@ -22,7 +22,8 @@ import numpy as np
 
 from .fem import DiscreteField, _integrate, assemble, error_norms
 from .layouts import builtin_layout, layout_names, load_config
-from .macro import Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L
+from .macro import (Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L,
+                    validate_mesh)
 from .meshio import convergence_svg, mesh_svg
 from .oracles import manufactured_layer_solution
 from .patches import PatchParams
@@ -187,10 +188,17 @@ def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, in
 
 
 def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
+    """The degree-p mesh; ValueError if a config-file layout's mesh is invalid."""
     polygon, macro, assignments = load_domain(config.domain)
     L, n = _layer_counts(config, p, eps)
     params = PatchParams(sigma=config.sigma, L=L, n=n)
-    return build_geo_bl_mesh(macro, polygon, params, assignments)
+    mesh = build_geo_bl_mesh(macro, polygon, params, assignments)
+    if config.domain not in layout_names():
+        bad = validate_mesh(mesh, check_corner_condition=False).violations
+        if bad:
+            raise ValueError(f"invalid mesh of {config.domain} at L={L}, n={n}: {bad[0]} "
+                             f"(and {len(bad) - 1} more violations)")
+    return mesh
 
 
 def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):

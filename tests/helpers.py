@@ -29,6 +29,17 @@ from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, ElementMetrics,
 # one element of a mesh: shape 'r'/'t', global node ids, macro quad, and the
 # pattern coordinates of its corners
 Element = namedtuple("Element", "shape nodes macro_id ref")
+# one element of a pattern: shape 'r'/'t' and node ids
+Cell = namedtuple("Cell", "shape nodes")
+
+
+def pattern_rows(patch):
+    """The elements of a PatchMesh as ``Cell`` rows, in pattern order."""
+    rows = [None] * patch.element_count()
+    for s, ids in patch.eid.items():
+        for ei, nodes in zip(ids.tolist(), patch.conn[s].tolist()):
+            rows[ei] = Cell(s, tuple(nodes))
+    return rows
 
 
 def element_rows(mesh):
@@ -57,7 +68,7 @@ def reference_mesh_svg(obj, width=640):
     as the reference its output must match byte for byte: outlines in a
     list in storage order, each point mapped and formatted on its own."""
     if isinstance(obj, Mesh):
-        rings = [None] * len(obj.elements)
+        rings = [None] * obj.element_count()
         t = np.linspace(0.0, 1.0, 8, endpoint=False)[:, None]
         for shape, corners in REF_CORNERS.items():
             edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
@@ -66,8 +77,8 @@ def reference_mesh_svg(obj, width=640):
                 rings[ei] = ring
         kinds = [obj.assignments[el.macro_id].kind.value for el in element_rows(obj)]
     else:
-        rings = [obj.nodes[list(el.nodes)] for el in obj.elements]
-        kinds = [obj.kind.value] * len(obj.elements)
+        rings = [obj.nodes[list(el.nodes)] for el in pattern_rows(obj)]
+        kinds = [obj.kind.value] * len(rings)
     nodes = np.asarray(obj.nodes)
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
@@ -119,7 +130,7 @@ def _poly_point_dist(xy, p):
 def element_metrics(patch, e):
     """The metrics of one pattern element, one element at a time: the
     reference ``patches.patch_metrics`` must agree with."""
-    xy = patch.element_coords(e)
+    xy = patch.nodes[list(e.nodes)]
     m = len(xy)
     edge_len = [float(np.hypot(*(xy[(i + 1) % m] - xy[i]))) for i in range(m)]
     if e.shape == "r":
@@ -229,7 +240,7 @@ def build_by_dict(macro, polygon, params, assignments=None):
             else:
                 max_disc = max(max_disc, float(np.hypot(*(phys[ln] - coords[gid]))))
             local_gid.append(gid)
-        for el in pattern.elements:
+        for el in pattern_rows(pattern):
             ids = tuple(local_gid[i] for i in el.nodes)
             elements.append(Element(el.shape, ids, qid, pattern.nodes[list(el.nodes)].copy()))
         oriented_all.append(oriented)
@@ -278,7 +289,8 @@ def validate_by_element(mesh, check_corner_condition=True):
     (violations, warnings)."""
     violations, warnings = [], []
     for qid, pattern in enumerate(mesh.patterns):
-        violations += [f"quad {qid}: {msg}" for msg in _conformity_by_dict(pattern.nodes, pattern.elements)]
+        violations += [f"quad {qid}: {msg}"
+                       for msg in _conformity_by_dict(pattern.nodes, pattern_rows(pattern))]
     if mesh.merge_discrepancy > 1e-12:
         violations.append(f"merged node coordinates disagree by {mesh.merge_discrepancy:.3e}")
     fmap = facet_uses(mesh.elements)

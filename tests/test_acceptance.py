@@ -61,11 +61,7 @@ def _tiled_area(patch):
     """Sum of element areas by the shoelace formula, grouped by shape."""
     total = 0.0
     for shape in ("t", "r"):
-        idx = [i for i, e in enumerate(patch.elements) if e.shape == shape]
-        if not idx:
-            continue
-        conn = np.array([patch.elements[i].nodes for i in idx])
-        xy = patch.nodes[conn]
+        xy = patch.nodes[patch.conn[shape]]
         x, y = xy[..., 0], xy[..., 1]
         xr, yr = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         total += float(np.abs((x * yr - xr * y).sum(axis=1)).sum()) / 2.0
@@ -99,7 +95,7 @@ def test_01_patch_catalog_invariants():
                     defect = abs(_tiled_area(patch) - patch.area)
                     worst_defect = max(worst_defect, defect)
                     assert defect < 1e-12
-                    assert conformity_violations(patch.nodes, patch.elements) == []
+                    assert conformity_violations(patch.nodes, patch) == []
                     for met in patch_metrics(patch):
                         if met.dist_gamma is not None and not met.touches_gamma:
                             if met.shape == "t":

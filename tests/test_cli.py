@@ -203,19 +203,59 @@ def test_fit_rejects_malformed_header(tmp_path):
     assert rc == 2
 
 
+# the unit square as a config-file layout of 2 x 2 quads
+_SQUARE_2X2 = {
+    "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    "macro": {
+        "nodes": [[0, 0], [0.5, 0], [1, 0], [0, 0.5], [0.5, 0.5], [1, 0.5],
+                  [0, 1], [0.5, 1], [1, 1]],
+        "quads": [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]],
+    },
+}
+
+
 def test_custom_domain_config(tmp_path):
-    cfg = {
-        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
-        "macro": {
-            "nodes": [[0, 0], [0.5, 0], [1, 0], [0, 0.5], [0.5, 0.5], [1, 0.5],
-                      [0, 1], [0.5, 1], [1, 1]],
-            "quads": [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]],
-        },
-    }
     path = tmp_path / "dom.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_SQUARE_2X2))
     rc = cli.main(["mesh", "--domain", str(path), "-L", "1"])
     assert rc == 0
+
+
+# malformed layout files and the text the error must name
+_MALFORMED = {
+    "no vertices": ({"macro": _SQUARE_2X2["macro"]}, '"vertices"'),
+    "quad of 3 corners": ({**_SQUARE_2X2, "macro": {**_SQUARE_2X2["macro"], "quads": [
+        [0, 1, 4, 3], [1, 2, 5], [3, 4, 7, 6], [4, 5, 8, 7]]}}, "quad 1"),
+    "assignment past the last quad": ({**_SQUARE_2X2, "assignments": [{"quad": 7}]}, "quad 7"),
+    "unknown kind": ({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": "bogus"}]}, "'bogus'"),
+    "top-level list": ([_SQUARE_2X2], '"vertices"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_layout_file_exits_2(tmp_path, capsys, case):
+    cfg, named = _MALFORMED[case]
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["mesh", "--domain", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"rotation": 2}, {"kind": "corner_half"}])
+def test_study_and_solve_refuse_an_invalid_layout(tmp_path, capsys, override):
+    # a clean layout solves; one quad turned or given a half pattern leaves
+    # hanging nodes and exposed facets, which mesh reports and study and
+    # solve must refuse rather than solve on
+    args = ["--mode", "reference", "--eps", "1e-2"]
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps(_SQUARE_2X2))
+    assert cli.main(["solve", "-p", "2", "--domain", str(path), *args]) == 0
+    path.write_text(json.dumps({**_SQUARE_2X2, "assignments": [{"quad": 0, **override}]}))
+    assert cli.main(["mesh", "--domain", str(path)]) == 2
+    for command in (["study", "--pmax", "3"], ["solve", "-p", "2"]):
+        capsys.readouterr()
+        assert cli.main([*command, "--domain", str(path), *args]) == 2
+        assert "invalid mesh of" in capsys.readouterr().err
 
 
 _NO_SCIPY_SCRIPT = """

@@ -8,7 +8,7 @@ from hpbl.oracles import boundary_layer_fn, corner_singularity_fn
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import element_rows, pattern_mesh
+from helpers import element_rows, pattern_mesh, pattern_rows
 
 
 class _Poly:
@@ -24,8 +24,8 @@ class _Poly:
 def test_placements_roundtrip():
     patch = build_pattern(PatchKind.MIXED, PatchParams(sigma=0.5, L=2, n=2))
     rng = np.random.default_rng(0)
-    for e in patch.elements:
-        place = placement_for(e.shape, patch.element_coords(e))
+    for e in pattern_rows(patch):
+        place = placement_for(e.shape, patch.nodes[list(e.nodes)])
         ref = rng.uniform(0.05, 0.95, size=(20, 2))
         if e.shape == "t":
             ref[:, 1] *= ref[:, 0]

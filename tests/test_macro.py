@@ -20,7 +20,7 @@ from hpbl.macro import (
     validate_mesh,
 )
 from hpbl.meshcheck import conformity_violations
-from hpbl.patches import PatchElement, PatchKind, PatchParams
+from hpbl.patches import PatchKind, PatchParams
 
 from helpers import build_by_dict, element_rows, validate_by_element
 
@@ -169,17 +169,7 @@ def test_hanging_node_scan():
         [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 0.5], [2, 1], [1, 0.5]],
         dtype=float,
     )
-
-    class _El:
-        def __init__(self, shape, ids):
-            self.shape = shape
-            self.nodes = ids
-
-    elements = [
-        _El("r", (0, 1, 2, 3)),
-        _El("r", (1, 4, 5, 7)),
-        _El("r", (7, 5, 6, 2)),
-    ]
+    elements = [(0, 1, 2, 3), (1, 4, 5, 7), (7, 5, 6, 2)]
     hangs = hanging_nodes(nodes, elements)
     assert any(node == 7 for node, _ in hangs)
 
@@ -226,15 +216,21 @@ def test_pattern_defects_are_reported_under_every_quad_that_carries_them():
     poly, macro = builtin_layout("lshape")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
     pats = mesh.patterns
-    # quads 1 and 4 carry equal copies of one defect (a doubled element),
-    # quad 2 another (an element traversed backwards)
-    pats[1] = replace(pats[1], elements=pats[1].elements + pats[1].elements[:1])
+    # quads 1 and 4 carry equal copies of one defect (element 0 appended
+    # again), quad 2 another (element 0 traversed backwards)
+    pat = pats[1]
+    s = next(s for s, ids in pat.eid.items() if 0 in ids)
+    first = pat.eid[s] == 0
+    pats[1] = replace(pat, conn={**pat.conn, s: np.vstack([pat.conn[s], pat.conn[s][first]])},
+                      eid={**pat.eid, s: np.append(pat.eid[s], pat.element_count())})
     pats[4] = copy.deepcopy(pats[1])
-    first = pats[2].elements[0]
-    pats[2] = replace(pats[2], elements=[PatchElement(first.shape, first.nodes[::-1])]
-                      + pats[2].elements[1:])
+    pat = pats[2]
+    s = next(s for s, ids in pat.eid.items() if 0 in ids)
+    conn = pat.conn[s].copy()
+    conn[pat.eid[s] == 0] = conn[pat.eid[s] == 0, ::-1]
+    pats[2] = replace(pat, conn={**pat.conn, s: conn})
     want = [f"quad {qid}: {msg}" for qid, pat in enumerate(pats)
-            for msg in conformity_violations(pat.nodes, pat.elements)]
+            for msg in conformity_violations(pat.nodes, pat)]
     assert {int(v.split()[1][:-1]) for v in want} == {1, 2, 4}
 
     with mock.patch.object(hpbl.macro, "conformity_violations", wraps=conformity_violations) as spy:

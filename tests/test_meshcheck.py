@@ -12,7 +12,7 @@ from hpbl.macro import build_geo_bl_mesh
 from hpbl.meshcheck import hanging_nodes
 from hpbl.patches import PatchParams
 
-from helpers import element_rows, facet_uses
+from helpers import element_rows, facet_uses, pattern_rows
 
 
 def _all_pairs_hanging_nodes(nodes, elements, tol=1e-12):
@@ -77,7 +77,7 @@ def test_sweep_matches_all_pairs_scan(name, sigma, L, extra, glued, which, tol, 
     # the glued mesh, or one pattern in pattern coordinates
     target = mesh if glued else mesh.patterns[which % len(mesh.patterns)]
     nodes = target.nodes.copy()
-    elements = element_rows(target) if glued else target.elements
+    elements = element_rows(target) if glued else pattern_rows(target)
     facets = list(facet_uses(elements))
     rng = np.random.default_rng(seed)
     for j in rng.choice(len(facets), size=min(12, len(facets)), replace=False):

@@ -27,9 +27,7 @@ def test_text_dump_roundtrip_counts():
 def test_text_dump_works_for_patterns_too():
     patch = build_pattern(PatchKind.MIXED, PatchParams(sigma=0.5, L=2, n=2))
     lines = mesh_text(patch).splitlines()
-    assert sum(1 for l in lines if l.startswith("t ")) == sum(
-        1 for e in patch.elements if e.shape == "t"
-    )
+    assert sum(1 for l in lines if l.startswith("t ")) == len(patch.eid["t"])
 
 
 def test_mesh_svg_polygon_count():
@@ -126,3 +124,80 @@ def test_mesh_dumps_keep_their_bytes(name, L):
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L))
     text, svg = (hashlib.sha256(out.encode()).hexdigest() for out in (mesh_text(mesh), mesh_svg(mesh)))
     assert (text, svg) == _GOLDEN[name, L]
+
+
+# sha256 of mesh_text and mesh_svg of every pattern kind, as the element-object
+# patterns wrote them: they pin pattern node and element order, half kinds included
+_PATTERN_GOLDEN = {
+    (PatchKind.TRIVIAL, 0.25, 2, 3): (
+        "b22e9c8c68ed2e0a7569912b38653e5c250ed3665d863774dc70f57ea659a82c",
+        "472ecc6f2b103be8f168a1d1701f9519670a453b469983df750b5a6cbda2bf5f",
+    ),
+    (PatchKind.BOUNDARY_LAYER, 0.25, 2, 3): (
+        "48447ead5c413d3fd8e9ef2129ee838f4c0a8024c250bb3927e0c1503fbab675",
+        "fe40fbc2a2296e96fcf83a3201623bf052dd2778e0ec38dd9204b4d20849f3d7",
+    ),
+    (PatchKind.CORNER, 0.25, 2, 3): (
+        "251cf75418ca34189afa7593c83a89149a9055c9033f9183d1bd8046fc51f4fa",
+        "15bb685d9c37e1ef60f76a0bbb9c536c5ee0545933e68c01b47be17a97dcdf03",
+    ),
+    (PatchKind.TENSOR, 0.25, 2, 3): (
+        "678f35a8b0083be29a93a6ae37a606ba9af16493a427c724e618addd831d63c8",
+        "8547e8b4140558edc03f9517ad93e89703389a245b39955b3c057a0a13d1e936",
+    ),
+    (PatchKind.MIXED, 0.25, 2, 3): (
+        "523d445e90d0f600dfc58096dbfcb2561fe251cd607921e01c4881e6d2f6eb0c",
+        "73480c6d0dc2a48fdd3080157dd0ec9b382b020229a9866c1c7fc12c0e8a82ad",
+    ),
+    (PatchKind.MIXED_HALF, 0.25, 2, 3): (
+        "3215b8fb590bfdae2a20a83579e9dfd2cdd7255254adfd3824d750d3774011dc",
+        "14aa875e17b9c4a0a00488f4fc5cb4beeeac36179fbee198785a39e2a22731b8",
+    ),
+    (PatchKind.CORNER_HALF, 0.25, 2, 3): (
+        "0cb246ba3826252826838a519ae455ecd2e774aff19e6a3624c0c1d80709cabe",
+        "0f5d72a3683d082c0b2cdd61299dbc6aabc10cc69abeccf54ffca7cc04d85614",
+    ),
+    (PatchKind.CORNER_HALF_FLIP, 0.25, 2, 3): (
+        "9bd1452670676fba083c135b3d8e34cbaeb36c67815a3d620e63a50cdb6608bd",
+        "d8034837baf98c15607d3544ef7d833dddbca689f53ca4f4e24afc0e9b4c3adf",
+    ),
+    (PatchKind.TRIVIAL, 0.1, 4, 6): (
+        "b22e9c8c68ed2e0a7569912b38653e5c250ed3665d863774dc70f57ea659a82c",
+        "472ecc6f2b103be8f168a1d1701f9519670a453b469983df750b5a6cbda2bf5f",
+    ),
+    (PatchKind.BOUNDARY_LAYER, 0.1, 4, 6): (
+        "c52f38bf993d6d8a8eb725ac8e13f2cfc098ba2e55fafc5f0daac881f2969ceb",
+        "a250a4e1ca3cf26c1d630bb81b8d4ab5a6ea6940352fc82740c6dfb834a287a6",
+    ),
+    (PatchKind.CORNER, 0.1, 4, 6): (
+        "5d3ae2a8960cea934d68b17279441b8dcd3e9f63a8214e2cbaa2997abb2f8cfb",
+        "eb3d47989731ae9d98888d67d55b1ce1c811f868b02f887edbd67457056cc2e7",
+    ),
+    (PatchKind.TENSOR, 0.1, 4, 6): (
+        "9f9deba8e0123e8c46c92130c8b57b2796b45b468a7ac0210d404bda4a4f2871",
+        "3cbcef7707b4f25c4d0ad292472132b994fcf6e2fa72944491c9fb0b9076999d",
+    ),
+    (PatchKind.MIXED, 0.1, 4, 6): (
+        "453dd6c465c27a70a3fdc1e10774824914c405e3590030c1964d4f20f5d79bc2",
+        "c2e2e02c70dde229271f5a3ccc65d1a48fd80652255e5a665ca1b4f134963cd1",
+    ),
+    (PatchKind.MIXED_HALF, 0.1, 4, 6): (
+        "bd0c14fc16171015af4ea685d749a23e9d3f46219b368ede91dc72a0b1baa91e",
+        "0f21f1feeb6b23af3ac8a57f3910a0a433ae1eee18ad459f2cf05cab23d64da4",
+    ),
+    (PatchKind.CORNER_HALF, 0.1, 4, 6): (
+        "1d4899dcd74c6155371b16afca8a01534508b410f2b741236665ca564bed54df",
+        "284177b73dd2846bd8e5a08e6499914af09d200ff302326636ac345b07004fa3",
+    ),
+    (PatchKind.CORNER_HALF_FLIP, 0.1, 4, 6): (
+        "2517e06f8167612863a52bc3ae17f6c387116b932eb6e8eadbc35732833e72ee",
+        "1015080a7555206afd939c37bd2d78cc7bee6058d9c71fb4e1661b1d61cf13e2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,sigma,L,n", sorted(_PATTERN_GOLDEN, key=str))
+def test_pattern_dumps_keep_their_bytes(kind, sigma, L, n):
+    patch = build_pattern(kind, PatchParams(sigma=sigma, L=L, n=n))
+    text, svg = (hashlib.sha256(out.encode()).hexdigest() for out in (mesh_text(patch), mesh_svg(patch)))
+    assert (text, svg) == _PATTERN_GOLDEN[kind, sigma, L, n]

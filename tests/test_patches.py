@@ -14,12 +14,14 @@ from hpbl.patches import (
     sigma_powers,
 )
 
+from helpers import pattern_rows
+
 
 def _diagonal_edge_cover(patch) -> float:
     """Total length (in x) of element edges lying on the diagonal x = y."""
     spans = set()
-    for e in patch.elements:
-        xy = patch.element_coords(e)
+    for e in pattern_rows(patch):
+        xy = patch.nodes[list(e.nodes)]
         k = len(xy)
         for i in range(k):
             a, b = xy[i], xy[(i + 1) % k]
@@ -30,15 +32,15 @@ def _diagonal_edge_cover(patch) -> float:
 
 def _assert_tiles(patch, area):
     total = 0.0
-    for e in patch.elements:
-        xy = patch.element_coords(e)
+    for e in pattern_rows(patch):
+        xy = patch.nodes[list(e.nodes)]
         if e.shape == "r":
             total += (xy[1, 0] - xy[0, 0]) * (xy[3, 1] - xy[0, 1])
         else:
             a, b, c = xy
             total += 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
     assert abs(total - area) < 1e-12
-    assert conformity_violations(patch.nodes, patch.elements) == []
+    assert conformity_violations(patch.nodes, patch) == []
 
 
 _FULL_KINDS = [k for k in PatchKind if "half" not in k.value]
@@ -87,7 +89,8 @@ def test_layer_counts_stop_at_double_precision(sigma, n_max):
 
 def test_trivial_patch():
     patch = build_pattern(PatchKind.TRIVIAL, PatchParams(sigma=0.5, L=0, n=0))
-    assert len(patch.elements) == 1 and patch.elements[0].shape == "r"
+    rows = pattern_rows(patch)
+    assert len(rows) == 1 and rows[0].shape == "r"
     assert patch.gamma == frozenset()
     (m,) = patch_metrics(patch)
     assert m.h == pytest.approx(np.sqrt(2.0))
@@ -108,7 +111,7 @@ def test_boundary_layer_metrics():
 def test_boundary_layer_heights_telescope():
     params = PatchParams(sigma=0.25, L=4, n=4)
     patch = build_pattern(PatchKind.BOUNDARY_LAYER, params)
-    assert len(patch.elements) == 5
+    assert patch.element_count() == 5
     heights = sorted(m.h_min for m in patch_metrics(patch))
     np.testing.assert_allclose(sorted(np.diff([0.0] + sigma_powers(0.25, 4)[::-1])), heights)
     # Sum over rectangles of (h_min/h_max) h_max^delta at delta=1 is the height sum
@@ -121,8 +124,8 @@ def test_corner_patch_rings():
     # innermost square splits into 2 triangles, each ring into 4
     for n in (1, 2, 5):
         patch = build_pattern(PatchKind.CORNER, PatchParams(sigma=0.5, L=0, n=n))
-        assert len(patch.elements) == 2 + 4 * n
-        assert all(e.shape == "t" for e in patch.elements)
+        assert patch.element_count() == 2 + 4 * n
+        assert all(e.shape == "t" for e in pattern_rows(patch))
         assert patch.gamma == frozenset({"origin"})
         _assert_tiles(patch, 1.0)
     # the diagonal stays a meshline: segments of {x=y} between element
@@ -140,11 +143,11 @@ def test_tensor_and_mixed_structure():
     mixed = build_pattern(PatchKind.MIXED, params)
     assert mixed.gamma == frozenset({"y=0"})
     _assert_tiles(mixed, 1.0)
-    shapes = {e.shape for e in mixed.elements}
+    shapes = {e.shape for e in pattern_rows(mixed)}
     assert shapes == {"r", "t"}
     # only the triangles abut the diagonal; rectangles at most touch a corner
-    for e in mixed.elements:
-        xy = mixed.element_coords(e)
+    for e in pattern_rows(mixed):
+        xy = mixed.nodes[list(e.nodes)]
         ondiag = sum(1 for p in xy if p[0] == p[1])
         if e.shape == "t":
             assert ondiag >= 1
@@ -160,17 +163,17 @@ def test_half_patches():
     # exactly the elements of the full corner patch below the diagonal
     below = [
         e
-        for e in full.elements
-        if full.element_coords(e).mean(axis=0)[1] < full.element_coords(e).mean(axis=0)[0]
+        for e in pattern_rows(full)
+        if full.nodes[list(e.nodes)].mean(axis=0)[1] < full.nodes[list(e.nodes)].mean(axis=0)[0]
     ]
-    assert len(half.elements) == len(below)
+    assert half.element_count() == len(below)
     _assert_tiles(half, 0.5)
 
     flip = build_half_patch(PatchKind.CORNER_HALF_FLIP, params)
     # mirror image under (x, y) -> (y, x): same multiset of element footprints
     foot = lambda patch: sorted(
-        tuple(sorted(map(tuple, np.round(patch.element_coords(e), 12))))
-        for e in patch.elements
+        tuple(sorted(map(tuple, np.round(patch.nodes[list(e.nodes)], 12))))
+        for e in pattern_rows(patch)
     )
     mirrored = sorted(
         tuple(sorted((y, x) for x, y in fp)) for fp in foot(half)
@@ -178,9 +181,9 @@ def test_half_patches():
     assert foot(flip) == mirrored
 
     mh = build_half_patch(PatchKind.MIXED_HALF, PatchParams(sigma=0.25, L=2, n=3))
-    assert {e.shape for e in mh.elements} == {"r", "t"}
-    for e in mh.elements:
-        xy = mh.element_coords(e)
+    assert {e.shape for e in pattern_rows(mh)} == {"r", "t"}
+    for e in pattern_rows(mh):
+        xy = mh.nodes[list(e.nodes)]
         assert all(p[1] <= p[0] + 1e-15 for p in xy)  # restricted to y <= x
         if e.shape == "t":
             assert sum(1 for p in xy if p[0] == p[1]) >= 1
@@ -236,7 +239,7 @@ def test_determinism():
     a = build_pattern(PatchKind.TENSOR, params)
     b = build_pattern(PatchKind.TENSOR, params)
     assert np.array_equal(a.nodes, b.nodes)
-    assert [e.nodes for e in a.elements] == [e.nodes for e in b.elements]
+    assert pattern_rows(a) == pattern_rows(b)
 
 
 def test_batch_metrics_match_scalar_reference():
@@ -249,7 +252,7 @@ def test_batch_metrics_match_scalar_reference():
         (PatchKind.MIXED_HALF, build_half_patch),
     ):
         patch = build(kind, PatchParams(sigma=0.3, L=2, n=4))
-        for e, got in zip(patch.elements, patch_metrics(patch)):
+        for e, got in zip(pattern_rows(patch), patch_metrics(patch)):
             ref = element_metrics(patch, e)
             assert got.shape == ref.shape
             assert got.touches_gamma == ref.touches_gamma
