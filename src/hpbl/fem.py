@@ -26,12 +26,16 @@ the sorted pattern node coordinates of its macro quad) and evaluates
 the field coefficient-first, so its cost grows with the number of
 points only.
 
-Solves use static condensation.  ``assemble`` eliminates each element's
-bubbles (its interior dofs) from the element block, batched per shape
-(one Cholesky factorization of all bubble blocks checks that they are
-positive definite, one batched solve forms S_ii^-1 [S_ib | l_i]), and
-assembles the Schur complement on the skeleton: the node and facet
-dofs, which ``DofMap`` numbers before every bubble.
+Solves use static condensation.  ``assemble`` forms the element blocks
+of each shape in chunks of about ``_ENTRIES`` block entries and
+eliminates each element's bubbles (its interior dofs) chunk by chunk
+(one batched Cholesky factorization checks that the chunk's bubble
+blocks are positive definite, one batched solve forms S_ii^-1
+[S_ib | l_i]), writing the free entries of the blocks and of their
+Schur complements on the skeleton (the node and facet dofs, which
+``DofMap`` numbers before every bubble) into triplets preallocated for
+each matrix.  So only one chunk's blocks are held at a time, not every
+block of a shape, which grows like elements x q^4.
 ``LinearSystem.solve`` runs CG (or a direct solve) on the skeleton only
 and recovers the bubbles element by element, so reported CG iterations
 count skeleton iterations.
@@ -84,6 +88,7 @@ def _tables(shape: str, q: int, m: int):
 
 
 _POINTS = 4096  # points located and evaluated together
+_ENTRIES = 1 << 16  # element-matrix entries formed and condensed together
 _TOL = 1e-9  # containment slack in reference coordinates
 
 
@@ -206,19 +211,33 @@ class LinearSystem:
         return DiscreteField(self.dofmap, coeffs), stats
 
 
-def _free_coo(fg: np.ndarray, S: np.ndarray):
-    """(rows, cols, vals) of blocks S (E, n, n) on free indices fg (E, n), -1 dropped."""
-    pair = (fg[:, :, None] >= 0) & (fg[:, None, :] >= 0)
-    rows = np.broadcast_to(fg[:, :, None], S.shape)[pair]
-    cols = np.broadcast_to(fg[:, None, :], S.shape)[pair]
-    return rows, cols, S[pair]
+class _Triplets:
+    """Preallocated COO triplets of element blocks, filled in element order.
 
+    ``tables`` are the free-index tables fg (E, n) of the blocks, -1 where
+    a dof is constrained; an element with k free dofs takes k^2 entries.
+    """
 
-def _csr(parts, n: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
+    def __init__(self, tables):
+        size = sum(int(np.sum(np.count_nonzero(fg >= 0, axis=1) ** 2)) for fg in tables)
+        self.rows = np.empty(size, dtype=np.int32)
+        self.cols = np.empty(size, dtype=np.int32)
+        self.vals = np.empty(size)
+        self.end = 0
 
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    def put(self, fg: np.ndarray, S: np.ndarray):
+        """Write blocks S (E, n, n) on free indices fg (E, n) next, -1 dropped."""
+        pair = (fg[:, :, None] >= 0) & (fg[:, None, :] >= 0)
+        at = slice(self.end, self.end + int(np.count_nonzero(pair)))
+        self.rows[at] = np.broadcast_to(fg[:, :, None], S.shape)[pair]
+        self.cols[at] = np.broadcast_to(fg[:, None, :], S.shape)[pair]
+        self.vals[at] = S[pair]
+        self.end = at.stop
+
+    def csr(self, n: int) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
 
 
 def _not_positive_definite(S: np.ndarray) -> bool:
@@ -244,7 +263,17 @@ def assemble(
     or is None for the identity.  Quadrature uses q + 2 points per
     direction.  The element bubbles are then condensed out; a bubble
     block that is not positive definite raises ``RuntimeError`` naming
-    the lowest such element.
+    the lowest such element, after every block was checked to be finite.
+
+    Element blocks are formed and condensed in chunks of about
+    ``_ENTRIES`` block entries (and at least two elements), and each
+    chunk writes its free entries into triplets preallocated for the
+    matrix and the skeleton.  Peak memory is the returned system, those
+    triplets (16 bytes per free block entry), the CSR conversion of the
+    larger one, and one chunk's blocks, a few times ``_ENTRIES`` doubles.
+    The load gemm and both load bincounts run once per shape, and each
+    CSR conversion once over its triplets in element order, so the
+    system does not depend on the chunk size.
     """
     dofmap = DofMap(mesh, q)
     m = q + 2
@@ -255,63 +284,75 @@ def assemble(
     if bad:
         raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
 
-    blocks, parts = [], []
-    b = np.zeros(dofmap.ndofs)
-    finite = True
+    # per shape: interior (bubble) and interface dofs, free indices of all dofs
+    split = {}
+    for shape in geo:
+        ii = _basis_for(shape, q).interior_ids
+        ib = np.setdiff1d(np.arange(dofmap.dofs[shape].shape[1]), ii)
+        split[shape] = ii, ib, dofmap.free_index[dofmap.dofs[shape]].astype(np.int32)
+    full = _Triplets(fg for _, _, fg in split.values())
+    skel = _Triplets(fg[:, ib] for _, ib, fg in split.values())
+
+    nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
+    b, bs = np.zeros(dofmap.ndofs), np.zeros(nskel)
+    bubbles, bad = [], []
     for shape, (ids, _, phys, det, invJ) in geo.items():
         _, w, B, G = _tables(shape, q, m)
+        ii, ib, fg = split[shape]
+        gd, fb = dofmap.dofs[shape], fg[:, ib]
         ne, (npts, nb) = len(ids), B.shape
         wdet = w * det
         flat = phys.reshape(-1, 2)
-        # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
-        wJ = wdet[..., None, None] * invJ
         if diffusion is not None:
-            wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-        coef = wJ @ np.swapaxes(invJ, -1, -2)
-        Gs = np.swapaxes(G, 1, 2)
-        K = Gs.reshape(2 * npts, nb).T @ (coef @ Gs).reshape(ne, 2 * npts, nb)
+            Ad = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
         cw = _field_at(c, flat).reshape(ne, npts) * wdet
-        M = (B.T * cw[:, None, :]) @ B
-        S = eps2 * K + M
-        S = 0.5 * (S + np.swapaxes(S, 1, 2))
         load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
-        finite = finite and bool(np.all(np.isfinite(S)) and np.all(np.isfinite(load)))
-
-        gd = dofmap.dofs[shape]
-        fg = dofmap.free_index[gd].astype(np.int32)
-        parts.append(_free_coo(fg, S))
         b += np.bincount(gd.ravel(), weights=load.ravel(), minlength=dofmap.ndofs)
-        blocks.append((_basis_for(shape, q).interior_ids, ids, gd, fg, S, load))
+        Gs = np.swapaxes(G, 1, 2)
+        X = np.empty((ne, ii.size, ib.size + 1))  # S_ii^-1 [S_ib | l_i]
+        cload = load[:, ib]
+        # chunks of at least two elements: numpy takes another matmul kernel
+        # for the strided S_bi of a one-element batch, which moves the last bits
+        step = max(2, _ENTRIES // (nb * nb))
+        edges = [*range(0, max(ne - 1, 1), step), ne]
+        for lo, hi in zip(edges, edges[1:]):
+            e = slice(lo, hi)
+            # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
+            wJ = wdet[e, :, None, None] * invJ[e]
+            if diffusion is not None:
+                wJ = wJ @ Ad[e]
+            coef = wJ @ np.swapaxes(invJ[e], -1, -2)
+            K = Gs.reshape(2 * npts, nb).T @ (coef @ Gs).reshape(-1, 2 * npts, nb)
+            M = (B.T * cw[e, None, :]) @ B
+            S = eps2 * K + M
+            S = 0.5 * (S + np.swapaxes(S, 1, 2))
+            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(load[e]))):
+                raise ValueError(
+                    "assembled matrix or load vector is not finite; check c, f and diffusion"
+                )
+            full.put(fg[e], S)
 
-    if not finite:
-        raise ValueError("assembled matrix or load vector is not finite; check c, f and diffusion")
-    A = _csr(parts, dofmap.nfree)
-    del parts
-
-    # static condensation: S_bb - S_bi X_b and l_b - S_bi X_l on the skeleton
-    nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
-    parts, bubbles, bad = [], [], []
-    bs = np.zeros(nskel)
-    for ii, ids, gd, fg, S, load in blocks:
-        ib = np.setdiff1d(np.arange(S.shape[1]), ii)
-        fb = fg[:, ib]
-        schur, cload = S[:, ib[:, None], ib], load[:, ib]
+            # static condensation: S_bb - S_bi X_b and l_b - S_bi X_l on the skeleton
+            schur = S[:, ib[:, None], ib]
+            if ii.size:
+                Sii, Sbi = S[:, ii[:, None], ii], S[:, ib[:, None], ii]
+                if _not_positive_definite(Sii):
+                    bad += [ids[lo + k] for k in range(len(Sii)) if _not_positive_definite(Sii[k])]
+                    continue
+                rhs = np.concatenate([np.swapaxes(Sbi, 1, 2), load[e, ii, None]], 2)
+                X[e] = np.linalg.solve(Sii, rhs)
+                schur = schur - Sbi @ X[e, :, :-1]
+                schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
+                cload[e] -= (Sbi @ X[e, :, -1, None])[..., 0]
+            skel.put(fb[e], schur)
         if ii.size:
-            Sii, Sbi = S[:, ii[:, None], ii], S[:, ib[:, None], ii]
-            if _not_positive_definite(Sii):
-                bad += [ids[k] for k in range(len(ids)) if _not_positive_definite(Sii[k])]
-                continue
-            X = np.linalg.solve(Sii, np.concatenate([np.swapaxes(Sbi, 1, 2), load[:, ii, None]], 2))
-            Xb, Xl = X[..., :-1], X[..., -1]
-            schur = schur - Sbi @ Xb
-            schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
-            cload = cload - (Sbi @ Xl[..., None])[..., 0]
-            bubbles.append((gd[:, ii], fb, Xb, Xl))
-        parts.append(_free_coo(fb, schur))
+            bubbles.append((gd[:, ii], fb, X[..., :-1], X[..., -1]))
         bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    return LinearSystem(dofmap, A, b[dofmap.free], _csr(parts, nskel), bs, bubbles)
+    A = full.csr(dofmap.nfree)
+    del full
+    return LinearSystem(dofmap, A, b[dofmap.free], skel.csr(nskel), bs, bubbles)
 
 
 def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):

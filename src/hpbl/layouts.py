@@ -120,6 +120,14 @@ def builtin_layout(name: str):
     return build()
 
 
+def _entries(spec, section: str, *keys):
+    """``spec[key]`` for each key of one config section; ValueError naming a missing key."""
+    for key in keys:
+        if not isinstance(spec, dict) or key not in spec:
+            raise ValueError(f'config section {section} has no "{key}" entry')
+    return [spec[key] for key in keys]
+
+
 def from_config(cfg: dict):
     """Build (polygon, macro, assignments) from a parsed config dict.
 
@@ -134,20 +142,19 @@ def from_config(cfg: dict):
         raise ValueError('a layout config must be a JSON object with a "vertices" entry')
     polygon = Polygon(np.asarray(cfg["vertices"], dtype=float))
     if "macro" in cfg:
-        spec = cfg["macro"]
+        nodes, quads = _entries(cfg["macro"], '"macro"', "nodes", "quads")
         macro = MacroTriangulation(
-            np.asarray(spec["nodes"], dtype=float),
-            [tuple(int(i) for i in q) for q in spec["quads"]],
+            np.asarray(nodes, dtype=float), [tuple(int(i) for i in q) for q in quads]
         )
     elif "triangulation" in cfg:
-        spec = cfg["triangulation"]
-        macro = macro_from_triangulation(spec["points"], spec["triangles"], polygon)
+        points, triangles = _entries(cfg["triangulation"], '"triangulation"', "points", "triangles")
+        macro = macro_from_triangulation(points, triangles, polygon)
     else:
         raise ValueError('config needs a "macro" or "triangulation" section')
 
     assignments = assign_refinement_patterns(macro, polygon)
-    for entry in cfg.get("assignments", []):
-        qid = int(entry["quad"])
+    for k, entry in enumerate(cfg.get("assignments", [])):
+        qid = int(_entries(entry, f'"assignments" item {k}', "quad")[0])
         if not 0 <= qid < len(assignments):
             raise ValueError(f"assignment names quad {qid} of {len(assignments)} quads")
         base = assignments[qid]

@@ -229,6 +229,18 @@ _MALFORMED = {
     "assignment past the last quad": ({**_SQUARE_2X2, "assignments": [{"quad": 7}]}, "quad 7"),
     "unknown kind": ({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": "bogus"}]}, "'bogus'"),
     "top-level list": ([_SQUARE_2X2], '"vertices"'),
+    "macro without nodes": ({**_SQUARE_2X2, "macro": {"quads": _SQUARE_2X2["macro"]["quads"]}},
+                            'section "macro" has no "nodes"'),
+    "macro without quads": ({**_SQUARE_2X2, "macro": {"nodes": _SQUARE_2X2["macro"]["nodes"]}},
+                            'section "macro" has no "quads"'),
+    "triangulation without points": ({"vertices": _SQUARE_2X2["vertices"],
+                                      "triangulation": {"triangles": [[0, 1, 2], [0, 2, 3]]}},
+                                     'section "triangulation" has no "points"'),
+    "triangulation without triangles": ({"vertices": _SQUARE_2X2["vertices"],
+                                         "triangulation": {"points": _SQUARE_2X2["vertices"]}},
+                                        'section "triangulation" has no "triangles"'),
+    "assignment without quad": ({**_SQUARE_2X2, "assignments": [{"quad": 0}, {"kind": "trivial"}]},
+                                'section "assignments" item 1 has no "quad"'),
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpbl import fem
 from hpbl.fem import (
     DiscreteField,
     DofMap,
@@ -205,12 +207,21 @@ def test_empty_skeleton_solves_with_both_methods():
         assert fld(np.array([[0.5, 0.5]]))[0] == pytest.approx(25.0 / 336.0, abs=1e-14)
 
 
-def test_indefinite_bubble_block_raises():
+def test_indefinite_bubble_block_raises(monkeypatch):
     # a large negative reaction makes every bubble block negative definite
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=1, n=1))
     with pytest.raises(RuntimeError, match="element 0 has a bubble block"):
         assemble(mesh, 3, 1e-2, -1e4, 1.0).solve()
+    # the bad blocks span chunks of two elements: the lowest element is still
+    # named, and a non-finite block in a later chunk (the quad at (1, 1), after
+    # the one holding element 0) still raises ValueError first
+    monkeypatch.setattr(fem, "_ENTRIES", 1)
+    with pytest.raises(RuntimeError, match="element 0 has a bubble block"):
+        assemble(mesh, 3, 1e-2, -1e4, 1.0)
+    corner_nan = lambda x, y: np.where(x + y > 1.9, np.nan, -1e4)
+    with pytest.raises(ValueError, match="not finite"):
+        assemble(mesh, 3, 1e-2, corner_nan, 1.0)
 
 
 def _skew_mixed_mesh(params=PatchParams(sigma=0.25, L=2, n=2)):
@@ -247,6 +258,57 @@ def test_condensed_solve_matches_full_system(name, q):
         x = fld.coeffs[system.dofmap.free]
         assert np.abs(x - full).max() <= 1e-10 * scale
         assert np.all(fld.coeffs[system.dofmap.dirichlet] == 0.0)
+
+
+def _system_arrays(system):
+    A, K = system.matrix, system.skeleton
+    arrays = [A.data, A.indices, A.indptr, system.rhs]
+    arrays += [K.data, K.indices, K.indptr, system.skeleton_rhs]
+    return arrays + [a for block in system.bubbles for a in block]
+
+
+@pytest.mark.parametrize("name", ["square", "skew"])
+def test_assembly_does_not_depend_on_the_chunk_size(monkeypatch, name):
+    # every chunk size from two elements to a whole shape: partial last chunks,
+    # and on the skew mesh's 11 triangles a one-element remainder, which joins
+    # the last chunk
+    q = 4
+    if name == "square":
+        mesh = _builtin_mesh("square")
+        args = (1e-2, 1.0, manufactured_layer_solution(1e-2).f)
+        kwargs = {}
+    else:
+        mesh = _skew_mixed_mesh(PatchParams(sigma=0.25, L=3, n=3))
+        args = (0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y)
+        A = np.array([[2.0, 0.3], [0.3, 0.5]])
+        kwargs = {"diffusion": lambda p: np.broadcast_to(A, (len(p), 2, 2))}
+    monkeypatch.setattr(fem, "_ENTRIES", 1 << 40)
+    whole = _system_arrays(assemble(mesh, q, *args, **kwargs))
+    sizes = {(rect_basis if s == "r" else tri_basis)(q).ndofs ** 2: len(ids)
+             for s, ids in mesh.eid.items()}
+    for entries in sorted({nb2 * k for nb2, ne in sizes.items() for k in range(1, ne + 1)}):
+        monkeypatch.setattr(fem, "_ENTRIES", entries)
+        chunked = _system_arrays(assemble(mesh, q, *args, **kwargs))
+        assert len(chunked) == len(whole)
+        for a, b in zip(chunked, whole):
+            assert np.array_equal(a, b), entries
+
+
+def test_assembly_memory_is_bounded_by_the_matrix():
+    # blocks are formed and condensed chunk by chunk, so assemble's traced peak
+    # stays a small multiple of the matrix it returns (4.7x when every block
+    # of a shape was formed at once)
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=7, n=7))
+    args = (mesh, 7, 1e-2, 1.0, manufactured_layer_solution(1e-2).f)
+    assemble(*args)  # warm: basis tables and the scipy import
+    tracemalloc.start()
+    try:
+        A = assemble(*args).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def test_field_point_evaluation():
