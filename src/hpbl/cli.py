@@ -114,6 +114,9 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _config_from(args)
+    if cfg.p_max - cfg.p_min + 1 < 3:  # fit_exponential needs three rows
+        raise ValueError(f"study needs at least 3 degrees to fit a rate, "
+                         f"got p_min={cfg.p_min} p_max={cfg.p_max}")
     try:
         tables = run_experiment(cfg)
     except RuntimeError as exc:
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -31,14 +31,15 @@ of each shape in chunks of about ``_ENTRIES`` block entries and
 eliminates each element's bubbles (its interior dofs) chunk by chunk
 (one batched Cholesky factorization checks that the chunk's bubble
 blocks are positive definite, one batched solve forms S_ii^-1
-[S_ib | l_i]), writing the free entries of the blocks and of their
-Schur complements on the skeleton (the node and facet dofs, which
-``DofMap`` numbers before every bubble) into triplets preallocated for
-each matrix.  So only one chunk's blocks are held at a time, not every
-block of a shape, which grows like elements x q^4.
-``LinearSystem.solve`` runs CG (or a direct solve) on the skeleton only
-and recovers the bubbles element by element, so reported CG iterations
-count skeleton iterations.
+[S_ib | l_i]), writing the free entries of the Schur complements on
+the skeleton (the node and facet dofs, which ``DofMap`` numbers before
+every bubble) into one set of preallocated triplets.  So only one
+chunk's blocks are held at a time, not every block of a shape, which
+grows like elements x q^4, and the system on all free dofs is never
+formed: ``LinearSystem.matrix`` is the skeleton system.
+``LinearSystem.solve`` runs CG (or a direct solve) on it and recovers
+the bubbles element by element, so reported CG iterations count
+skeleton iterations.
 
 scipy is imported on first use: ``scipy.sparse`` when ``assemble``
 builds its first matrix, ``scipy.sparse.linalg`` only for a direct
@@ -55,7 +56,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .macro import REF_CORNERS, Mesh, element_geometry, element_placements, inverse_2x2
+from .macro import (REF_CORNERS, Mesh, element_geometry, element_placements, element_points,
+                    inverse_2x2)
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
@@ -153,8 +155,8 @@ class DofMap:
         if self._points is None:
             pts = np.empty((self.ndofs, 2))
             for shape, gd in self.dofs.items():
-                nodes = _basis_for(shape, self.q).nodes
-                pts[gd] = element_geometry(self.mesh, shape, nodes)[2]
+                _, bil, pat = element_points(self.mesh, shape, _basis_for(shape, self.q).nodes)
+                pts[gd] = bil(pat)
             self._points = pts
         return self._points
 
@@ -168,22 +170,19 @@ def _field_at(fn, pts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """The assembled system and its condensed skeleton form.
+    """The assembled system, condensed onto the skeleton.
 
-    ``matrix`` and ``rhs`` are the system on all free dofs.  ``skeleton``
-    and ``skeleton_rhs`` are the Schur complement and condensed load on
-    the free skeleton dofs, which lead the free numbering.  ``bubbles``
-    holds per shape the bubble dofs (E, ni), the free index of each
-    interface dof (E, nb - ni; -1 where constrained) and X = S_ii^-1
-    [S_ib | l_i] split into ``Xb`` (E, ni, nb - ni) and ``Xl`` (E, ni),
-    so that u_i = Xl - Xb u_b.
+    ``matrix`` and ``rhs`` are the Schur complement and condensed load on
+    the free skeleton dofs, which lead the free numbering; the system on
+    all free dofs is never formed.  ``bubbles`` holds per shape the
+    bubble dofs (E, ni), the free index of each interface dof (E, nb -
+    ni; -1 where constrained) and X = S_ii^-1 [S_ib | l_i] split into
+    ``Xb`` (E, ni, nb - ni) and ``Xl`` (E, ni), so that u_i = Xl - Xb u_b.
     """
 
     dofmap: DofMap
-    matrix: sp.csr_matrix  # free x free, symmetric positive definite
+    matrix: sp.csr_matrix  # free skeleton x free skeleton, symmetric positive definite
     rhs: np.ndarray
-    skeleton: sp.csr_matrix
-    skeleton_rhs: np.ndarray
     bubbles: list
 
     def solve(self, method: str = "cg", tol: float = 1e-12, maxiter: int | None = None):
@@ -192,7 +191,7 @@ class LinearSystem:
         Returns (DiscreteField over all dofs, stats); the stats describe
         the skeleton solve.
         """
-        A, b = self.skeleton, self.skeleton_rhs
+        A, b = self.matrix, self.rhs
         if method == "cg":
             x, iters, relres = solve_cg(A, b, tol=tol, maxiter=maxiter)
             stats = {"method": "cg", "iterations": iters, "relres": relres}
@@ -256,24 +255,26 @@ def assemble(
     f,
     diffusion=None,
 ) -> LinearSystem:
-    """Assemble eps^2 (A grad u, grad v) + (c u, v) = (f, v) on the free dofs.
+    """Assemble eps^2 (A grad u, grad v) + (c u, v) = (f, v), condensed
+    onto the free skeleton dofs.
 
     ``c`` and ``f`` are scalar fields (constants or callables f(x, y));
     ``diffusion`` maps quadrature points to (n, 2, 2) symmetric matrices,
     or is None for the identity.  Quadrature uses q + 2 points per
-    direction.  The element bubbles are then condensed out; a bubble
-    block that is not positive definite raises ``RuntimeError`` naming
-    the lowest such element, after every block was checked to be finite.
+    direction.  The element bubbles are condensed out block by block; a
+    bubble block that is not positive definite raises ``RuntimeError``
+    naming the lowest such element, after every block was checked to be
+    finite.
 
     Element blocks are formed and condensed in chunks of about
     ``_ENTRIES`` block entries (and at least two elements), and each
-    chunk writes its free entries into triplets preallocated for the
-    matrix and the skeleton.  Peak memory is the returned system, those
-    triplets (16 bytes per free block entry), the CSR conversion of the
-    larger one, and one chunk's blocks, a few times ``_ENTRIES`` doubles.
-    The load gemm and both load bincounts run once per shape, and each
-    CSR conversion once over its triplets in element order, so the
-    system does not depend on the chunk size.
+    chunk writes the free entries of its Schur complements into one set
+    of triplets preallocated for the skeleton.  Peak memory is the
+    returned system, those triplets (16 bytes per free skeleton block
+    entry) and their CSR conversion, and one chunk's blocks, a few times
+    ``_ENTRIES`` doubles.  The load gemm and the condensed-load bincount
+    run once per shape, and the CSR conversion once over the triplets in
+    element order, so the system does not depend on the chunk size.
     """
     dofmap = DofMap(mesh, q)
     m = q + 2
@@ -284,22 +285,20 @@ def assemble(
     if bad:
         raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
 
-    # per shape: interior (bubble) and interface dofs, free indices of all dofs
+    # per shape: interior (bubble) and interface dofs, free indices of the interface dofs
     split = {}
     for shape in geo:
         ii = _basis_for(shape, q).interior_ids
         ib = np.setdiff1d(np.arange(dofmap.dofs[shape].shape[1]), ii)
-        split[shape] = ii, ib, dofmap.free_index[dofmap.dofs[shape]].astype(np.int32)
-    full = _Triplets(fg for _, _, fg in split.values())
-    skel = _Triplets(fg[:, ib] for _, ib, fg in split.values())
+        split[shape] = ii, ib, dofmap.free_index[dofmap.dofs[shape][:, ib]].astype(np.int32)
+    skel = _Triplets(fb for _, _, fb in split.values())
 
     nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
-    b, bs = np.zeros(dofmap.ndofs), np.zeros(nskel)
+    bs = np.zeros(nskel)
     bubbles, bad = [], []
     for shape, (ids, _, phys, det, invJ) in geo.items():
         _, w, B, G = _tables(shape, q, m)
-        ii, ib, fg = split[shape]
-        gd, fb = dofmap.dofs[shape], fg[:, ib]
+        ii, ib, fb = split[shape]
         ne, (npts, nb) = len(ids), B.shape
         wdet = w * det
         flat = phys.reshape(-1, 2)
@@ -307,7 +306,6 @@ def assemble(
             Ad = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
         cw = _field_at(c, flat).reshape(ne, npts) * wdet
         load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
-        b += np.bincount(gd.ravel(), weights=load.ravel(), minlength=dofmap.ndofs)
         Gs = np.swapaxes(G, 1, 2)
         X = np.empty((ne, ii.size, ib.size + 1))  # S_ii^-1 [S_ib | l_i]
         cload = load[:, ib]
@@ -330,7 +328,6 @@ def assemble(
                 raise ValueError(
                     "assembled matrix or load vector is not finite; check c, f and diffusion"
                 )
-            full.put(fg[e], S)
 
             # static condensation: S_bb - S_bi X_b and l_b - S_bi X_l on the skeleton
             schur = S[:, ib[:, None], ib]
@@ -346,13 +343,11 @@ def assemble(
                 cload[e] -= (Sbi @ X[e, :, -1, None])[..., 0]
             skel.put(fb[e], schur)
         if ii.size:
-            bubbles.append((gd[:, ii], fb, X[..., :-1], X[..., -1]))
+            bubbles.append((dofmap.dofs[shape][:, ii], fb, X[..., :-1], X[..., -1]))
         bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    A = full.csr(dofmap.nfree)
-    del full
-    return LinearSystem(dofmap, A, b[dofmap.free], skel.csr(nskel), bs, bubbles)
+    return LinearSystem(dofmap, skel.csr(nskel), bs, bubbles)
 
 
 def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from hpbl.fem import DofMap
 from hpbl.geometry import Polygon
 from hpbl.macro import (
     _JAC_SAMPLES,
@@ -25,6 +26,7 @@ from hpbl.macro import (
 from hpbl.meshcheck import hanging_nodes
 from hpbl.meshio import _FILL
 from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, ElementMetrics, PatchKind
+from hpbl.reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 # one element of a mesh: shape 'r'/'t', global node ids, macro quad, and the
 # pattern coordinates of its corners
@@ -363,3 +365,47 @@ def _corner_warnings(mesh):
             out.append(f"vertex {j} (angle {omega:.6f}): no bottom/left/diagonal mesh "
                        "line splits the angle into parts below pi")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the system on all free dofs, which assembly condenses without forming it
+
+
+def full_system(mesh, q, eps, c, f, diffusion=None):
+    """eps^2 (A grad u, grad v) + (c u, v) = (f, v) on every free dof,
+    assembled one element at a time with the quadrature of ``assemble``
+    (q + 2 points per direction): the free x free CSR matrix and load.
+    ``c`` and ``f`` are constants or callables f(x, y), ``diffusion`` maps
+    points to (n, 2, 2) matrices or is None for the identity."""
+    import scipy.sparse as sp
+
+    def field(fn, pts):
+        value = fn(pts[:, 0], pts[:, 1]) if callable(fn) else fn
+        return np.broadcast_to(np.asarray(value, dtype=float), (len(pts),))
+
+    dofmap = DofMap(mesh, q)
+    rows, cols, vals = [], [], []
+    load = np.zeros(dofmap.ndofs)
+    for shape, gd in dofmap.dofs.items():
+        basis = rect_basis(q) if shape == "r" else tri_basis(q)
+        pts, w = rect_quadrature(q + 2) if shape == "r" else tri_quadrature(q + 2)
+        B, G = basis.eval(pts), basis.grad(pts)
+        _, _, phys, det, inv = element_geometry(mesh, shape, pts)
+        for k, dofs in enumerate(gd):
+            wd = w * det[k]
+            if diffusion is None:
+                A = np.broadcast_to(np.eye(2), (len(pts), 2, 2))
+            else:
+                A = diffusion(phys[k])
+            grad = np.einsum("pia,pab->pib", G, inv[k])  # physical gradients
+            K = np.einsum("p,pia,pab,pjb->ij", wd, grad, A, grad)
+            M = np.einsum("p,pi,pj->ij", wd * field(c, phys[k]), B, B)
+            S = eps * eps * K + M
+            rows.append(np.repeat(dofs, len(dofs)))
+            cols.append(np.tile(dofs, len(dofs)))
+            vals.append((0.5 * (S + S.T)).ravel())
+            load[dofs] += np.einsum("p,pi->i", wd * field(f, phys[k]), B)
+    n = dofmap.ndofs
+    full = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+    return full[dofmap.free][:, dofmap.free], load[dofmap.free]

@@ -122,6 +122,26 @@ def test_study_rejects_unknown_config_keys(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("pmax", ["1", "2"])
+def test_study_with_fewer_than_3_degrees_exits_2_before_solving(monkeypatch, capsys, pmax):
+    def no_run(cfg):
+        raise AssertionError("the study ran before its degree range was rejected")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    rc = cli.main(["study", "--domain", "square", "--eps", "1e-2", "--pmax", pmax])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "p_min=1" in err and f"p_max={pmax}" in err
+
+
+@pytest.mark.parametrize("command, flag", [("mesh", "--domain"), ("study", "--config"),
+                                           ("fit", "--csv")])
+def test_a_directory_for_an_input_file_exits_2(tmp_path, capsys, command, flag):
+    rc = cli.main([command, flag, str(tmp_path)])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, cfg, named",
     [

@@ -32,7 +32,7 @@ from hpbl.oracles import manufactured_layer_solution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import element_rows, facet_uses, pattern_mesh
+from helpers import element_rows, facet_uses, full_system, pattern_mesh
 
 
 def _unit_square_trivial():
@@ -42,13 +42,16 @@ def _unit_square_trivial():
 def test_center_value_oracle():
     # -lap u + u = 1 on the unit square, one Q2 element, a single free dof
     # at the center; hand integration gives A = 1344/225, b = 4/9, so
-    # u(center) = (4/9) / (1344/225) = 25/336
+    # u(center) = (4/9) / (1344/225) = 25/336; the dof is a bubble, so the
+    # condensed system is empty
     mesh = _unit_square_trivial()
+    A, b = full_system(mesh, 2, 1.0, 1.0, 1.0)
+    assert A.shape == (1, 1)
+    assert A[0, 0] == pytest.approx(1344.0 / 225.0, rel=1e-14)
+    assert b[0] == pytest.approx(4.0 / 9.0, rel=1e-14)
     system = assemble(mesh, 2, 1.0, 1.0, 1.0)
     assert system.dofmap.nfree == 1
-    assert system.matrix.shape == (1, 1)
-    assert system.matrix[0, 0] == pytest.approx(1344.0 / 225.0, rel=1e-14)
-    assert system.rhs[0] == pytest.approx(4.0 / 9.0, rel=1e-14)
+    assert system.matrix.shape == (0, 0)
     fld, stats = system.solve()
     center = fld(np.array([[0.5, 0.5]]))[0]
     assert center == pytest.approx(25.0 / 336.0, abs=1e-14)
@@ -197,10 +200,24 @@ def test_direct_solver_matches_cg():
     np.testing.assert_allclose(f_cg.coeffs, f_dir.coeffs, atol=1e-9)
 
 
+def test_cg_multiplies_the_returned_matrix(monkeypatch):
+    # the benchmark counts nnz and CG matvec flops from LinearSystem.matrix
+    seen = []
+
+    def spy(A, b, **kwargs):
+        seen.append(A)
+        return solve_cg(A, b, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_cg", spy)
+    system = assemble(_builtin_mesh("square"), 3, 1e-2, 1.0, 1.0)
+    system.solve()
+    assert len(seen) == 1 and seen[0] is system.matrix
+
+
 def test_empty_skeleton_solves_with_both_methods():
     # the one-element Q2 oracle: the only free dof is a bubble
     system = assemble(_unit_square_trivial(), 2, 1.0, 1.0, 1.0)
-    assert system.skeleton.shape == (0, 0)
+    assert system.matrix.shape == (0, 0)
     for method in ("cg", "direct"):
         fld, stats = system.solve(method=method)
         assert stats["iterations"] == 0
@@ -248,10 +265,19 @@ _PARITY_MESHES = {
 def test_condensed_solve_matches_full_system(name, q):
     # q = 1 has no bubbles; triangles get bubbles from q = 3
     mesh = _PARITY_MESHES[name]()
-    A = np.array([[2.0, 0.3], [0.3, 0.5]])
-    system = assemble(mesh, q, 0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y,
-                      diffusion=lambda p: np.broadcast_to(A, (len(p), 2, 2)))
-    full = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    D = np.array([[2.0, 0.3], [0.3, 0.5]])
+    args = (mesh, q, 0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y)
+    kwargs = {"diffusion": lambda p: np.broadcast_to(D, (len(p), 2, 2))}
+    system = assemble(*args, **kwargs)
+    A, b = full_system(*args, **kwargs)
+    # the condensed matrix is the Schur complement of the full one on the
+    # free skeleton dofs, which lead the free numbering
+    n = system.matrix.shape[0]
+    Sbi = A[:n, n:].toarray()
+    Sii = A[n:, n:].toarray()
+    schur = A[:n, :n].toarray() - (Sbi @ np.linalg.solve(Sii, Sbi.T) if len(Sii) else 0.0)
+    assert np.abs(system.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
+    full = spla.spsolve(A.tocsc(), b)
     scale = np.abs(full).max()
     for method in ("cg", "direct"):
         fld, _ = system.solve(method=method)
@@ -261,9 +287,8 @@ def test_condensed_solve_matches_full_system(name, q):
 
 
 def _system_arrays(system):
-    A, K = system.matrix, system.skeleton
+    A = system.matrix
     arrays = [A.data, A.indices, A.indptr, system.rhs]
-    arrays += [K.data, K.indices, K.indptr, system.skeleton_rhs]
     return arrays + [a for block in system.bubbles for a in block]
 
 
@@ -295,20 +320,23 @@ def test_assembly_does_not_depend_on_the_chunk_size(monkeypatch, name):
 
 
 def test_assembly_memory_is_bounded_by_the_matrix():
-    # blocks are formed and condensed chunk by chunk, so assemble's traced peak
-    # stays a small multiple of the matrix it returns (4.7x when every block
-    # of a shape was formed at once)
+    # blocks are formed and condensed chunk by chunk into the skeleton only, so
+    # assemble's traced peak stays a small multiple of the system it returns
+    # (8.8x while the full free matrix was built alongside)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=7, n=7))
     args = (mesh, 7, 1e-2, 1.0, manufactured_layer_solution(1e-2).f)
     assemble(*args)  # warm: basis tables and the scipy import
     tracemalloc.start()
     try:
-        A = assemble(*args).matrix
+        system = assemble(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    A = system.matrix
+    size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    size += sum(a.nbytes for block in system.bubbles for a in block)
+    assert peak <= 3.5 * size
 
 
 def test_field_point_evaluation():
