@@ -4,9 +4,11 @@ The text format is line based: one node per line as ``v x y`` followed
 by one element per line as ``t i j k`` (triangle) or ``r i j k l``
 (rectangle, counterclockwise).  SVG output is deterministic for a given
 input: coordinates are printed with fixed precision and elements in
-storage order, one ``<polygon>`` per element.  Outlines come per element
-shape as coordinate arrays, are mapped to the SVG frame as arrays and
-formatted one element per ``%`` on the shape's template.
+storage order, one ``<polygon>`` per element.  Meshes and patterns share
+one outline path, the element's nodes: pattern rectangles are axis-aligned
+and a bilinear macro map keeps its iso-lines straight, so only a triangle
+diagonal in a non-affine macro quad bends and is sampled.  Outlines come
+in groups of equal length, mapped and formatted as arrays per group.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _FILL = {
     "corner_half": "#f7d9cf",
     "corner_half_flip": "#f7d9cf",
 }
-_SAMPLES = 8  # outline points per edge of a Mesh element, the first at its corner
+_SAMPLES = 8  # outline points per edge of a bent Mesh element, the first at its corner
 _PLOT_WIDTH, _PLOT_HEIGHT = 560, 420  # convergence plot size in pixels
 
 
@@ -55,24 +57,30 @@ def write_mesh_text(obj, path: str) -> None:
 
 
 def _outlines(obj):
-    """Yield ``(shape, ids, rings)`` per element shape: storage indices
-    (E_s,) and polygon outlines (E_s, k, 2) in physical coordinates.
+    """Yield ``(ids, qids, rings)`` per group of elements: storage indices
+    (E_g,), macro quads (E_g,) (zeros for a PatchMesh) and outlines
+    (E_g, k, 2) in physical coordinates, by default the element's nodes.
 
-    Pattern rectangles stay straight-sided under a bilinear map, but a
-    triangle edge that is not axis-aligned in pattern coordinates maps to
-    a curve, so each edge of a Mesh element is sampled ``_SAMPLES`` times,
-    starting at its corner; only the points of the element maps are
-    formed, no Jacobians.  A PatchMesh outline is its element's nodes.
+    Axis-aligned pattern edges lie on straight iso-lines of the bilinear
+    macro map and an affine map (``dst == 0``) keeps every edge straight,
+    so only an oblique pattern edge in a non-affine quad bends: elements
+    with one are sampled ``_SAMPLES`` times per edge from each corner.
     """
     if not isinstance(obj, Mesh):
         for shape, ids in obj.eid.items():
-            yield shape, ids, obj.nodes[obj.conn[shape]]
+            yield ids, np.zeros(len(ids), dtype=int), obj.nodes[obj.conn[shape]]
         return
+    affine = ~np.any(obj.quad_map(np.arange(len(obj.oriented))).dst, axis=-1)
     t = np.linspace(0.0, 1.0, _SAMPLES, endpoint=False)[:, None]
-    for shape, corners in REF_CORNERS.items():
-        edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
-        _, bil, pat = element_points(obj, shape, edges.reshape(-1, 2))
-        yield shape, obj.eid[shape], bil(pat)
+    for shape, ids in obj.eid.items():
+        qids, ref = obj.macro_id[shape], obj.ref[shape]
+        bent = ~affine[qids] & np.all(np.roll(ref, -1, axis=1) != ref, axis=-1).any(axis=-1)
+        yield ids[~bent], qids[~bent], obj.nodes[obj.conn[shape][~bent]]
+        if bent.any():
+            corners = REF_CORNERS[shape]
+            edges = corners[:, None, :] * (1.0 - t) + np.roll(corners, -1, axis=0)[:, None, :] * t
+            _, bil, pat = element_points(obj, shape, edges.reshape(-1, 2))
+            yield ids[bent], qids[bent], bil(pat)[bent]
 
 
 # elements formatted per batch: each holds 2k Python floats per element, and
@@ -100,8 +108,8 @@ def mesh_svg(obj, width: int = 640) -> str:
     kinds = [a.kind for a in obj.assignments] if mesh else [obj.kind]
     fill_of = [_FILL.get(k.value, "#ffffff") for k in kinds]
     polygons = [None] * obj.element_count()
-    for shape, ids, rings in _outlines(obj):
-        fills = [fill_of[q] for q in (obj.macro_id[shape].tolist() if mesh else [0] * len(ids))]
+    for ids, qids, rings in _outlines(obj):
+        fills = [fill_of[q] for q in qids.tolist()]
         template = (
             '<polygon points="' + " ".join(["%.3f,%.3f"] * rings.shape[1])
             + '" fill="%s" stroke="#444444" stroke-width="0.6"/>'

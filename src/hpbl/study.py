@@ -267,9 +267,9 @@ def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
         p_ref = config.p_max + 2
         mesh = mesh_for(config, p_ref, eps)
         graded = [_layer_counts(config, p, eps) for p in range(config.p_min, config.p_max + 1)]
-        assert all(L <= mesh.params.L and n <= mesh.params.n for L, n in graded), (
-            f"reference mesh (L={mesh.params.L}, n={mesh.params.n}) is coarser than {graded}"
-        )
+        if not all(L <= mesh.params.L and n <= mesh.params.n for L, n in graded):
+            raise RuntimeError(
+                f"reference mesh (L={mesh.params.L}, n={mesh.params.n}) is coarser than {graded}")
         fld, _, _ = _solve_cell(config, mesh, p_ref, eps)
         _REF_CACHE[key] = fld
     return _REF_CACHE[key]

@@ -1,10 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
-from hpbl.macro import build_geo_bl_mesh
+from hpbl.macro import build_geo_bl_mesh, macro_from_triangulation, validate_mesh
 from hpbl.meshio import _outlines, convergence_svg, mesh_svg, mesh_text
 from hpbl.patches import PatchKind, PatchParams, build_half_patch, build_pattern
 
@@ -39,32 +43,107 @@ def test_mesh_svg_polygon_count():
         assert svg == mesh_svg(mesh)  # identical bytes on rerun
 
 
+def _fan_macro(vertices):
+    """Macro quads of a convex polygon triangulated as a fan from its
+    vertex centroid: kites, so no macro map is affine."""
+    poly = Polygon(np.asarray(vertices, dtype=float))
+    m = poly.m
+    pts = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+    return poly, macro_from_triangulation(pts, [(m, i, (i + 1) % m) for i in range(m)], poly)
+
+
+def _nonaffine_meshes():
+    """Meshes whose macro quads are not parallelograms: a triangle split
+    into three kites and a fan-triangulated pentagon, at L = n = 1..3."""
+    angles = [0.1, 1.3, 2.9, 3.8, 5.2]
+    domains = [_fan_macro([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+               _fan_macro([[math.cos(a), 0.6 * math.sin(a)] for a in angles])]
+    for poly, macro in domains:
+        for L in range(1, 4):
+            yield build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L))
+
+
+def _bends(mesh, shape):
+    """Per element of one shape: does an edge bend?  It does when its
+    macro quad is not a parallelogram and the edge is oblique in the
+    pattern frame."""
+    c = mesh.macro.nodes[mesh.oriented[mesh.macro_id[shape]]]
+    parallelogram = np.all(c[:, 0] + c[:, 2] == c[:, 1] + c[:, 3], axis=-1)
+    ref = mesh.ref[shape]
+    d = np.roll(ref, -1, axis=1) - ref
+    return ~parallelogram & np.any((d[..., 0] != 0) & (d[..., 1] != 0), axis=-1)
+
+
 def test_mesh_outlines_start_at_element_corners():
-    # every 8th outline sample is a corner, in the element's storage order
-    for name in ("lshape", "slit"):
-        poly, macro = builtin_layout(name)
-        mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.3, L=2, n=3))
-        per_shape = list(_outlines(mesh))
-        ids = np.concatenate([ids for _, ids, _ in per_shape])
-        assert len(ids) == mesh.element_count()
+    # a straight outline is the element's nodes; a bent one has 8 samples
+    # per edge, every 8th a corner, in the element's storage order
+    layouts = [builtin_layout(name) for name in ("lshape", "slit")]
+    meshes = [build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.3, L=2, n=3))
+              for poly, macro in layouts]
+    bent_total = 0
+    for mesh in meshes + list(_nonaffine_meshes()):
+        groups = list(_outlines(mesh))
+        ids = np.concatenate([ids for ids, _, _ in groups])
         np.testing.assert_array_equal(np.sort(ids), np.arange(mesh.element_count()))
+        bends = {}
+        for s in mesh.eid:
+            bends.update(zip(mesh.eid[s].tolist(), _bends(mesh, s).tolist()))
         elements = element_rows(mesh)
-        for shape, ids, rings in per_shape:
-            for ei, ring in zip(ids, rings):
+        for ids, qids, rings in groups:
+            for ei, qid, ring in zip(ids, qids, rings):
                 el = elements[ei]
-                assert el.shape == shape
-                assert len(ring) == 8 * len(el.nodes)
-                np.testing.assert_allclose(
-                    ring[::8], mesh.nodes[list(el.nodes)], rtol=0, atol=1e-12
-                )
+                corners = mesh.nodes[list(el.nodes)]
+                assert qid == el.macro_id
+                if bends[ei]:
+                    bent_total += 1
+                    assert len(ring) == 8 * len(el.nodes)
+                    np.testing.assert_allclose(ring[::8], corners, rtol=0, atol=1e-12)
+                else:
+                    assert len(ring) == len(el.nodes)
+                    np.testing.assert_array_equal(ring, corners)
+    assert bent_total > 0
 
 
-def _assert_same_svg(obj, width=640, label=""):
-    got, want = mesh_svg(obj, width), reference_mesh_svg(obj, width)
-    if got != want:  # name the first differing line; a full diff of megabytes is slow
-        pairs = zip(got.splitlines(), want.splitlines())
-        i, (a, b) = next((i, ab) for i, ab in enumerate(pairs) if ab[0] != ab[1])
-        pytest.fail(f"{label} width={width} line {i}: {a[:120]!r} != {b[:120]!r}")
+def _rings(line):
+    """The points of one ``<polygon>`` line as a (k, 2) array."""
+    pts = line.split('"', 2)[1]
+    return np.array([xy.split(",") for xy in pts.split()], dtype=float)
+
+
+def _seg_dist(p, a, b):
+    """Distances of points p (k, 2) to the segments [a, b] (k, 2)."""
+    ab = b - a
+    t = np.clip(np.sum((p - a) * ab, axis=1) / np.maximum(np.sum(ab * ab, axis=1), 1e-300), 0, 1)
+    return np.hypot(*(a + t[:, None] * ab - p).T)
+
+
+_PX = 0.002  # two formatting roundings of 0.0005 px per coordinate, with room
+
+
+def _assert_same_picture(obj, width=640, label=""):
+    """``mesh_svg`` against the per-point reference renderer, which samples
+    every Mesh edge 8 times.  Sampled polygons and every other line match
+    byte for byte.  A straight polygon's vertices match the reference's
+    every 8th point, and every reference point lies on its edges, both
+    within ``_PX`` pixels.  Returns the counts of polygons drawn straight
+    and of polygons that match byte for byte (the sampled ones)."""
+    got, want = mesh_svg(obj, width).splitlines(), reference_mesh_svg(obj, width).splitlines()
+    assert len(got) == len(want), label
+    counts = [0, 0]
+    for i, (a, b) in enumerate(zip(got, want)):
+        where = f"{label} width={width} line {i}"
+        if not a.startswith("<polygon") or a == b:
+            assert a == b, f"{where}: {a[:120]!r} != {b[:120]!r}"
+            counts[1] += a.startswith("<polygon")
+            continue
+        assert a.split('"', 2)[2] == b.split('"', 2)[2], where
+        xy, ref = _rings(a), _rings(b)
+        assert len(ref) == 8 * len(xy), where
+        assert np.hypot(*(xy - ref[::8]).T).max() <= _PX, where
+        edge = np.arange(len(ref)) // 8
+        assert _seg_dist(ref, xy[edge], np.roll(xy, -1, axis=0)[edge]).max() <= _PX, where
+        counts[0] += 1
+    return counts
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "slit"])
@@ -73,8 +152,39 @@ def test_mesh_svg_matches_per_point_renderer(name):
     for L in range(1, 5):
         for n in (L, L + 2):
             mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=n))
-            _assert_same_svg(mesh, label=(name, L, n))
-    _assert_same_svg(mesh, width=317, label=name)
+            straight, sampled = _assert_same_picture(mesh, label=(name, L, n))
+            assert (straight, sampled) == (mesh.element_count(), 0)  # parallelogram quads
+    _assert_same_picture(mesh, width=317, label=name)
+
+
+def test_nonaffine_mesh_svg_matches_per_point_renderer():
+    counts = np.zeros(2, dtype=int)
+    for mesh in _nonaffine_meshes():
+        counts += _assert_same_picture(mesh, label=mesh.params)
+        counts += _assert_same_picture(mesh, width=317, label=mesh.params)
+    assert counts.min() > 0  # both branches
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=7),
+    axes=st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0)),
+    sigma=st.floats(0.1, 0.5),
+    L=st.integers(0, 3),
+)
+def test_random_convex_triangulations_validate_or_raise(gaps, axes, sigma, L):
+    # convex polygons on an ellipse, fan-triangulated from their centroid:
+    # each mesh validates clean or the build raises ValueError, never a
+    # silently invalid mesh, and its picture has one polygon per element
+    angles = np.cumsum(gaps) * (2.0 * math.pi / sum(gaps))
+    vertices = np.stack([axes[0] * np.cos(angles), axes[1] * np.sin(angles)], axis=1)
+    try:
+        poly, macro = _fan_macro(vertices)
+        mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=sigma, L=L, n=L))
+    except ValueError:
+        return
+    assert validate_mesh(mesh).violations == []
+    assert mesh_svg(mesh).count("<polygon") == mesh.element_count()
 
 
 def test_pattern_svg_matches_per_point_renderer():
@@ -82,8 +192,8 @@ def test_pattern_svg_matches_per_point_renderer():
     for kind in PatchKind:
         build = build_half_patch if "half" in kind.value else build_pattern
         patch = build(kind, params)
-        _assert_same_svg(patch, label=kind)
-        _assert_same_svg(patch, width=317, label=kind)
+        for width in (640, 317):  # pattern outlines are their nodes on both sides
+            assert _assert_same_picture(patch, width, label=kind)[0] == 0
 
 
 def test_convergence_svg():
@@ -95,26 +205,27 @@ def test_convergence_svg():
 
 
 # sha256 of mesh_text and mesh_svg of the `hpbl mesh` meshes (sigma=0.25,
-# n=L), as the dict-merge builder and element-object Mesh wrote them
+# n=L): the text as the dict-merge builder and element-object Mesh wrote
+# it, the SVG with straight outlines drawn by their corners alone
 _GOLDEN = {
     ("square", 1): ("36b6a142f9ca8cc6735ba985b15d82e29064be5897e137a090309fa661bb9e67",
-                    "6a6609115a7fcfd5c4b5ecfeb890efc4f5c02a0f42295bb154c110d0aaf2f889"),
+                    "244e4d6c17284d8a13487f8f6229f5a6d9e12e36d392cb757fcfb215e4af1fe3"),
     ("square", 4): ("05c91983d193f92ccd3be99b43454bf1916ea0a09e8cd6ef0b99361e62c79e7d",
-                    "3b4c6b9fd74361c10d06ace123a16b4732ce14ccd281eeaf1abc814f2b8e2f0a"),
+                    "9ed60089bf25d313873f21cd16fe810aa9a37bd312df229bfa77aa3173f6c6c4"),
     ("square", 8): ("9af0c1340c207fdf5dd0e99e598bde3b7377596df3fe110b187377eef529ea29",
-                    "20d196d581633a1149d6ac904280d5c8f2f8f05bb8d59dd5563c2da10460bdc9"),
+                    "342dc4bae3499f8868182680bb460f6f0946befa5f3438362b868b73e9c5ea3b"),
     ("lshape", 1): ("acecdb2a320d825079d6fe6da1edc1daffeddc0dc311490f43e611bb82f4a45b",
-                    "0e1959023c8db543da375fceb5225618114591bc08dac46e56b21f706acd66c9"),
+                    "cb08875e4f78168f0b76a4513f56188c798c56f9ab572e971422560a94dc4563"),
     ("lshape", 4): ("7ff2390e95d07702e7083a54303591749424ce961f56aaa219a34075c8205173",
-                    "b07a24d0c189d6520627ee964b456660717f2cc7c1a0ae9aaeaa2fc777dd94d8"),
+                    "5cd3385f72eb67ae1e8695da8e5a3c113b5d33d85b4806ab96222d947c34eaae"),
     ("lshape", 8): ("c764f5856e9bf00f211668ac4faeb0605ff4158c5dd360afb429ab83aab49088",
-                    "8aed281c1f871c8f6b278df04ddb650322331446c3aba8dadf538e79d504701f"),
+                    "3063edf9090a762177c60ecbdcae904fe2ad91e237c8e962546233483c707d72"),
     ("slit", 1): ("2abae27c59af1805580649e14fe7ce0843951d4acba0ba9b02e39925ddbc6acd",
-                  "2db50eeea5279f83eb434680d3eae76d96a443346920cc7c9b31a36a160caf03"),
+                  "948031b33d7249ef77f4175c35a23fd65e952e0c65ce546c5dff45caafd8b90e"),
     ("slit", 4): ("d488ec60765d17a5c977e94eb138fe22e764386bb12c3b3824747a3210fab87d",
-                  "ddbad2754dc00dc46d114de5aaf99cca241034891f0a1aa1723bda296bc068a8"),
+                  "a6d3863a29f5e2fad7cb301df6022eacb7fbb4accf9de4e5bcb8b95e3e372e6c"),
     ("slit", 8): ("c9a948d2846b91c1d1eac9382e73e45689e872ccd5706c048c7b9b3ee6361a3d",
-                  "ba0e4aa01e7246e409a715d4eda04c82f6602d9ef843e3f001159e83b9a37600"),
+                  "b713008e344b004728a3a87552e7c3adba1605cfaf1162a29f9b0e79a2202624"),
 }
 
 

@@ -144,6 +144,17 @@ def test_reference_dominates_balanced_meshes(monkeypatch):
         assert ref_mesh.params.L >= graded.L and ref_mesh.params.n >= graded.n
 
 
+def test_coarser_reference_raises(monkeypatch):
+    # a layer rule that gives the reference fewer layers than a graded mesh
+    # stops the study with RuntimeError, also under python -O
+    monkeypatch.setattr(study, "_REF_CACHE", {})
+    # (L, n) = (4, 4) at p = 1 falling to (0, 0) at the reference degree 5
+    monkeypatch.setattr(study, "_layer_counts", lambda config, p, eps: (5 - p, 5 - p))
+    cfg = ExperimentConfig(domain="square", eps=(1e-2,), p_max=3, mode="reference")
+    with pytest.raises(RuntimeError, match="coarser than"):
+        reference_solution(cfg, 1e-2)
+
+
 def test_field_difference_vanishes_for_same_field():
     cfg = ExperimentConfig(domain="square", eps=(1e-1,), p_min=1, p_max=2)
     mesh = mesh_for(cfg, 2, 1e-1)
