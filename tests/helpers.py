@@ -67,8 +67,9 @@ def pattern_mesh(kind, params):
 
 def reference_mesh_svg(obj, width=640):
     """The per-point SVG renderer that ``meshio.mesh_svg`` replaced, kept
-    as the reference its output must match byte for byte: outlines in a
-    list in storage order, each point mapped and formatted on its own."""
+    as the reference its output is compared with (``test_meshio``):
+    outlines in a list in storage order, every Mesh edge sampled 8 times,
+    each point mapped and formatted on its own."""
     if isinstance(obj, Mesh):
         rings = [None] * obj.element_count()
         t = np.linspace(0.0, 1.0, 8, endpoint=False)[:, None]

@@ -45,7 +45,7 @@ def test_mesh_svg_polygon_count():
 
 def _fan_macro(vertices):
     """Macro quads of a convex polygon triangulated as a fan from its
-    vertex centroid: kites, so no macro map is affine."""
+    vertex centroid; a triangle's quads are parallelograms only by chance."""
     poly = Polygon(np.asarray(vertices, dtype=float))
     m = poly.m
     pts = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
@@ -53,8 +53,8 @@ def _fan_macro(vertices):
 
 
 def _nonaffine_meshes():
-    """Meshes whose macro quads are not parallelograms: a triangle split
-    into three kites and a fan-triangulated pentagon, at L = n = 1..3."""
+    """Meshes whose macro quads are not parallelograms: a fan-triangulated
+    triangle and pentagon, at L = n = 1..3."""
     angles = [0.1, 1.3, 2.9, 3.8, 5.2]
     domains = [_fan_macro([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                _fan_macro([[math.cos(a), 0.6 * math.sin(a)] for a in angles])]
