@@ -8,17 +8,12 @@ in the eps-weighted energy norm decays exponentially in q uniformly in
 eps once the mesh carries enough geometric layers.
 """
 
-from .gausslobatto import (
-    gauss_lobatto_rule,
-    lebesgue_constant,
-)
+from .gausslobatto import gauss_lobatto_rule
 from .patches import (
     PatchKind,
     PatchParams,
     build_pattern,
     build_half_patch,
-    patch_metrics,
-    patch_sums,
 )
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ The assembled problem is
 with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
 only place element maps and Jacobians are computed, ``_integrate`` is
-the one norm kernel behind every error and energy norm, ``sup_errors``
-takes dense-grid sup norms through the same per-shape evaluation, and
+the one norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
 the sorted pattern node coordinates of its macro quad) and evaluates
@@ -73,7 +72,6 @@ __all__ = [
     "interpolate",
     "energy_norm",
     "error_norms",
-    "sup_errors",
 ]
 
 
@@ -578,70 +576,28 @@ def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> Discret
 # norms
 
 
-def _on_elements(field: DiscreteField, shape: str, pts: np.ndarray, B: np.ndarray, G):
-    """Field values (E, P) and physical gradients (E, P, 2) on all elements
-    of one shape at shared reference points ``pts``, whose basis value and
-    gradient tables are ``B`` (P, nbasis) and ``G`` (P, nbasis, 2).
-
-    Returns ``(ids, pat, phys, det, vals, grads)`` with the geometry of
-    ``element_geometry``; ``G=None`` skips the gradients (``grads`` None).
-    """
-    ids, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
-    co = field.coeffs[field.dofmap.dofs[shape]]
-    vals = co @ B.T
-    grads = None
-    if G is not None:
-        ne, (npts, nb) = len(ids), B.shape
-        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-        grads = (gref @ invJ)[..., 0, :]
-    return ids, pat, phys, det, vals, grads
-
-
-def sup_errors(field: DiscreteField, exact, exact_grad=None, n: int = 400):
-    """Dense-grid sup norms (max |e|, max |grad e|) of e = field - exact.
-
-    The maxima run over an n-by-n grid on every element: a tensor grid on
-    rectangles and its Duffy image on triangles, which clusters toward the
-    vertex at the origin.  ``exact`` and ``exact_grad`` are callables of
-    (x, y), the gradient returning (..., 2).  ``exact_grad=None`` skips
-    the gradient (for functions whose gradient is singular on the grid)
-    and returns 0 for it.  Grid points go in blocks of ``_POINTS``, so
-    memory grows with elements x ``_POINTS``, not with elements x n^2.
-    """
-    t = np.linspace(0.0, 1.0, n)
-    u, v = (a.ravel() for a in np.meshgrid(t, t, indexing="xy"))
-    val_err = grad_err = 0.0
-    for shape, grid in (("r", np.column_stack([u, v])), ("t", np.column_stack([u, u * v]))):
-        if not len(field.dofmap.dofs[shape]):
-            continue
-        basis = _basis_for(shape, field.q)
-        for lo in range(0, len(grid), _POINTS):
-            pts = grid[lo : lo + _POINTS]
-            G = None if exact_grad is None else basis.grad(pts)
-            _, _, phys, _, vals, grads = _on_elements(field, shape, pts, basis.eval(pts), G)
-            x, y = phys[..., 0], phys[..., 1]
-            val_err = max(val_err, float(np.abs(vals - exact(x, y)).max()))
-            if G is not None:
-                grad_err = max(grad_err, float(np.abs(grads - exact_grad(x, y)).max()))
-    return val_err, grad_err
-
-
 def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtract=None) -> dict:
     """The norm kernel: l2, h1, energy and balanced norms of field - subtract.
 
-    ``subtract(shape, pat, phys)``, when given, returns the values (E, P)
-    and physical gradients (E, P, 2) to subtract at the quadrature points
-    of the elements of one shape, in their per-shape order, whose pattern
-    and physical coordinates are ``pat`` and ``phys`` (E, P, 2).  Quadrature uses
-    q + 3 points per direction unless ``order`` overrides it.
+    The field's values (E, P) and physical gradients (E, P, 2) are formed
+    on all elements of one shape at once, at shared quadrature points.
+    ``subtract(shape, pat, phys)``, when given, returns the values and
+    gradients to subtract there, for the elements of that shape in their
+    per-shape order, whose pattern and physical coordinates are ``pat``
+    and ``phys`` (E, P, 2).  Quadrature uses q + 3 points per direction
+    unless ``order`` overrides it.
     """
     q = field.q
     m = order if order is not None else q + 3
     l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
         pts, w, B, G = _tables(shape, q, m)
-        _, pat, phys, det, vals, grads = _on_elements(field, shape, pts, B, G)
-        ne, npts = vals.shape
+        _, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
+        co = field.coeffs[field.dofmap.dofs[shape]]
+        vals = co @ B.T
+        ne, (npts, nb) = len(co), B.shape
+        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+        grads = (gref @ invJ)[..., 0, :]
         wdet = w * det
         if subtract is not None:
             sub_vals, sub_grads = subtract(shape, pat, phys)
@@ -665,9 +621,9 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtrac
     }
 
 
-def energy_norm(field: DiscreteField, eps: float, c, diffusion=None, order=None) -> float:
+def energy_norm(field: DiscreteField, eps: float, c, diffusion=None) -> float:
     """sqrt(eps^2 (A grad u, grad u) + (c u, u))."""
-    return _integrate(field, eps, c, diffusion, order)["energy"]
+    return _integrate(field, eps, c, diffusion)["energy"]
 
 
 def error_norms(
@@ -677,7 +633,6 @@ def error_norms(
     eps: float,
     c,
     diffusion=None,
-    order=None,
 ) -> dict:
     """Norms of u_h - u for a smooth exact solution.
 
@@ -691,4 +646,4 @@ def error_norms(
         grads = np.broadcast_to(exact_grad(flat[:, 0], flat[:, 1]), flat.shape)
         return _field_at(exact, flat).reshape(phys.shape[:2]), grads.reshape(phys.shape)
 
-    return _integrate(field, eps, c, diffusion, order, subtract=exact_at)
+    return _integrate(field, eps, c, diffusion, subtract=exact_at)

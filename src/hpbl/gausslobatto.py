@@ -16,7 +16,6 @@ __all__ = [
     "gauss_lobatto_rule",
     "legendre_pair",
     "LagrangeBasis1D",
-    "lebesgue_constant",
     "gauss_legendre_rule",
 ]
 
@@ -175,15 +174,6 @@ class LagrangeBasis1D:
     def eval_deriv(self, x: np.ndarray) -> np.ndarray:
         """Derivatives of the basis functions; shape (npts, nnodes)."""
         return self.eval(x) @ self.diff_matrix()
-
-
-def lebesgue_constant(q: int, npts: int = 100_001) -> float:
-    """Lebesgue constant of GL interpolation, estimated on a dense grid."""
-    nodes, _ = gauss_lobatto_rule(q)
-    basis = LagrangeBasis1D(nodes)
-    grid = np.linspace(-1.0, 1.0, npts)
-    lam = np.abs(basis.eval(grid)).sum(axis=1)
-    return float(lam.max())
 
 
 def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

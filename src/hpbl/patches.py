@@ -32,7 +32,6 @@ ids) rows, which ``_patch`` turns into these arrays.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,8 @@ __all__ = [
     "PatchKind",
     "PatchParams",
     "PatchMesh",
-    "ElementMetrics",
     "build_pattern",
     "build_half_patch",
-    "patch_metrics",
-    "patch_sums",
     "sigma_powers",
 ]
 
@@ -122,7 +118,7 @@ def sigma_powers(sigma: float, k: int) -> list[float]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchMesh:
     """A refinement pattern: nodes in the unit square and per-shape element
     arrays laid out as in ``macro.Mesh``.
@@ -130,6 +126,7 @@ class PatchMesh:
     Per shape s ('r', 't'), ``conn[s]`` (E_s, 4 or 3) holds the nodes of
     its elements counterclockwise, rectangles from the lower-left corner,
     and ``eid[s]`` (E_s,) their ascending element indices in pattern order.
+    A built pattern is frozen: no attribute is reassigned or added later.
     """
 
     kind: PatchKind
@@ -288,117 +285,3 @@ def build_half_patch(kind: PatchKind, params: PatchParams) -> PatchMesh:
                 pts = pts[::-1, ::-1]
             kept.append((shape, tuple(pool.add(x, y) for x, y in pts)))
     return _patch(kind, params, pool, kept, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# per-element geometry metrics and the layer-estimate summability quantities
-
-
-@dataclass
-class ElementMetrics:
-    shape: str
-    h: float  # diameter
-    h_min: float
-    h_max: float
-    dist_gamma: float | None  # absent when the pattern has no boundary image
-    dist_origin: float
-    touches_gamma: bool
-    touches_origin: bool
-
-
-def patch_metrics(patch: PatchMesh) -> list[ElementMetrics]:
-    """Diameters, side lengths and distances to the boundary image.
-
-    Grouped by shape so numpy does the geometry; the result is cached on
-    the patch because patch_sums and the invariant sweeps ask for it
-    repeatedly.
-    """
-    cached = getattr(patch, "_metrics", None)
-    if cached is not None:
-        return cached
-    out: list[ElementMetrics] = [None] * patch.element_count()  # type: ignore[list-item]
-    for shape, idx in patch.eid.items():
-        if not len(idx):
-            continue
-        xy = patch.nodes[patch.conn[shape]]  # (m, 3 or 4, 2)
-        edge = np.roll(xy, -1, axis=1) - xy
-        elen = np.hypot(edge[..., 0], edge[..., 1])
-        if shape == "r":
-            hx, hy = elen[:, 0], elen[:, 1]
-            h = np.hypot(hx, hy)
-            h_min, h_max = np.minimum(hx, hy), np.maximum(hx, hy)
-        else:
-            h = elen.max(axis=1)
-            h_min = h_max = h
-        # clamped projection of the origin onto every edge
-        len2 = np.einsum("med,med->me", edge, edge)
-        t = np.clip(np.einsum("med,med->me", -xy, edge) / len2, 0.0, 1.0)
-        closest = xy + t[..., None] * edge
-        d_orig = np.hypot(closest[..., 0], closest[..., 1]).min(axis=1)
-        touches_o = np.any((xy[..., 0] == 0.0) & (xy[..., 1] == 0.0), axis=1)
-        d_orig = np.where(touches_o, 0.0, d_orig)
-        dists = []
-        if GAMMA_BOTTOM in patch.gamma:
-            dists.append(xy[..., 1].min(axis=1))
-        if GAMMA_LEFT in patch.gamma:
-            dists.append(xy[..., 0].min(axis=1))
-        if GAMMA_ORIGIN in patch.gamma:
-            dists.append(d_orig)
-        d_gamma = np.min(dists, axis=0) if dists else None
-        for row, i in enumerate(idx.tolist()):
-            dg = float(d_gamma[row]) if d_gamma is not None else None
-            out[i] = ElementMetrics(
-                shape=shape,
-                h=float(h[row]),
-                h_min=float(h_min[row]),
-                h_max=float(h_max[row]),
-                dist_gamma=dg,
-                dist_origin=float(d_orig[row]),
-                touches_gamma=dg == 0.0 if dg is not None else False,
-                touches_origin=bool(touches_o[row]),
-            )
-    patch._metrics = out  # type: ignore[attr-defined]
-    return out
-
-
-def patch_sums(
-    patch: PatchMesh, delta: float, alpha: float, eps: float
-) -> dict[str, float]:
-    """The four summability quantities that drive the layer estimates.
-
-    For ``delta`` in (0, 1] and decay rate ``alpha`` they are:
-
-    * ``triangle_sum``      sum of h^delta over triangles away from 0,
-    * ``rect_sum``          sum of (h_min/h_max) h_max^delta over rectangles,
-    * ``triangle_exp_sum``  sum of (h/eps)^delta exp(-alpha h/eps) over
-      triangles away from 0,
-    * ``rect_exp_sum``      sum of (h_min/h_max)(h_max/eps)^delta
-      exp(-alpha h_max/eps),
-
-    each bounded uniformly in the layer counts (and in eps for the
-    exponentially weighted pair).
-    """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if alpha <= 0.0 or eps <= 0.0:
-        raise ValueError("alpha and eps must be positive")
-    tri_sum = tri_exp = rect_sum = rect_exp = 0.0
-    for met in patch_metrics(patch):
-        if met.shape == "t":
-            if not met.touches_origin:
-                tri_sum += met.h**delta
-                tri_exp += (met.h / eps) ** delta * math.exp(-alpha * met.h / eps)
-        else:
-            ratio = met.h_min / met.h_max
-            rect_sum += ratio * met.h_max**delta
-            rect_exp += (
-                ratio
-                * (met.h_max / eps) ** delta
-                * math.exp(-alpha * met.h_max / eps)
-            )
-    return {
-        "triangle_sum": tri_sum,
-        "rect_sum": rect_sum,
-        "triangle_exp_sum": tri_exp,
-        "rect_exp_sum": rect_exp,
-    }

@@ -233,7 +233,6 @@ class TriBasis:
         bary += [(t, 0.0, 1.0 - t) for t in g]
         interior = _warp_blend_barycentric(q)
         bary = np.vstack([np.array(bary), interior]) if len(interior) else np.array(bary)
-        self.barycentric = bary
         self.nodes = bary @ self.verts
         ne = q - 1
         self.corner_ids = (0, 1, 2)

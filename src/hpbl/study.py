@@ -25,7 +25,7 @@ from .layouts import builtin_layout, layout_names, load_config
 from .macro import (Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L,
                     validate_mesh)
 from .meshio import convergence_svg, mesh_svg
-from .oracles import manufactured_layer_solution
+from .oracles import ManufacturedSolution
 from .patches import PatchParams
 
 __all__ = [
@@ -153,7 +153,6 @@ class RateFit:
 # mesh and solve plumbing
 
 _DOMAIN_CACHE: dict = {}
-_REF_CACHE: dict = {}
 
 
 def _domain_key(name: str):
@@ -202,7 +201,7 @@ def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
 
 
 def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
-    ms = manufactured_layer_solution(eps)
+    ms = ManufacturedSolution(eps)
     f = ms.f if config.mode == "manufactured" else 1.0
     try:
         fld, stats = assemble(mesh, q, eps, 1.0, f).solve(method=config.solver)
@@ -260,19 +259,15 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
 
 def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
     """Higher-order solve (q = p_max + 2, layers by the study's rule at that
-    degree, so at least as refined as every graded mesh), cached."""
-    key = (_domain_key(config.domain), eps, config.sigma, config.p_max, config.layers,
-           config.mode, config.c1, config.solver)
-    if key not in _REF_CACHE:
-        p_ref = config.p_max + 2
-        mesh = mesh_for(config, p_ref, eps)
-        graded = [_layer_counts(config, p, eps) for p in range(config.p_min, config.p_max + 1)]
-        if not all(L <= mesh.params.L and n <= mesh.params.n for L, n in graded):
-            raise RuntimeError(
-                f"reference mesh (L={mesh.params.L}, n={mesh.params.n}) is coarser than {graded}")
-        fld, _, _ = _solve_cell(config, mesh, p_ref, eps)
-        _REF_CACHE[key] = fld
-    return _REF_CACHE[key]
+    degree, so at least as refined as every graded mesh)."""
+    p_ref = config.p_max + 2
+    mesh = mesh_for(config, p_ref, eps)
+    graded = [_layer_counts(config, p, eps) for p in range(config.p_min, config.p_max + 1)]
+    if not all(L <= mesh.params.L and n <= mesh.params.n for L, n in graded):
+        raise RuntimeError(
+            f"reference mesh (L={mesh.params.L}, n={mesh.params.n}) is coarser than {graded}")
+    fld, _, _ = _solve_cell(config, mesh, p_ref, eps)
+    return fld
 
 
 # ---------------------------------------------------------------------------

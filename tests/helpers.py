@@ -1,12 +1,15 @@
-"""Shared test fixtures that are plain functions."""
+"""Shared test fixtures, model functions and the reference versions
+that package code is compared with."""
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import DofMap
+from hpbl.fem import _POINTS, DofMap
+from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
     _JAC_SAMPLES,
@@ -20,12 +23,13 @@ from hpbl.macro import (
     assign_refinement_patterns,
     build_geo_bl_mesh,
     element_geometry,
+    element_points,
     pattern_for,
     placement_for,
 )
 from hpbl.meshcheck import hanging_nodes
 from hpbl.meshio import _FILL
-from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, ElementMetrics, PatchKind
+from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, PatchKind
 from hpbl.reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 # one element of a mesh: shape 'r'/'t', global node ids, macro quad, and the
@@ -130,9 +134,204 @@ def _poly_point_dist(xy, p):
     return min(_seg_point_dist(xy[i], xy[(i + 1) % m], p) for i in range(m))
 
 
+# ---------------------------------------------------------------------------
+# model functions and the probes of the interpolation and pattern claims
+
+
+class BoundaryLayerFn:
+    """exp(-alpha * y / eps) and its gradient."""
+
+    def __init__(self, alpha: float, eps: float):
+        if alpha <= 0 or eps <= 0:
+            raise ValueError("alpha and eps must be positive")
+        self.alpha = alpha
+        self.eps = eps
+
+    def value(self, x, y):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-self.alpha * np.asarray(y, dtype=float) / self.eps) * np.ones_like(x)
+
+    def grad(self, x, y):
+        v = self.value(x, y)
+        return np.stack([np.zeros_like(v), -(self.alpha / self.eps) * v], axis=-1)
+
+
+class CornerSingularityFn:
+    """r^(1-beta) for beta in [0, 1); the gradient blows up at the origin."""
+
+    def __init__(self, beta: float):
+        if not (0.0 <= beta < 1.0):
+            raise ValueError(f"beta must lie in [0,1), got {beta}")
+        self.beta = beta
+
+    def value(self, x, y):
+        r = np.hypot(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return r ** (1.0 - self.beta)
+
+    def grad(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = np.hypot(x, y)
+        if np.any(r == 0.0):
+            raise ValueError("gradient of the corner singularity is singular at r=0")
+        scale = (1.0 - self.beta) * r ** (-1.0 - self.beta)
+        return np.stack([scale * x, scale * y], axis=-1)
+
+
+def sup_errors(field, exact, exact_grad=None, n=400):
+    """Dense-grid sup norms (max |e|, max |grad e|) of e = field - exact.
+
+    The maxima run over an n-by-n grid on every element: a tensor grid on
+    rectangles and its Duffy image on triangles, which clusters toward the
+    vertex at the origin.  ``exact`` and ``exact_grad`` are callables of
+    (x, y), the gradient returning (..., 2).  ``exact_grad=None`` skips
+    the gradient (for functions whose gradient is singular on the grid):
+    the grid is only mapped, no Jacobian is formed, and 0 is returned for
+    it.  Grid points go in blocks of ``fem._POINTS``, so memory grows with
+    elements x ``_POINTS``, not with elements x n^2.
+    """
+    t = np.linspace(0.0, 1.0, n)
+    u, v = (a.ravel() for a in np.meshgrid(t, t, indexing="xy"))
+    val_err = grad_err = 0.0
+    for shape, grid in (("r", np.column_stack([u, v])), ("t", np.column_stack([u, u * v]))):
+        if not len(field.dofmap.dofs[shape]):
+            continue
+        basis = rect_basis(field.q) if shape == "r" else tri_basis(field.q)
+        co = field.coeffs[field.dofmap.dofs[shape]]
+        for lo in range(0, len(grid), _POINTS):
+            pts = grid[lo : lo + _POINTS]
+            B = basis.eval(pts)
+            vals = co @ B.T
+            if exact_grad is None:
+                _, bil, pat = element_points(field.mesh, shape, pts)
+                phys = bil(pat)
+            else:
+                _, _, phys, _, invJ = element_geometry(field.mesh, shape, pts)
+                ne, (npts, nb) = len(co), B.shape
+                G = basis.grad(pts)
+                gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+                grads = (gref @ invJ)[..., 0, :]
+            x, y = phys[..., 0], phys[..., 1]
+            val_err = max(val_err, float(np.abs(vals - exact(x, y)).max()))
+            if exact_grad is not None:
+                grad_err = max(grad_err, float(np.abs(grads - exact_grad(x, y)).max()))
+    return val_err, grad_err
+
+
+def lebesgue_constant(q, npts=100_001):
+    """Lebesgue constant of GL interpolation, estimated on a dense grid."""
+    nodes, _ = gauss_lobatto_rule(q)
+    basis = LagrangeBasis1D(nodes)
+    grid = np.linspace(-1.0, 1.0, npts)
+    lam = np.abs(basis.eval(grid)).sum(axis=1)
+    return float(lam.max())
+
+
+@dataclass
+class ElementMetrics:
+    shape: str
+    h: float  # diameter
+    h_min: float
+    h_max: float
+    dist_gamma: float | None  # absent when the pattern has no boundary image
+    dist_origin: float
+    touches_gamma: bool
+    touches_origin: bool
+
+
+def patch_metrics(patch):
+    """Diameters, side lengths and distances to the boundary image of
+    every element of a pattern, in pattern order, grouped by shape so
+    numpy does the geometry."""
+    out = [None] * patch.element_count()
+    for shape, idx in patch.eid.items():
+        if not len(idx):
+            continue
+        xy = patch.nodes[patch.conn[shape]]  # (m, 3 or 4, 2)
+        edge = np.roll(xy, -1, axis=1) - xy
+        elen = np.hypot(edge[..., 0], edge[..., 1])
+        if shape == "r":
+            hx, hy = elen[:, 0], elen[:, 1]
+            h = np.hypot(hx, hy)
+            h_min, h_max = np.minimum(hx, hy), np.maximum(hx, hy)
+        else:
+            h = elen.max(axis=1)
+            h_min = h_max = h
+        # clamped projection of the origin onto every edge
+        len2 = np.einsum("med,med->me", edge, edge)
+        t = np.clip(np.einsum("med,med->me", -xy, edge) / len2, 0.0, 1.0)
+        closest = xy + t[..., None] * edge
+        d_orig = np.hypot(closest[..., 0], closest[..., 1]).min(axis=1)
+        touches_o = np.any((xy[..., 0] == 0.0) & (xy[..., 1] == 0.0), axis=1)
+        d_orig = np.where(touches_o, 0.0, d_orig)
+        dists = []
+        if GAMMA_BOTTOM in patch.gamma:
+            dists.append(xy[..., 1].min(axis=1))
+        if GAMMA_LEFT in patch.gamma:
+            dists.append(xy[..., 0].min(axis=1))
+        if GAMMA_ORIGIN in patch.gamma:
+            dists.append(d_orig)
+        d_gamma = np.min(dists, axis=0) if dists else None
+        for row, i in enumerate(idx.tolist()):
+            dg = float(d_gamma[row]) if d_gamma is not None else None
+            out[i] = ElementMetrics(
+                shape=shape,
+                h=float(h[row]),
+                h_min=float(h_min[row]),
+                h_max=float(h_max[row]),
+                dist_gamma=dg,
+                dist_origin=float(d_orig[row]),
+                touches_gamma=dg == 0.0 if dg is not None else False,
+                touches_origin=bool(touches_o[row]),
+            )
+    return out
+
+
+def patch_sums(metrics, delta, alpha, eps):
+    """The four summability quantities that drive the layer estimates,
+    from a pattern's ``patch_metrics``.
+
+    For ``delta`` in (0, 1] and decay rate ``alpha`` they are:
+
+    * ``triangle_sum``      sum of h^delta over triangles away from 0,
+    * ``rect_sum``          sum of (h_min/h_max) h_max^delta over rectangles,
+    * ``triangle_exp_sum``  sum of (h/eps)^delta exp(-alpha h/eps) over
+      triangles away from 0,
+    * ``rect_exp_sum``      sum of (h_min/h_max)(h_max/eps)^delta
+      exp(-alpha h_max/eps),
+
+    each bounded uniformly in the layer counts (and in eps for the
+    exponentially weighted pair).
+    """
+    if not (0.0 < delta <= 1.0):
+        raise ValueError(f"delta must lie in (0,1], got {delta}")
+    if alpha <= 0.0 or eps <= 0.0:
+        raise ValueError("alpha and eps must be positive")
+    tri_sum = tri_exp = rect_sum = rect_exp = 0.0
+    for met in metrics:
+        if met.shape == "t":
+            if not met.touches_origin:
+                tri_sum += met.h**delta
+                tri_exp += (met.h / eps) ** delta * math.exp(-alpha * met.h / eps)
+        else:
+            ratio = met.h_min / met.h_max
+            rect_sum += ratio * met.h_max**delta
+            rect_exp += (
+                ratio
+                * (met.h_max / eps) ** delta
+                * math.exp(-alpha * met.h_max / eps)
+            )
+    return {
+        "triangle_sum": tri_sum,
+        "rect_sum": rect_sum,
+        "triangle_exp_sum": tri_exp,
+        "rect_exp_sum": rect_exp,
+    }
+
+
 def element_metrics(patch, e):
     """The metrics of one pattern element, one element at a time: the
-    reference ``patches.patch_metrics`` must agree with."""
+    reference ``patch_metrics`` must agree with."""
     xy = patch.nodes[list(e.nodes)]
     m = len(xy)
     edge_len = [float(np.hypot(*(xy[(i + 1) % m] - xy[i]))) for i in range(m)]

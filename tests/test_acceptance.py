@@ -13,23 +13,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from hpbl.fem import assemble, error_norms, interpolate, sup_errors
-from hpbl.gausslobatto import lebesgue_constant
+from hpbl.fem import assemble, error_norms, interpolate
 from hpbl.layouts import builtin_layout
 from hpbl.macro import scale_resolution_L, validate_mesh
 from hpbl.meshcheck import conformity_violations
-from hpbl.oracles import (
-    boundary_layer_fn,
-    corner_singularity_fn,
-    manufactured_layer_solution,
-)
+from hpbl.oracles import ManufacturedSolution
 from hpbl.patches import (
     PatchKind,
     PatchParams,
     build_half_patch,
     build_pattern,
-    patch_metrics,
-    patch_sums,
 )
 from hpbl.reference import rect_basis, tri_basis
 from hpbl.study import (
@@ -41,7 +34,15 @@ from hpbl.study import (
     run_experiment,
 )
 
-from helpers import pattern_mesh
+from helpers import (
+    BoundaryLayerFn,
+    CornerSingularityFn,
+    lebesgue_constant,
+    patch_metrics,
+    patch_sums,
+    pattern_mesh,
+    sup_errors,
+)
 
 SIGMAS = (0.1, 0.25, 0.5)
 EPS4 = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -96,7 +97,8 @@ def test_01_patch_catalog_invariants():
                     worst_defect = max(worst_defect, defect)
                     assert defect < 1e-12
                     assert conformity_violations(patch.nodes, patch) == []
-                    for met in patch_metrics(patch):
+                    mets = patch_metrics(patch)
+                    for met in mets:
                         if met.dist_gamma is not None and not met.touches_gamma:
                             if met.shape == "t":
                                 ratios[sigma]["tri"].append((key, met.dist_gamma / met.h))
@@ -109,7 +111,7 @@ def test_01_patch_catalog_invariants():
                                 (key, met.dist_origin / met.h_max)
                             )
                     for eps in (1e-6, 1e-3, 1.0):
-                        s = patch_sums(patch, 1.0, 1.0, eps)
+                        s = patch_sums(mets, 1.0, 1.0, eps)
                         sums.setdefault((sigma, kind), []).append((key, s))
     # a single positive distance constant per sigma, not degrading as the
     # patterns refine: the worst ratio over the whole sweep stays within a
@@ -190,7 +192,7 @@ def test_04_boundary_layer_interpolation_rates():
     for eps in EPS4:
         L = scale_resolution_L(0.25, eps, 1.0)
         mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(0.25, L, L))
-        f = boundary_layer_fn(1.0, eps)
+        f = BoundaryLayerFn(1.0, eps)
         rows = []
         for q in range(2, 11):
             ev, eg = sup_errors(interpolate(mesh, q, f.value), f.value, f.grad, n=120)
@@ -209,7 +211,7 @@ def test_04_boundary_layer_interpolation_rates():
 
 def test_05_corner_singularity_interpolation_rates():
     t0 = time.perf_counter()
-    f = corner_singularity_fn(0.5)
+    f = CornerSingularityFn(0.5)
     ns = list(range(2, 9))
     errs = []
     for n in ns:
@@ -245,7 +247,7 @@ def square_energy_sweep():
     cfg = ExperimentConfig(domain="square", eps=EPS4, p_min=1, p_max=6)
     runs = []
     for eps in EPS4:
-        ms = manufactured_layer_solution(eps)
+        ms = ManufacturedSolution(eps)
         for p in range(1, 7):
             mesh = mesh_for(cfg, p, eps)
             assert mesh.params.L == p and mesh.params.n == p

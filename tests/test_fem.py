@@ -28,7 +28,7 @@ from hpbl.macro import (
     element_placements,
     validate_mesh,
 )
-from hpbl.oracles import manufactured_layer_solution
+from hpbl.oracles import ManufacturedSolution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 
@@ -153,7 +153,7 @@ def test_galerkin_solution_is_energy_best():
     # the discrete solution minimizes the energy-norm distance to u over
     # the hp space; in particular it beats the nodal interpolant
     eps = 0.05
-    ms = manufactured_layer_solution(eps)
+    ms = ManufacturedSolution(eps)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=3, n=3))
     fld, _ = assemble(mesh, 3, eps, 1.0, ms.f).solve()
@@ -177,7 +177,7 @@ def test_energy_norm_of_interpolated_constant():
 def test_manufactured_convergence_snapshot():
     # fixed mesh, increasing degree: errors drop monotonically and fast
     eps = 1e-2
-    ms = manufactured_layer_solution(eps)
+    ms = ManufacturedSolution(eps)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=4, n=4))
     errs = []
@@ -190,7 +190,7 @@ def test_manufactured_convergence_snapshot():
 
 def test_direct_solver_matches_cg():
     eps = 0.1
-    ms = manufactured_layer_solution(eps)
+    ms = ManufacturedSolution(eps)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
     system = assemble(mesh, 2, eps, 1.0, ms.f)
@@ -300,7 +300,7 @@ def test_assembly_does_not_depend_on_the_chunk_size(monkeypatch, name):
     q = 4
     if name == "square":
         mesh = _builtin_mesh("square")
-        args = (1e-2, 1.0, manufactured_layer_solution(1e-2).f)
+        args = (1e-2, 1.0, ManufacturedSolution(1e-2).f)
         kwargs = {}
     else:
         mesh = _skew_mixed_mesh(PatchParams(sigma=0.25, L=3, n=3))
@@ -325,7 +325,7 @@ def test_assembly_memory_is_bounded_by_the_matrix():
     # (8.8x while the full free matrix was built alongside)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=7, n=7))
-    args = (mesh, 7, 1e-2, 1.0, manufactured_layer_solution(1e-2).f)
+    args = (mesh, 7, 1e-2, 1.0, ManufacturedSolution(1e-2).f)
     assemble(*args)  # warm: basis tables and the scipy import
     tracemalloc.start()
     try:

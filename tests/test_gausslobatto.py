@@ -4,9 +4,10 @@ from hpbl.gausslobatto import (
     LagrangeBasis1D,
     gauss_legendre_rule,
     gauss_lobatto_rule,
-    lebesgue_constant,
     legendre_pair,
 )
+
+from helpers import lebesgue_constant
 
 
 def test_lobatto_small_rules():

@@ -2,13 +2,13 @@
 
 import numpy as np
 
-from hpbl.fem import interpolate, sup_errors
+from hpbl.fem import interpolate
 from hpbl.macro import element_placements, placement_for
-from hpbl.oracles import boundary_layer_fn, corner_singularity_fn
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import element_rows, pattern_mesh, pattern_rows
+from helpers import (BoundaryLayerFn, CornerSingularityFn, element_rows, pattern_mesh,
+                     pattern_rows, sup_errors)
 
 
 class _Poly:
@@ -38,7 +38,7 @@ def test_interpolant_continuity_across_facets():
     # sample each interior horizontal meshline from the elements below and
     # above it: the traces must agree because edge dofs are shared
     mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=3, n=3))
-    f = boundary_layer_fn(1.0, 0.05)
+    f = BoundaryLayerFn(1.0, 0.05)
     fld = interpolate(mesh, 4, f.value)
     t = np.linspace(0.0, 1.0, 13)
     elements = element_rows(mesh)
@@ -75,7 +75,7 @@ def test_interpolation_reproduces_polynomials():
 def test_boundary_layer_error_decays_in_q():
     eps = 1e-2
     mesh = pattern_mesh(PatchKind.BOUNDARY_LAYER, PatchParams(sigma=0.25, L=4, n=4))
-    f = boundary_layer_fn(1.0, eps)
+    f = BoundaryLayerFn(1.0, eps)
     errs = []
     for q in (2, 4, 6, 8):
         ev, eg = sup_errors(interpolate(mesh, q, f.value), f.value, f.grad, n=80)
@@ -85,7 +85,7 @@ def test_boundary_layer_error_decays_in_q():
 
 
 def test_corner_singularity_error_decays_in_n():
-    f = corner_singularity_fn(0.5)
+    f = CornerSingularityFn(0.5)
     errs = []
     for n in (2, 4, 6):
         mesh = pattern_mesh(PatchKind.CORNER, PatchParams(sigma=0.25, L=0, n=n))

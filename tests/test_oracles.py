@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from hpbl.oracles import (
-    boundary_layer_fn,
-    corner_layer_fn,
-    corner_singularity_fn,
-    manufactured_layer_solution,
-)
+from hpbl.oracles import ManufacturedSolution
+
+from helpers import BoundaryLayerFn, CornerSingularityFn
 
 
 def _fd_grad(f, x, y, h=1e-6):
@@ -20,7 +17,7 @@ def _fd_grad(f, x, y, h=1e-6):
 
 
 def test_manufactured_1d_profile():
-    ms = manufactured_layer_solution(0.1)
+    ms = ManufacturedSolution(0.1)
     # X solves -eps^2 X'' + X = 1 with X(0)=X(1)=0, written with decaying
     # exponentials only: X(t) = 1 - (e^(-t/e) + e^(-(1-t)/e)) / (1 + e^(-1/e))
     mid = 1.0 - 2.0 * np.exp(-5.0) / (1.0 + np.exp(-10.0))
@@ -39,20 +36,20 @@ def test_manufactured_residual_small():
     rng = np.random.default_rng(11)
     x, y = rng.uniform(0.01, 0.99, size=(2, 10000))
     for eps in (1.0, 0.1, 0.01, 0.001):
-        ms = manufactured_layer_solution(eps)
+        ms = ManufacturedSolution(eps)
         res = ms.residual(x, y)
         assert np.abs(res).max() < 1e-10, eps
 
 
 def test_manufactured_grad_consistent():
-    ms = manufactured_layer_solution(0.05)
+    ms = ManufacturedSolution(0.05)
     rng = np.random.default_rng(5)
     x, y = rng.uniform(0.05, 0.95, size=(2, 200))
     np.testing.assert_allclose(ms.grad(x, y), _fd_grad(ms.value, x, y), atol=1e-6)
 
 
 def test_boundary_layer_fn():
-    f = boundary_layer_fn(2.0, 0.1)
+    f = BoundaryLayerFn(2.0, 0.1)
     x = np.array([0.3, 0.8])
     y = np.array([0.0, 0.05])
     np.testing.assert_allclose(f.value(x, y), np.exp(-2.0 * y / 0.1), atol=1e-15)
@@ -60,7 +57,7 @@ def test_boundary_layer_fn():
 
 
 def test_corner_singularity_fn():
-    f = corner_singularity_fn(0.5)  # r^(1-beta) = r^(1/2)
+    f = CornerSingularityFn(0.5)  # r^(1-beta) = r^(1/2)
     assert f.value(np.array([0.25]), np.array([0.0]))[0] == pytest.approx(0.5)
     # |grad r^(1/2)| = 1/(2 sqrt(r)): steep near the origin
     g = f.grad(np.array([1e-4]), np.array([0.0]))
@@ -69,15 +66,3 @@ def test_corner_singularity_fn():
     x, y = rng.uniform(0.1, 1.0, size=(2, 100))
     np.testing.assert_allclose(f.grad(x, y), _fd_grad(f.value, x, y), atol=1e-6)
 
-
-def test_corner_layer_fn():
-    f = corner_layer_fn(0.5, 1.0, 0.5)
-    # eps^(beta-1) r^(1-beta) e^(-alpha r/eps) at r=1 and r=2 along the axis
-    pref = 0.5 ** (-0.5)
-    assert f.value(np.array([1.0]), np.array([0.0]))[0] == pytest.approx(pref * np.exp(-2.0))
-    assert f.value(np.array([2.0]), np.array([0.0]))[0] == pytest.approx(
-        pref * np.sqrt(2.0) * np.exp(-4.0)
-    )
-    rng = np.random.default_rng(13)
-    x, y = rng.uniform(0.1, 1.0, size=(2, 100))
-    np.testing.assert_allclose(f.grad(x, y), _fd_grad(f.value, x, y), atol=1e-6)

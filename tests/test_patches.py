@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,10 @@ from hpbl.patches import (
     PatchParams,
     build_half_patch,
     build_pattern,
-    patch_metrics,
-    patch_sums,
     sigma_powers,
 )
 
-from helpers import pattern_rows
+from helpers import patch_metrics, patch_sums, pattern_rows
 
 
 def _diagonal_edge_cover(patch) -> float:
@@ -115,7 +115,7 @@ def test_boundary_layer_heights_telescope():
     heights = sorted(m.h_min for m in patch_metrics(patch))
     np.testing.assert_allclose(sorted(np.diff([0.0] + sigma_powers(0.25, 4)[::-1])), heights)
     # Sum over rectangles of (h_min/h_max) h_max^delta at delta=1 is the height sum
-    sums = patch_sums(patch, delta=1.0, alpha=1.0, eps=0.5)
+    sums = patch_sums(patch_metrics(patch), delta=1.0, alpha=1.0, eps=0.5)
     assert sums["rect_sum"] == pytest.approx(1.0, abs=1e-15)
     assert sums["triangle_sum"] == 0.0
 
@@ -215,8 +215,8 @@ def test_sums_exclude_origin_triangles():
     # corner patch: every triangle of the innermost square abuts 0 and is
     # excluded from the delta-sum; the remaining rings give a geometric sum
     patch = build_pattern(PatchKind.CORNER, PatchParams(sigma=0.5, L=0, n=8))
-    sums = patch_sums(patch, delta=1.0, alpha=1.0, eps=1.0)
     mets = patch_metrics(patch)
+    sums = patch_sums(mets, delta=1.0, alpha=1.0, eps=1.0)
     by_hand = sum(m.h for m in mets if not m.touches_origin)
     assert sums["triangle_sum"] == pytest.approx(by_hand)
     assert sums["rect_sum"] == 0.0
@@ -229,7 +229,7 @@ def test_sums_uniformly_bounded_quick():
     fine = []
     for L, n in ((1, 1), (2, 3), (4, 6), (8, 12)):
         patch = build_pattern(PatchKind.MIXED, PatchParams(sigma=sigma, L=L, n=n))
-        rec = patch_sums(patch, delta=1.0, alpha=1.0, eps=sigma**L)
+        rec = patch_sums(patch_metrics(patch), delta=1.0, alpha=1.0, eps=sigma**L)
         (coarse if L <= 2 else fine).append(max(rec.values()))
     assert max(fine) <= 2.0 * max(coarse)
 
@@ -240,6 +240,14 @@ def test_determinism():
     b = build_pattern(PatchKind.TENSOR, params)
     assert np.array_equal(a.nodes, b.nodes)
     assert pattern_rows(a) == pattern_rows(b)
+
+
+def test_built_pattern_is_frozen():
+    patch = build_pattern(PatchKind.TENSOR, PatchParams(sigma=0.25, L=2, n=3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        patch.nodes = patch.nodes[::-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        patch.cache = {}  # nor can anything be stored on it later
 
 
 def test_batch_metrics_match_scalar_reference():

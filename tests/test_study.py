@@ -11,7 +11,7 @@ from hpbl import study
 from hpbl.fem import assemble, interpolate
 from hpbl.macro import assign_refinement_patterns, build_geo_bl_mesh
 from hpbl.meshio import mesh_svg
-from hpbl.oracles import manufactured_layer_solution
+from hpbl.oracles import ManufacturedSolution
 from hpbl.study import (
     ConvergenceTable,
     ExperimentConfig,
@@ -77,12 +77,11 @@ def test_run_experiment_small():
     assert errs[2] < errs[1] < errs[0]
 
 
-def test_reference_is_cached_and_reused():
+def test_reference_is_deterministic():
     cfg = ExperimentConfig(domain="square", eps=(1e-1,), p_min=1, p_max=2,
                            mode="reference")
     a = reference_solution(cfg, 1e-1)
     b = reference_solution(cfg, 1e-1)
-    assert a is b
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
@@ -124,7 +123,6 @@ def test_rewritten_config_file_gets_new_layout_and_reference(tmp_path):
     poly2 = study.load_domain(str(path))[0]
     ref2 = reference_solution(cfg, 0.1)
     assert poly1.area() == pytest.approx(1.0) and poly2.area() == pytest.approx(2.0)
-    assert ref2 is not ref1
     assert ref1.mesh.nodes[:, 0].max() == pytest.approx(1.0)
     assert ref2.mesh.nodes[:, 0].max() == pytest.approx(2.0)
 
@@ -133,7 +131,6 @@ def test_reference_dominates_balanced_meshes(monkeypatch):
     # balanced layers at eps=1e-4 give L=14 on every graded mesh; the
     # reference must be at least that refined.  The solve is stubbed out to
     # return the reference mesh.
-    monkeypatch.setattr(study, "_REF_CACHE", {})
     monkeypatch.setattr(study, "_solve_cell", lambda config, mesh, q, eps: (mesh, {}, None))
     cfg = ExperimentConfig(domain="square", eps=(1e-4,), p_max=3, layers="balanced",
                            mode="reference")
@@ -147,7 +144,6 @@ def test_reference_dominates_balanced_meshes(monkeypatch):
 def test_coarser_reference_raises(monkeypatch):
     # a layer rule that gives the reference fewer layers than a graded mesh
     # stops the study with RuntimeError, also under python -O
-    monkeypatch.setattr(study, "_REF_CACHE", {})
     # (L, n) = (4, 4) at p = 1 falling to (0, 0) at the reference degree 5
     monkeypatch.setattr(study, "_layer_counts", lambda config, p, eps: (5 - p, 5 - p))
     cfg = ExperimentConfig(domain="square", eps=(1e-2,), p_max=3, mode="reference")
@@ -158,7 +154,7 @@ def test_coarser_reference_raises(monkeypatch):
 def test_field_difference_vanishes_for_same_field():
     cfg = ExperimentConfig(domain="square", eps=(1e-1,), p_min=1, p_max=2)
     mesh = mesh_for(cfg, 2, 1e-1)
-    ms = manufactured_layer_solution(1e-1)
+    ms = ManufacturedSolution(1e-1)
     fld, _ = assemble(mesh, 2, 1e-1, 1.0, ms.f).solve()
     d = field_difference_norms(fld, fld, 1e-1, 1.0)
     for v in d.values():
@@ -183,7 +179,7 @@ def test_field_difference_tracks_true_error():
 
     cfg = ExperimentConfig(domain="square", eps=(1e-1,), p_min=1, p_max=2)
     eps = 1e-1
-    ms = manufactured_layer_solution(eps)
+    ms = ManufacturedSolution(eps)
     ref = reference_solution(cfg, eps)
     mesh = mesh_for(cfg, 2, eps)
     fld, _ = assemble(mesh, 2, eps, 1.0, ms.f).solve()
@@ -221,7 +217,6 @@ def test_export_files(tmp_path):
 
 
 def test_reference_study_builds_each_mesh_once_and_exports_them(monkeypatch, tmp_path):
-    monkeypatch.setattr(study, "_REF_CACHE", {})
     built = []
 
     def counting(*args, **kwargs):
