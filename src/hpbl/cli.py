@@ -7,8 +7,10 @@ Subcommands:
     fit    recompute rate fits from a previously written results.csv
 
 Options can come from a JSON config file (--config) with the same keys
-as ExperimentConfig; command line flags override the file.  Exit codes:
-0 success, 2 invalid input or mesh validation failure, 3 solver failure.
+as ExperimentConfig; command line flags override the file.  Each solve
+and study flag stores into the ExperimentConfig field of its name.  Exit
+codes: 0 success, 2 invalid input or mesh validation failure, 3 solver
+failure (any RuntimeError).
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .macro import build_geo_bl_mesh, validate_mesh
 from .meshio import write_mesh_svg, write_mesh_text
 from .patches import PatchParams
 from .study import (
-    ConvergenceTable,
     ExperimentConfig,
-    Row,
     export,
     fit_exponential,
     load_domain,
+    read_results,
     reference_solution,
     run_cell,
     run_experiment,
@@ -41,34 +42,23 @@ EXIT_SOLVER = 3
 
 
 def _config_from(args) -> ExperimentConfig:
+    """The config file's fields, then every flag given, each into the field of its dest."""
+    known = set(ExperimentConfig.__dataclass_fields__)
     fields = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             kind = type(raw).__name__
             raise ValueError(f"config file {args.config} must hold a JSON object, not {kind}")
-        known = set(ExperimentConfig.__dataclass_fields__)
         bad = set(raw) - known
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         fields.update(raw)
-    if getattr(args, "domain", None):
-        fields["domain"] = args.domain
-    if getattr(args, "eps", None):
-        fields["eps"] = tuple(args.eps)
-    if getattr(args, "sigma", None) is not None:
-        fields["sigma"] = args.sigma
-    if getattr(args, "pmax", None) is not None:
-        fields["p_max"] = args.pmax
-    if getattr(args, "p", None) is not None:  # solve runs the one degree
-        fields["p_min"] = fields["p_max"] = args.p
-    if getattr(args, "norm", None):
-        fields["norm"] = args.norm
-    if getattr(args, "mode", None):
-        fields["mode"] = args.mode
-    if getattr(args, "layers", None):
-        fields["layers"] = args.layers
+    given = vars(args)
+    fields.update({k: v for k, v in given.items() if k in known and v is not None})
+    if given.get("p") is not None:  # solve runs the one degree
+        fields["p_min"] = fields["p_max"] = given["p"]
     cfg = ExperimentConfig(**fields)
     cfg.validate()
     return replace(cfg, eps=tuple(float(e) for e in cfg.eps))
@@ -100,12 +90,8 @@ def cmd_solve(args) -> int:
     if len(cfg.eps) != 1:
         raise ValueError(f"solve takes one eps, got {len(cfg.eps)}; use study for several")
     (eps,) = cfg.eps
-    try:
-        ref = reference_solution(cfg, eps) if cfg.mode == "reference" else None
-        fld, stats, norms = run_cell(cfg, args.p, eps, ref)
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    ref = reference_solution(cfg, eps) if cfg.mode == "reference" else None
+    fld, stats, norms = run_cell(cfg, args.p, eps, ref)
     print(f"p={args.p} eps={eps:g} N={fld.dofmap.nfree} iters={stats['iterations']}")
     for k in ("l2", "h1", "energy", "balanced"):
         print(f"{k:9s} error = {norms[k]:.6e}")
@@ -117,11 +103,7 @@ def cmd_study(args) -> int:
     if cfg.p_max - cfg.p_min + 1 < 3:  # fit_exponential needs three rows
         raise ValueError(f"study needs at least 3 degrees to fit a rate, "
                          f"got p_min={cfg.p_min} p_max={cfg.p_max}")
-    try:
-        tables = run_experiment(cfg)
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    tables = run_experiment(cfg)
     fits = [fit_exponential(t) for t in tables]
     for t, ft in zip(tables, fits):
         print(f"eps={t.eps:g}: b={ft.b:.4f} r2={ft.r2:.4f} over {ft.npoints} points")
@@ -133,30 +115,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    tables: dict[tuple, ConvergenceTable] = {}
-    with open(args.csv) as fh:
-        header = fh.readline().strip()
-        if header != "domain,eps,sigma,p,N,error,iters,seconds":
-            raise ValueError(f"unexpected CSV header: {header}")
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if cells == [""]:
-                continue
-            if len(cells) != 8:
-                raise ValueError(f"{args.csv} line {lineno}: expected 8 fields, got {len(cells)}")
-            dom, eps, sigma, p, N, err, iters, secs = cells
-            key = (dom, float(eps))
-            if key not in tables:
-                tables[key] = ConvergenceTable(
-                    domain=dom, eps=float(eps), sigma=float(sigma), norm="?", mode="?"
-                )
-            tables[key].rows.append(
-                Row(p=int(p), N=int(N), error=float(err), iters=int(iters), seconds=float(secs))
-            )
     mode = "p" if args.mode == "p" else "N^{1/4}"
-    for key in sorted(tables):
-        ft = fit_exponential(tables[key], mode=mode)
-        print(f"domain={key[0]} eps={key[1]:g}: b={ft.b:.4f} r2={ft.r2:.4f} C={ft.C:.4g}")
+    for t in read_results(args.csv):
+        ft = fit_exponential(t, mode=mode)
+        print(f"domain={t.domain} eps={t.eps:g}: b={ft.b:.4f} r2={ft.r2:.4f} C={ft.C:.4g}")
     return EXIT_OK
 
 
@@ -172,25 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", default=None, help="directory for text/SVG dumps")
     pm.set_defaults(func=cmd_mesh)
 
-    ps = sub.add_parser("solve", help="single solve at one degree")
-    ps.add_argument("--config", default=None)
-    ps.add_argument("--domain", default=None)
-    ps.add_argument("--eps", type=float, nargs="+", default=None)
-    ps.add_argument("--sigma", type=float, default=None)
-    ps.add_argument("--mode", default=None)
-    ps.add_argument("--layers", default=None)
+    # the flags solve and study share; each dest is an ExperimentConfig field
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config")
+    shared.add_argument("--domain")
+    shared.add_argument("--eps", type=float, nargs="+")
+    shared.add_argument("--sigma", type=float)
+    shared.add_argument("--mode")
+    shared.add_argument("--layers")
+
+    ps = sub.add_parser("solve", parents=[shared], help="single solve at one degree")
     ps.add_argument("-p", type=int, default=3, help="polynomial degree / layer count")
     ps.set_defaults(func=cmd_solve)
 
-    pt = sub.add_parser("study", help="full convergence sweep")
-    pt.add_argument("--config", default=None)
-    pt.add_argument("--domain", default=None)
-    pt.add_argument("--eps", type=float, nargs="+", default=None)
-    pt.add_argument("--sigma", type=float, default=None)
-    pt.add_argument("--pmax", type=int, default=None)
-    pt.add_argument("--norm", default=None)
-    pt.add_argument("--mode", default=None)
-    pt.add_argument("--layers", default=None)
+    pt = sub.add_parser("study", parents=[shared], help="full convergence sweep")
+    pt.add_argument("--pmax", type=int, dest="p_max", metavar="PMAX")
+    pt.add_argument("--norm")
     pt.add_argument("--out", default=None, help="output directory")
     pt.add_argument("--zero-timings", action="store_true", dest="zero_timings",
                     help="blank the seconds column for byte-identical output")
@@ -211,6 +170,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

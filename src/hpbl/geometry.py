@@ -77,25 +77,6 @@ class Polygon:
         d = np.hypot(*(self.vertices - p).T)
         return [int(j) for j in np.nonzero(d <= tol)[0]]
 
-    def vertex_at(self, p, toward=None, tol: float = TOL) -> int | None:
-        """Vertex index at point p, or None.
-
-        When the walk visits the same coordinates more than once (slit
-        domains), ``toward`` -- any interior point of the region the
-        caller sits in -- picks the copy whose interior sector contains
-        that direction.
-        """
-        cands = self.vertex_candidates(p, tol)
-        if not cands:
-            return None
-        if len(cands) == 1 or toward is None:
-            return cands[0]
-        d = np.asarray(toward, dtype=float) - np.asarray(p, dtype=float)
-        for j in cands:
-            if self.sector_contains(j, d):
-                return j
-        return cands[0]
-
     def point_on_boundary(self, p, tol: float = TOL) -> bool:
         p = np.asarray(p, dtype=float)
         for j in range(self.m):

@@ -274,12 +274,10 @@ def assign_refinement_patterns(
         np.repeat(centroids, 4, axis=0),
     ).reshape(-1, 4)
     for qid, quad in enumerate(macro.quads):
-        xy, centroid = quad_xy[qid], centroids[qid]
+        xy = quad_xy[qid]
         on_edge = (edges[qid] >= 0).tolist()
         corner_on = [polygon.point_on_boundary(xy[k]) for k in range(4)]
-        corner_vertex = [
-            polygon.vertex_at(xy[k], toward=centroid) is not None for k in range(4)
-        ]
+        corner_vertex = [bool(polygon.vertex_candidates(xy[k])) for k in range(4)]
         n_edges = sum(on_edge)
 
         if n_edges == 0:

@@ -13,6 +13,7 @@ C exp(-b N^(1/4)) in dof mode) by least squares on the log.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import time
@@ -40,23 +41,25 @@ __all__ = [
     "fit_exponential",
     "field_difference_norms",
     "export",
+    "read_results",
     "mesh_for",
 ]
 
 _NORMS = ("energy", "balanced", "h1", "l2")
 _MODES = ("manufactured", "reference")
 _LAYERS = ("p", "balanced", "corner-only")
-_SOLVERS = ("cg", "direct")
 # the type each scalar field must hold, since a config file can give any JSON value
 _TYPES = {"domain": str, "sigma": float, "p_min": int, "p_max": int, "c1": float, "norm": str,
-          "mode": str, "layers": str, "solver": str, "allow_large_eps": bool}
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+          "mode": str, "layers": str}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+# the columns of results.csv, as export writes them and read_results reads them
+_COLUMNS = ("domain", "eps", "sigma", "p", "N", "error", "iters", "seconds")
 
 
 def _has_type(value, kind) -> bool:
     """isinstance, except that a bool is no number and an int is a float."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
+    if isinstance(value, bool):
+        return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -71,8 +74,6 @@ class ExperimentConfig:
     norm: str = "energy"
     mode: str = "manufactured"
     layers: str = "p"  # p: L=n=p; balanced: L so sigma^L <= eps^2; corner-only: L=0
-    solver: str = "cg"
-    allow_large_eps: bool = False
 
     def validate(self) -> None:
         for name, kind in _TYPES.items():
@@ -89,13 +90,8 @@ class ExperimentConfig:
         if not self.c1 > 0.0:
             raise ValueError("c1 must be positive")
         for e in eps:
-            if not e > 0.0:
-                raise ValueError("eps entries must be positive")
-            if e > 1.0 and not self.allow_large_eps:
-                raise ValueError(
-                    "eps > 1 only makes sense for the regularly perturbed "
-                    "check; set allow_large_eps"
-                )
+            if not 0.0 < e <= 1.0:
+                raise ValueError(f"eps entries must lie in (0, 1], got {e!r}")
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {_NORMS}")
         if self.mode not in _MODES:
@@ -107,8 +103,6 @@ class ExperimentConfig:
             )
         if self.layers not in _LAYERS:
             raise ValueError(f"layers must be one of {_LAYERS}")
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"solver must be one of {_SOLVERS}")
         p_top = self.p_max + 2 if self.mode == "reference" else self.p_max  # the finest mesh
         for e in eps:
             try:
@@ -182,7 +176,7 @@ def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, in
     if config.layers == "corner-only":
         return 0, p
     # balanced-norm runs resolve eps^2: sigma^L <= eps^2
-    L = max(p, scale_resolution_L(config.sigma, min(eps, 1.0) ** 2, config.c1))
+    L = max(p, scale_resolution_L(config.sigma, eps**2, config.c1))
     return L, max(p, L)
 
 
@@ -204,7 +198,7 @@ def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
     ms = ManufacturedSolution(eps)
     f = ms.f if config.mode == "manufactured" else 1.0
     try:
-        fld, stats = assemble(mesh, q, eps, 1.0, f).solve(method=config.solver)
+        fld, stats = assemble(mesh, q, eps, 1.0, f).solve()
     except RuntimeError as exc:
         raise RuntimeError(f"solver failed at p={q}, eps={eps:g}: {exc}") from exc
     return fld, stats, ms
@@ -334,7 +328,7 @@ def export(
     written = []
 
     path = os.path.join(out_dir, "results.csv")
-    lines = ["domain,eps,sigma,p,N,error,iters,seconds"]
+    lines = [",".join(_COLUMNS)]
     for t in tables:
         for r in t.rows:
             secs = 0.0 if zero_timings else r.seconds
@@ -373,3 +367,33 @@ def export(
                 fh.write(mesh_svg(tables[0].meshes[p]))
             written.append(path)
     return written
+
+
+def read_results(path: str) -> list[ConvergenceTable]:
+    """The tables of a results.csv that ``export`` wrote, sorted by (domain, eps).
+
+    Blank lines are skipped; a header other than ``_COLUMNS`` or a row of
+    another length is a ValueError.  Norm and mode are not in the file.
+    """
+    tables: dict[tuple, ConvergenceTable] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != _COLUMNS:
+            raise ValueError(f"unexpected CSV header: {','.join(header)}")
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: "
+                                 f"expected {len(_COLUMNS)} fields, got {len(cells)}")
+            dom, eps, sigma, p, N, err, iters, secs = cells
+            key = (dom, float(eps))
+            if key not in tables:
+                tables[key] = ConvergenceTable(
+                    domain=dom, eps=float(eps), sigma=float(sigma), norm="?", mode="?"
+                )
+            tables[key].rows.append(
+                Row(p=int(p), N=int(N), error=float(err), iters=int(iters), seconds=float(secs))
+            )
+    return [tables[key] for key in sorted(tables)]

@@ -9,6 +9,7 @@ import pytest
 
 import hpbl
 from hpbl import cli
+from hpbl.study import ExperimentConfig
 
 
 def test_mesh_command(tmp_path, capsys):
@@ -72,15 +73,18 @@ def test_solve_reference_mode_reports_errors(capsys):
     assert math.isfinite(err) and err > 0.0
 
 
-def test_solve_reports_solver_failure(monkeypatch, capsys):
+@pytest.mark.parametrize("command", [["solve", "-p", "2"], ["study", "--pmax", "3"]],
+                         ids=["solve", "study"])
+def test_solve_reports_solver_failure(monkeypatch, capsys, command):
     import hpbl.fem
 
     def boom(A, b, tol=0.0, maxiter=None):
         raise RuntimeError("no convergence")
 
     monkeypatch.setattr(hpbl.fem, "solve_cg", boom)
-    rc = cli.main(["solve", "--domain", "square", "--eps", "0.01", "-p", "2"])
+    rc = cli.main([*command, "--domain", "square", "--eps", "0.01"])
     assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--pmax", "5"], ["--norm", "l2"]])
@@ -113,6 +117,46 @@ def test_study_command_with_config(tmp_path, capsys):
     assert "b=" in out
     # p_max=4 fits over p=2..4, i.e. three points; the file alone gives two
     assert "over 3 points" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_every_flag_stores_into_a_config_field(command):
+    # _config_from copies flags into ExperimentConfig by dest, so a dest that
+    # misses its field would be dropped without a word
+    dests = set(vars(cli.build_parser().parse_args([command]))) - {"command", "func"}
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    assert dests <= fields | {"config", "p", "out", "zero_timings"}
+
+
+# every field a flag can set: the value in the file and the flag overriding it
+_FILE = {"domain": "square", "eps": [0.01], "sigma": 0.25, "mode": "reference", "layers": "p",
+         "p_max": 4, "norm": "energy"}
+_FLAGS = {"domain": (["--domain", "lshape"], "lshape"), "eps": (["--eps", "1e-3"], (1e-3,)),
+          "sigma": (["--sigma", "0.3"], 0.3), "mode": (["--mode", "manufactured"], "manufactured"),
+          "layers": (["--layers", "corner-only"], "corner-only"), "p_max": (["--pmax", "5"], 5),
+          "norm": (["--norm", "l2"], "l2")}
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, field) for command in ("solve", "study") for field in _FLAGS
+    if command == "study" or field not in ("p_max", "norm")  # solve has -p and every norm
+])
+def test_flag_overrides_its_config_file_field(tmp_path, command, field):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(_FILE))
+    flag, value = _FLAGS[field]
+    cfg = cli._config_from(cli.build_parser().parse_args([command, "--config", str(cfgfile),
+                                                          *flag]))
+    want = {**_FILE, "eps": tuple(_FILE["eps"]), field: value}
+    if command == "solve":
+        want["p_min"] = want["p_max"] = 3  # -p, whose default is 3
+    assert {k: getattr(cfg, k) for k in want} == want
+
+
+def test_an_empty_flag_value_reaches_validation(capsys):
+    rc = cli.main(["study", "--domain", "", "--eps", "1e-2"])
+    assert rc == 2
+    assert "domain ''" in capsys.readouterr().err
 
 
 def test_study_rejects_unknown_config_keys(tmp_path):
@@ -156,6 +200,7 @@ def test_a_directory_for_an_input_file_exits_2(tmp_path, capsys, command, flag):
         ("study", {"c1": None}, "c1"),
         ("study", {"c1": float("nan")}, "c1"),
         ("study", {"domain": ["square"], "mode": "reference"}, "domain"),
+        # keys that name no ExperimentConfig field, rejected as unknown
         ("study", {"allow_large_eps": 1}, "allow_large_eps"),
         ("study", {"solver": "lu"}, "solver"),
         ("solve", {"eps": [0.01], "sigma": "0.3"}, "sigma"),
@@ -202,6 +247,15 @@ def test_fit_skips_blank_lines(tmp_path, capsys):
     rc = cli.main(["fit", "--csv", str(csv)])
     assert rc == 0
     assert "b=2.3026" in capsys.readouterr().out
+
+
+def test_fit_reads_back_a_study(tmp_path, capsys):
+    rc = cli.main(["study", "--domain", "square", "--eps", "1e-2", "--pmax", "3",
+                   "--out", str(tmp_path), "--zero-timings"])
+    assert rc == 0
+    (b,) = [w for w in capsys.readouterr().out.split() if w.startswith("b=")]
+    assert cli.main(["fit", "--csv", str(tmp_path / "results.csv")]) == 0
+    assert f"domain=square eps=0.01: {b} " in capsys.readouterr().out
 
 
 def test_fit_rejects_short_row(tmp_path, capsys):

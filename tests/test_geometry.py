@@ -32,12 +32,9 @@ def test_ccw_required():
 
 def test_duplicated_slit_vertex_resolution():
     poly, _ = builtin_layout("slit")
-    # (-1, 0) appears twice; `toward` picks the copy whose sector contains it
+    # (-1, 0) appears twice on the boundary walk
     cands = poly.vertex_candidates(np.array([-1.0, 0.0]))
     assert len(cands) == 2
-    up = poly.vertex_at(np.array([-1.0, 0.0]), toward=np.array([0.0, 1.0]))
-    dn = poly.vertex_at(np.array([-1.0, 0.0]), toward=np.array([0.0, -1.0]))
-    assert up != dn
 
 
 def test_supporting_edge_side():

@@ -20,6 +20,7 @@ from hpbl.study import (
     field_difference_norms,
     fit_exponential,
     mesh_for,
+    read_results,
     reference_solution,
     run_experiment,
 )
@@ -60,7 +61,6 @@ def test_fit_skips_p1():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(eps=(2.0,)).validate()
-    ExperimentConfig(eps=(2.0,), allow_large_eps=True).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(norm="sup").validate()
     with pytest.raises(ValueError):
@@ -239,6 +239,28 @@ def test_export_empty_table(tmp_path):
     paths = export([t], None, str(tmp_path / "e"))
     csv = [p for p in paths if p.endswith("results.csv")][0]
     assert open(csv).read() == "domain,eps,sigma,p,N,error,iters,seconds\n"
+
+
+@pytest.mark.parametrize("zero_timings", [False, True])
+def test_results_csv_round_trip(tmp_path, zero_timings):
+    # written out of (domain, eps) order; errors that a decimal print would round
+    keys = [("square", 1e-2), ("lshape", 0.1), ("square", 1e-3)]
+    tables = [
+        ConvergenceTable(dom, eps, 0.25, "energy", "reference", [
+            Row(p=p, N=9 * p * p + k, error=math.pi ** -p / (k + 3), iters=5 * p + k,
+                seconds=0.125 * p)
+            for p in (1, 2, 3)
+        ])
+        for k, (dom, eps) in enumerate(keys)
+    ]
+    export(tables, None, str(tmp_path), zero_timings=zero_timings)
+    back = read_results(str(tmp_path / "results.csv"))
+    want = sorted(tables, key=lambda t: (t.domain, t.eps))
+    assert [(t.domain, t.eps, t.sigma) for t in back] == [(t.domain, t.eps, t.sigma) for t in want]
+    for got, t in zip(back, want):
+        rows = [Row(r.p, r.N, r.error, r.iters, 0.0 if zero_timings else r.seconds)
+                for r in t.rows]
+        assert got.rows == rows
 
 
 def test_balanced_layers_satisfy_scale_resolution():
