@@ -25,17 +25,23 @@ the sorted pattern node coordinates of its macro quad) and evaluates
 the field coefficient-first, so its cost grows with the number of
 points only.
 
-Solves use static condensation.  ``assemble`` forms the element blocks
-of each shape in chunks of about ``_ENTRIES`` block entries and
-eliminates each element's bubbles (its interior dofs) chunk by chunk
-(one batched Cholesky factorization checks that the chunk's bubble
-blocks are positive definite, one batched solve forms S_ii^-1
-[S_ib | l_i]), writing the free entries of the Schur complements on
-the skeleton (the node and facet dofs, which ``DofMap`` numbers before
-every bubble) into one set of preallocated triplets.  So only one
-chunk's blocks are held at a time, not every block of a shape, which
-grows like elements x q^4, and the system on all free dofs is never
-formed: ``LinearSystem.matrix`` is the skeleton system.
+Solves use static condensation, once per class of identical elements.
+The geometric meshes repeat a few pattern elements under a few macro
+maps, so ``assemble`` sorts the elements of each shape into classes
+whose quadrature data (w det J^-1 A J^-T and c w det at every point)
+are bitwise equal.  It forms the element blocks of the classes in
+chunks of about ``_ENTRIES`` block entries and eliminates their bubbles
+(interior dofs) chunk by chunk: one batched Cholesky factorization
+checks that the bubble blocks are positive definite, one batched solve
+forms S_ii^-1 [S_ib | I], and the Schur complements on the skeleton
+(the node and facet dofs, which ``DofMap`` numbers before every
+bubble) follow.  The load, X_l = S_ii^-1 l_i, the condensed load and
+the free Schur entries, written into one set of preallocated
+triplets, stay per element, in chunks over the elements of those
+classes.  So only one chunk's blocks are held at a time, not every
+block of a shape, which grows like elements x q^4, and the system on
+all free dofs is never formed: ``LinearSystem.matrix`` is the skeleton
+system.
 ``LinearSystem.solve`` runs CG (or a direct solve) on it and recovers
 the bubbles element by element, so reported CG iterations count
 skeleton iterations.
@@ -90,6 +96,7 @@ def _tables(shape: str, q: int, m: int):
 _POINTS = 4096  # points located and evaluated together
 _ENTRIES = 1 << 16  # element-matrix entries formed and condensed together
 _TOL = 1e-9  # containment slack in reference coordinates
+_NOT_FINITE = "assembled matrix or load vector is not finite; check c, f and diffusion"
 
 
 class DofMap:
@@ -245,6 +252,14 @@ def _not_positive_definite(S: np.ndarray) -> bool:
     return False
 
 
+def _chunks(n: int, step: int):
+    """Slices covering range(n) in steps of ``step``, a one-element remainder
+    joining the last: numpy takes another matmul kernel for the strided S_bi
+    of a one-element batch, which moves the last bits."""
+    edges = [*range(0, max(n - 1, 1), step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def assemble(
     mesh: Mesh,
     q: int,
@@ -264,15 +279,25 @@ def assemble(
     naming the lowest such element, after every block was checked to be
     finite.
 
-    Element blocks are formed and condensed in chunks of about
-    ``_ENTRIES`` block entries (and at least two elements), and each
-    chunk writes the free entries of its Schur complements into one set
-    of triplets preallocated for the skeleton.  Peak memory is the
-    returned system, those triplets (16 bytes per free skeleton block
-    entry) and their CSR conversion, and one chunk's blocks, a few times
-    ``_ENTRIES`` doubles.  The load gemm and the condensed-load bincount
-    run once per shape, and the CSR conversion once over the triplets in
-    element order, so the system does not depend on the chunk size.
+    The elements of a shape fall into classes whose quadrature data, the
+    stiffness coefficients w det J^-1 A J^-T and the reaction weights
+    c w det at every point, are bitwise equal (one class per element
+    when nothing repeats).  A class's block is formed, checked for
+    finite entries and a positive definite bubble block, and condensed
+    once: X_b = S_ii^-1 S_ib, S_ii^-1 and the Schur complement.  What
+    stays per element is the load, X_l = S_ii^-1 l_i, the condensed
+    load l_b - X_b^T l_i (S is symmetric) and the skeleton triplets.
+    Classes run in chunks of about ``_ENTRIES`` block entries (and at
+    least two blocks), and the elements of each chunk of classes, class
+    by class, again in such chunks; each writes the free entries of its
+    Schur complements into one set of triplets preallocated for the
+    skeleton.  Peak memory is the returned system, those triplets (16
+    bytes per free skeleton block entry) and their CSR conversion, the
+    class keys of one shape (5 doubles per element and point), and one
+    chunk's blocks, a few times ``_ENTRIES`` doubles.  The load gemm and
+    the condensed-load bincount run once per shape, and the CSR
+    conversion once over the triplets in class order, so the system
+    does not depend on the chunk size.
     """
     dofmap = DofMap(mesh, q)
     m = q + 2
@@ -297,51 +322,66 @@ def assemble(
     for shape, (ids, _, phys, det, invJ) in geo.items():
         _, w, B, G = _tables(shape, q, m)
         ii, ib, fb = split[shape]
-        ne, (npts, nb) = len(ids), B.shape
+        ne, (npts, nb), ni = len(ids), B.shape, ii.size
         wdet = w * det
         flat = phys.reshape(-1, 2)
-        if diffusion is not None:
-            Ad = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-        cw = _field_at(c, flat).reshape(ne, npts) * wdet
         load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
-        Gs = np.swapaxes(G, 1, 2)
-        X = np.empty((ne, ii.size, ib.size + 1))  # S_ii^-1 [S_ib | l_i]
-        cload = load[:, ib]
-        # chunks of at least two elements: numpy takes another matmul kernel
-        # for the strided S_bi of a one-element batch, which moves the last bits
-        step = max(2, _ENTRIES // (nb * nb))
-        edges = [*range(0, max(ne - 1, 1), step), ne]
-        for lo, hi in zip(edges, edges[1:]):
-            e = slice(lo, hi)
-            # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
-            wJ = wdet[e, :, None, None] * invJ[e]
-            if diffusion is not None:
-                wJ = wJ @ Ad[e]
-            coef = wJ @ np.swapaxes(invJ[e], -1, -2)
-            K = Gs.reshape(2 * npts, nb).T @ (coef @ Gs).reshape(-1, 2 * npts, nb)
-            M = (B.T * cw[e, None, :]) @ B
-            S = eps2 * K + M
-            S = 0.5 * (S + np.swapaxes(S, 1, 2))
-            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(load[e]))):
-                raise ValueError(
-                    "assembled matrix or load vector is not finite; check c, f and diffusion"
-                )
+        if not np.all(np.isfinite(load)):
+            raise ValueError(_NOT_FINITE)
 
-            # static condensation: S_bb - S_bi X_b and l_b - S_bi X_l on the skeleton
+        # classes: elements whose w det J^-1 A J^-T and c w det rows are bitwise equal
+        key = np.empty((ne, 5 * npts))
+        wJ = wdet[..., None, None] * invJ
+        if diffusion is not None:
+            wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+        key[:, : 4 * npts] = (wJ @ np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
+        del wJ
+        key[:, 4 * npts :] = _field_at(c, flat).reshape(ne, npts) * wdet
+        key += 0.0  # -0.0 and 0.0 alike
+        _, first, cls = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0],
+                                  return_index=True, return_inverse=True)
+        key = key[first]
+        order = np.argsort(cls, kind="stable")  # elements class by class
+        start = np.concatenate([[0], np.cumsum(np.bincount(cls))])
+
+        Gs = np.swapaxes(G, 1, 2)
+        Gt = Gs.reshape(2 * npts, nb).T
+        Xb, Xl = np.empty((ne, ni, ib.size)), np.empty((ne, ni))
+        cload = load[:, ib]
+        step = max(2, _ENTRIES // (nb * nb))
+        for k in _chunks(len(first), step):
+            # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
+            K = Gt @ (key[k, : 4 * npts].reshape(-1, npts, 2, 2) @ Gs).reshape(-1, 2 * npts, nb)
+            S = eps2 * K + (B.T * key[k, None, 4 * npts :]) @ B  # + mass
+            del K  # before the next chunk forms its stiffness
+            S = 0.5 * (S + np.swapaxes(S, 1, 2))
+            if not np.all(np.isfinite(S)):
+                raise ValueError(_NOT_FINITE)
+
+            # static condensation: S_bb - S_bi X_b, with [X_b | S_ii^-1] = S_ii^-1 [S_ib | I]
             schur = S[:, ib[:, None], ib]
-            if ii.size:
+            if ni:
                 Sii, Sbi = S[:, ii[:, None], ii], S[:, ib[:, None], ii]
                 if _not_positive_definite(Sii):
-                    bad += [ids[lo + k] for k in range(len(Sii)) if _not_positive_definite(Sii[k])]
+                    bad += [ids[first[k][j]] for j in range(len(Sii))
+                            if _not_positive_definite(Sii[j])]
                     continue
-                rhs = np.concatenate([np.swapaxes(Sbi, 1, 2), load[e, ii, None]], 2)
-                X[e] = np.linalg.solve(Sii, rhs)
-                schur = schur - Sbi @ X[e, :, :-1]
+                eye = np.broadcast_to(np.eye(ni), Sii.shape)
+                Y = np.linalg.solve(Sii, np.concatenate([np.swapaxes(Sbi, 1, 2), eye], 2))
+                schur = schur - Sbi @ Y[:, :, : ib.size]
                 schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
-                cload[e] -= (Sbi @ X[e, :, -1, None])[..., 0]
-            skel.put(fb[e], schur)
-        if ii.size:
-            bubbles.append((dofmap.dofs[shape][:, ii], fb, X[..., :-1], X[..., -1]))
+
+            members = order[start[k.start] : start[k.stop]]
+            for e in _chunks(len(members), step):
+                el = members[e]
+                j = cls[el] - k.start
+                if ni:
+                    xb, li = Y[j, :, : ib.size], load[el][:, ii]
+                    Xb[el], Xl[el] = xb, (Y[j, :, ib.size :] @ li[..., None])[..., 0]
+                    cload[el] -= (li[:, None, :] @ xb)[:, 0]
+                skel.put(fb[el], schur[j])
+        if ni:
+            bubbles.append((dofmap.dofs[shape][:, ii], fb, Xb, Xl))
         bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")

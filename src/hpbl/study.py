@@ -89,9 +89,11 @@ class ExperimentConfig:
             raise ValueError("sigma must lie in (0,1)")
         if not self.c1 > 0.0:
             raise ValueError("c1 must be positive")
-        for e in eps:
+        for i, e in enumerate(eps):
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"eps entries must lie in (0, 1], got {e!r}")
+            if e in eps[:i]:
+                raise ValueError(f"eps {e!r} is given twice")
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {_NORMS}")
         if self.mode not in _MODES:
@@ -372,8 +374,9 @@ def export(
 def read_results(path: str) -> list[ConvergenceTable]:
     """The tables of a results.csv that ``export`` wrote, sorted by (domain, eps).
 
-    Blank lines are skipped; a header other than ``_COLUMNS`` or a row of
-    another length is a ValueError.  Norm and mode are not in the file.
+    Blank lines are skipped; a header other than ``_COLUMNS``, a row of
+    another length or a second row for one (domain, eps, p) is a
+    ValueError.  Norm and mode are not in the file.
     """
     tables: dict[tuple, ConvergenceTable] = {}
     with open(path, newline="") as fh:
@@ -393,6 +396,9 @@ def read_results(path: str) -> list[ConvergenceTable]:
                 tables[key] = ConvergenceTable(
                     domain=dom, eps=float(eps), sigma=float(sigma), norm="?", mode="?"
                 )
+            if any(row.p == int(p) for row in tables[key].rows):
+                raise ValueError(f"{path} line {reader.line_num}: a second row for "
+                                 f"domain {dom}, eps {eps}, p {p}")
             tables[key].rows.append(
                 Row(p=int(p), N=int(N), error=float(err), iters=int(iters), seconds=float(secs))
             )

@@ -166,6 +166,22 @@ def test_study_rejects_unknown_config_keys(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_study_with_a_repeated_eps_exits_2_before_solving(monkeypatch, tmp_path, capsys, source):
+    def no_run(cfg):
+        raise AssertionError("the study ran before its repeated eps was rejected")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    if source == "flag":
+        rc = cli.main(["study", "--domain", "square", "--eps", "1e-2", "1e-3", "0.01"])
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"domain": "square", "eps": [1e-2, 1e-3, 0.01]}))
+        rc = cli.main(["study", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "eps 0.01 is given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pmax", ["1", "2"])
 def test_study_with_fewer_than_3_degrees_exits_2_before_solving(monkeypatch, capsys, pmax):
     def no_run(cfg):
@@ -268,6 +284,21 @@ def test_fit_rejects_short_row(tmp_path, capsys):
     rc = cli.main(["fit", "--csv", str(csv)])
     assert rc == 2
     assert f"{csv} line 3: expected 8 fields, got 5" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_repeated_row(tmp_path, capsys):
+    # a second row for one (domain, eps, p), eps written another way
+    csv = tmp_path / "results.csv"
+    csv.write_text(
+        "domain,eps,sigma,p,N,error,iters,seconds\n"
+        "square,0.1,0.25,1,9,1.0,3,0.0\n"
+        "square,0.1,0.25,2,121,0.1,5,0.0\n"
+        "square,0.1,0.25,3,529,0.01,7,0.0\n"
+        "square,1e-1,0.25,2,121,0.1,5,0.0\n"
+    )
+    rc = cli.main(["fit", "--csv", str(csv)])
+    assert rc == 2
+    assert f"{csv} line 5: a second row for domain square, eps 1e-1, p 2" in capsys.readouterr().err
 
 
 def test_fit_rejects_malformed_header(tmp_path):

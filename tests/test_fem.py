@@ -260,14 +260,7 @@ _PARITY_MESHES = {
 }
 
 
-@pytest.mark.parametrize("q", [1, 2, 5])
-@pytest.mark.parametrize("name", sorted(_PARITY_MESHES))
-def test_condensed_solve_matches_full_system(name, q):
-    # q = 1 has no bubbles; triangles get bubbles from q = 3
-    mesh = _PARITY_MESHES[name]()
-    D = np.array([[2.0, 0.3], [0.3, 0.5]])
-    args = (mesh, q, 0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y)
-    kwargs = {"diffusion": lambda p: np.broadcast_to(D, (len(p), 2, 2))}
+def _check_condensed_against_full(*args, **kwargs):
     system = assemble(*args, **kwargs)
     A, b = full_system(*args, **kwargs)
     # the condensed matrix is the Schur complement of the full one on the
@@ -284,6 +277,46 @@ def test_condensed_solve_matches_full_system(name, q):
         x = fld.coeffs[system.dofmap.free]
         assert np.abs(x - full).max() <= 1e-10 * scale
         assert np.all(fld.coeffs[system.dofmap.dirichlet] == 0.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(_PARITY_MESHES))
+def test_condensed_solve_matches_full_system(name, q):
+    # q = 1 has no bubbles; triangles get bubbles from q = 3.  The varying c and
+    # the diffusion field make every element a class of its own
+    D = np.array([[2.0, 0.3], [0.3, 0.5]])
+    _check_condensed_against_full(
+        _PARITY_MESHES[name](), q, 0.1, lambda x, y: 1.0 + x**2 + y / 2, lambda x, y: 1.0 + x * y,
+        diffusion=lambda p: np.broadcast_to(D, (len(p), 2, 2)))
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-4])
+@pytest.mark.parametrize("q", [1, 2, 5])
+@pytest.mark.parametrize("name", ["lshape", "slit", "square"])
+def test_condensed_solve_matches_full_system_where_classes_merge(name, q, eps):
+    # constant c and no diffusion: the repeated elements of the boundary-layer
+    # patterns share one condensed block, while the load stays per element
+    _check_condensed_against_full(_PARITY_MESHES[name](), q, eps, 1.0, lambda x, y: 1.0 + x * y)
+
+
+@pytest.mark.parametrize("c, classes", [(1.0, (24, 2)), (lambda x, y: 1.0 + x, (96, 8))])
+def test_element_blocks_are_condensed_once_per_class(monkeypatch, c, classes):
+    # the square at L = n = q = 4 has 96 rectangles and 8 triangles; with a
+    # constant c they fall into 24 + 2 classes, with c = 1 + x into 104
+    check, checked = fem._not_positive_definite, {}
+
+    def count(S):
+        if S.ndim == 3:  # the batched check of one chunk of classes, keyed by bubble count
+            checked[S.shape[-1]] = checked.get(S.shape[-1], 0) + len(S)
+        return check(S)
+
+    monkeypatch.setattr(fem, "_not_positive_definite", count)
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=4, n=4))
+    assemble(mesh, 4, 1e-2, c, 1.0)
+    assert [len(ids) for ids in mesh.eid.values()] == [96, 8]
+    # 9 bubbles in a rectangle, 3 in a triangle at q = 4
+    assert (checked[9], checked[3]) == classes
 
 
 def _system_arrays(system):

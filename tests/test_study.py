@@ -65,6 +65,8 @@ def test_config_validation():
         ExperimentConfig(norm="sup").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(p_min=3, p_max=2).validate()
+    with pytest.raises(ValueError, match="eps 0.01 is given twice"):
+        ExperimentConfig(eps=[1e-2, 1e-3, 0.01]).validate()
 
 
 def test_run_experiment_small():
