@@ -18,12 +18,17 @@ The assembled problem is
 with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
 only place element maps and Jacobians are computed, ``_integrate`` is
-the one norm kernel behind every error and energy norm, and
+the norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
 the sorted pattern node coordinates of its macro quad) and evaluates
 the field coefficient-first, so its cost grows with the number of
-points only.
+points only; its gradients are pattern-frame ones, so evaluating
+values forms no macro Jacobians.  ``DiscreteField.difference_norms``
+integrates a field minus a coarser one on the same macro layout: the
+finer field's side (``_FineSide``: points, weights, macro inverse
+Jacobians, values and gradients) is formed once and kept on it, and
+each coarser field is located and evaluated at those points.
 
 Solves use static condensation, once per class of identical elements.
 The geometric meshes repeat a few pattern elements under a few macro
@@ -440,6 +445,7 @@ class DiscreteField:
         self.mesh = dofmap.mesh
         self.q = dofmap.q
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self._fine = None  # (c, _FineSide) of the last difference_norms call
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at physical points.
@@ -466,7 +472,7 @@ class DiscreteField:
         return self.at_pattern(qids, st[np.arange(len(points)), qids])[0]
 
     def at_pattern(self, qids, pat):
-        """Values (P,) and physical gradients (P, 2) at pattern points.
+        """Values (P,) and pattern-frame gradients (P, 2) at pattern points.
 
         Point k lies in macro quad ``qids[k]`` at pattern coordinates
         ``pat[k]``.  It belongs to the lowest-numbered element of that quad
@@ -477,7 +483,9 @@ class DiscreteField:
         candidates of the point's pattern cell, and the field is evaluated
         coefficient-first (``expansion`` of the bases), in blocks of
         ``_POINTS``: time and memory grow with the number of points, not
-        with points x elements.
+        with points x elements.  The gradients are taken in the pattern
+        frame; the inverse Jacobian of the macro quad map at ``pat`` takes
+        them to physical ones (row vector times matrix).
         """
         qids = np.asarray(qids, dtype=np.int64)
         pat = np.asarray(pat, dtype=float)
@@ -493,11 +501,77 @@ class DiscreteField:
                 e = eids[k]
                 co = self.coeffs[self.dofmap.dofs[shape][loc.slot[e]]]
                 vals[k], gref = basis.expansion(ref[k], co)
-                # reference -> pattern gradients, then through the macro quad map
-                gpat = gref[:, None, :] @ loc.inv[e]
-                _, jinv = inverse_2x2(self.mesh.quad_map(qids[k]).jacobian(pat[k]))
-                grads[k] = (gpat @ jinv)[:, 0, :]
+                grads[k] = (gref[:, None, :] @ loc.inv[e])[:, 0, :]  # reference -> pattern
         return vals, grads
+
+    def difference_norms(self, coarse: DiscreteField, eps: float, c) -> dict:
+        """Norms of self - coarse for a coarse field on the same macro layout.
+
+        The integral runs over this field's elements at q + 2 points per
+        direction.  This field's side of it (``_FineSide``) is formed on
+        the first call and kept for later calls with the same ``c``, so a
+        reference compared with several coarse fields is mapped and
+        evaluated once; its coefficients must not change in between.
+        """
+        mesh = coarse.mesh
+        if not (np.array_equal(self.mesh.oriented, mesh.oriented)
+                and np.array_equal(self.mesh.macro.nodes, mesh.macro.nodes)):
+            raise ValueError("fields live on different macro layouts")
+        key = c if callable(c) else float(c)
+        if self._fine is None or self._fine[0] != key:
+            self._fine = None  # the old side goes before the new one is formed
+            self._fine = key, _FineSide(self, c)
+        return self._fine[1].norms(coarse, eps)
+
+
+class _FineSide:
+    """A field's side of the norms of its difference with coarser fields.
+
+    At q + 2 quadrature points per direction on the field's elements,
+    rectangles first: each point's macro quad ``qids`` (N,) and pattern
+    coordinates ``pat`` (N, 2), and per shape, flat over its elements and
+    points, the macro map's inverse Jacobians, w det, c w det and the
+    field's values and physical gradients.  Physical points and element
+    Jacobians are dropped once used.  ``norms`` locates and evaluates a
+    coarse field at all points with one ``at_pattern`` call.
+    """
+
+    def __init__(self, field: DiscreteField, c):
+        mesh, q = field.mesh, field.q
+        sizes = [len(mesh.eid[s]) * len(_tables(s, q, q + 2)[1]) for s in ("r", "t")]
+        self.qids = np.empty(sum(sizes), dtype=np.int64)
+        self.pat = np.empty((sum(sizes), 2))
+        self.parts = []
+        end = 0
+        for shape, n in zip(("r", "t"), sizes):
+            pts, w, B, G = _tables(shape, q, q + 2)
+            _, pat, phys, det, invJ = element_geometry(mesh, shape, pts)
+            co = field.coeffs[field.dofmap.dofs[shape]]
+            ne, (npts, nb) = len(co), B.shape
+            gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+            grads = (gref @ invJ)[..., 0, :].reshape(n, 2)
+            del gref, invJ
+            wdet = w * det
+            cwdet = wdet * _field_at(c, phys.reshape(-1, 2)).reshape(ne, npts)
+            del phys
+            _, jinv = inverse_2x2(mesh.quad_map(mesh.macro_id[shape][:, None]).jacobian(pat))
+            sl = slice(end, end + n)
+            self.qids[sl] = np.repeat(mesh.macro_id[shape], npts)
+            self.pat[sl] = pat.reshape(n, 2)
+            self.parts.append((sl, jinv.reshape(n, 2, 2), wdet.ravel(), cwdet.ravel(),
+                               (co @ B.T).ravel(), grads))
+            end = sl.stop
+
+    def norms(self, coarse: DiscreteField, eps: float) -> dict:
+        cvals, cgrads = coarse.at_pattern(self.qids, self.pat)
+        l2 = h1 = mass = 0.0
+        for sl, jinv, wdet, cwdet, vals, grads in self.parts:
+            v = vals - cvals[sl]
+            g = grads - (cgrads[sl, None, :] @ jinv)[:, 0, :]
+            l2 += float(np.sum(wdet * v * v))
+            h1 += float(np.sum(wdet * np.sum(g * g, axis=-1)))
+            mass += float(np.sum(cwdet * v * v))
+        return _norm_dict(eps, l2, h1, h1, mass)
 
 
 class _PatternLocator:
@@ -616,34 +690,30 @@ def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> Discret
 # norms
 
 
-def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtract=None) -> dict:
-    """The norm kernel: l2, h1, energy and balanced norms of field - subtract.
+def _integrate(field: DiscreteField, eps, c, diffusion=None, exact=None) -> dict:
+    """The norm kernel: l2, h1, energy and balanced norms of field - u.
 
     The field's values (E, P) and physical gradients (E, P, 2) are formed
-    on all elements of one shape at once, at shared quadrature points.
-    ``subtract(shape, pat, phys)``, when given, returns the values and
-    gradients to subtract there, for the elements of that shape in their
-    per-shape order, whose pattern and physical coordinates are ``pat``
-    and ``phys`` (E, P, 2).  Quadrature uses q + 3 points per direction
-    unless ``order`` overrides it.
+    on all elements of one shape at once, at q + 3 shared quadrature
+    points per direction.  ``exact``, when given, is the pair (u, grad u)
+    of callables f(x, y); without it u = 0.
     """
     q = field.q
-    m = order if order is not None else q + 3
     l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
-        pts, w, B, G = _tables(shape, q, m)
-        _, pat, phys, det, invJ = element_geometry(field.mesh, shape, pts)
+        pts, w, B, G = _tables(shape, q, q + 3)
+        _, _, phys, det, invJ = element_geometry(field.mesh, shape, pts)
         co = field.coeffs[field.dofmap.dofs[shape]]
         vals = co @ B.T
         ne, (npts, nb) = len(co), B.shape
         gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
         grads = (gref @ invJ)[..., 0, :]
         wdet = w * det
-        if subtract is not None:
-            sub_vals, sub_grads = subtract(shape, pat, phys)
-            vals = vals - sub_vals
-            grads = grads - sub_grads
         flat = phys.reshape(-1, 2)
+        if exact is not None:
+            value, grad = exact
+            vals = vals - _field_at(value, flat).reshape(ne, npts)
+            grads = grads - np.broadcast_to(grad(*flat.T), flat.shape).reshape(phys.shape)
         gsq = np.sum(grads * grads, axis=-1)
         l2 += float(np.sum(wdet * vals * vals))
         h1 += float(np.sum(wdet * gsq))
@@ -653,6 +723,11 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, order=None, subtrac
             flux = (grads[..., None, :] @ Ap)[..., 0, :]
         flux_sq += float(np.sum(wdet * np.sum(flux * grads, axis=-1)))
         mass += float(np.sum(wdet * _field_at(c, flat).reshape(ne, npts) * vals * vals))
+    return _norm_dict(eps, l2, h1, flux_sq, mass)
+
+
+def _norm_dict(eps, l2, h1, flux_sq, mass) -> dict:
+    """The four norms from the integrals of v^2, |grad v|^2, A grad v . grad v and c v^2."""
     return {
         "l2": math.sqrt(l2),
         "h1": math.sqrt(h1),
@@ -680,10 +755,4 @@ def error_norms(
     sqrt(eps^2 |A^(1/2) grad e|^2 + |c^(1/2) e|^2), and the balanced norm
     sqrt(eps |grad e|^2 + |e|^2).
     """
-
-    def exact_at(shape, pat, phys):
-        flat = phys.reshape(-1, 2)
-        grads = np.broadcast_to(exact_grad(flat[:, 0], flat[:, 1]), flat.shape)
-        return _field_at(exact, flat).reshape(phys.shape[:2]), grads.reshape(phys.shape)
-
-    return _integrate(field, eps, c, diffusion, subtract=exact_at)
+    return _integrate(field, eps, c, diffusion, exact=(exact, exact_grad))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DiscreteField, _integrate, assemble, error_norms
+from .fem import DiscreteField, assemble, error_norms
 from .layouts import builtin_layout, layout_names, load_config
 from .macro import (Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L,
                     validate_mesh)
@@ -233,6 +233,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
             norm=config.norm,
             mode=config.mode,
         )
+        ref = None  # the last eps's reference, and the side its norms kept, go before this solve
         ref = reference_solution(config, eps) if config.mode == "reference" else None
         for p in range(config.p_min, config.p_max + 1):
             t0 = time.perf_counter()
@@ -273,18 +274,15 @@ def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
 def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c) -> dict:
     """Norms of ref - fld for fields on two refinements of one macro layout.
 
-    Integration runs over the finer field's elements (the reference), with
-    the coarser field evaluated through shared pattern coordinates.
+    Integration runs over the finer field's elements (the reference) at
+    q_ref + 2 points per direction, with the coarser field evaluated at
+    the same pattern points (``DiscreteField.difference_norms``).  The
+    reference's side, its element maps, values and gradients there, is
+    formed on the first call and kept on ``ref``, so the graded fields of
+    one eps pay only for locating and evaluating themselves.  Fields whose
+    macro quads or macro node coordinates differ raise ``ValueError``.
     """
-    if not np.array_equal(ref.mesh.oriented, fld.mesh.oriented):
-        raise ValueError("fields live on different macro layouts")
-
-    def coarse_at(shape, pat, phys):
-        qids = np.repeat(ref.mesh.macro_id[shape], pat.shape[1])
-        vals, grads = fld.at_pattern(qids, pat.reshape(-1, 2))
-        return vals.reshape(pat.shape[:2]), grads.reshape(pat.shape)
-
-    return _integrate(ref, eps, c, order=ref.q + 2, subtract=coarse_at)
+    return ref.difference_norms(fld, eps, c)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import _POINTS, DofMap
+from hpbl.fem import _POINTS, DofMap, _tables
 from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
@@ -24,6 +24,7 @@ from hpbl.macro import (
     build_geo_bl_mesh,
     element_geometry,
     element_points,
+    inverse_2x2,
     pattern_for,
     placement_for,
 )
@@ -609,3 +610,42 @@ def full_system(mesh, q, eps, c, f, diffusion=None):
     full = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n)).tocsr()
     return full[dofmap.free][:, dofmap.free], load[dofmap.free]
+
+
+# ---------------------------------------------------------------------------
+# the per-call field difference, which the reference's once-formed side replaced
+
+
+def field_difference_oracle(ref, fld, eps, c):
+    """Norms of ref - fld as every call formed them before the reference's
+    side was kept: the reference mesh mapped at q_ref + 2 points per
+    direction and the reference evaluated there, then fld located per
+    shape through ``at_pattern`` and its pattern gradients pushed through
+    the macro Jacobian's inverse.  ``c`` is a constant or a callable."""
+    l2 = h1 = mass = 0.0  # without a diffusion field, the flux integral is h1
+    for shape in ("r", "t"):
+        pts, w, B, G = _tables(shape, ref.q, ref.q + 2)
+        _, pat, phys, det, invJ = element_geometry(ref.mesh, shape, pts)
+        co = ref.coeffs[ref.dofmap.dofs[shape]]
+        vals = co @ B.T
+        ne, (npts, nb) = len(co), B.shape
+        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+        grads = (gref @ invJ)[..., 0, :]
+        wdet = w * det
+        qids = np.repeat(ref.mesh.macro_id[shape], npts)
+        sub_vals, gpat = fld.at_pattern(qids, pat.reshape(-1, 2))
+        _, jinv = inverse_2x2(fld.mesh.quad_map(qids).jacobian(pat.reshape(-1, 2)))
+        vals = vals - sub_vals.reshape(ne, npts)
+        grads = grads - (gpat[:, None, :] @ jinv)[:, 0, :].reshape(pat.shape)
+        flat = phys.reshape(-1, 2)
+        l2 += float(np.sum(wdet * vals * vals))
+        h1 += float(np.sum(wdet * np.sum(grads * grads, axis=-1)))
+        cval = c(flat[:, 0], flat[:, 1]) if callable(c) else c
+        cval = np.broadcast_to(np.asarray(cval, dtype=float), (len(flat),))
+        mass += float(np.sum(wdet * cval.reshape(ne, npts) * vals * vals))
+    return {
+        "l2": math.sqrt(l2),
+        "h1": math.sqrt(h1),
+        "energy": math.sqrt(eps * eps * h1 + mass),
+        "balanced": math.sqrt(eps * h1 + l2),
+    }

@@ -1,9 +1,12 @@
 """Interpolation on single patterns through the finite element path."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbl.fem import interpolate
 from hpbl.macro import element_placements, placement_for
+from hpbl.meshcheck import facet_incidence
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 from hpbl.reference import rect_basis, tri_basis
 
@@ -52,6 +55,56 @@ def test_interpolant_continuity_across_facets():
                 above = idx
         pts = np.column_stack([t, np.full_like(t, y0)])
         np.testing.assert_allclose(_eval_at(fld, below, pts), _eval_at(fld, above, pts), atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(list(PatchKind)),
+    L=st.integers(0, 3),
+    extra=st.integers(0, 2),
+    q=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interpolant_traces_of_random_polynomials(kind, L, extra, q, seed):
+    # a random polynomial of total degree <= q lies in the space: on every
+    # interior facet the traces from both sides agree and equal it
+    mesh = pattern_mesh(kind, PatchParams(sigma=0.25, L=L, n=L + extra))
+    powers = [(i, j) for i in range(q + 1) for j in range(q + 1 - i)]
+    coef = np.random.default_rng(seed).standard_normal(len(powers))
+
+    def poly(x, y):
+        return sum(c * x**i * y**j for c, (i, j) in zip(coef, powers))
+
+    fld = interpolate(mesh, q, poly)
+    facets = facet_incidence(mesh)
+    inner = facets.count[facets.facet] == 2
+    order = np.argsort(facets.facet[inner], kind="stable")  # the two uses of a facet side by side
+    elems = facets.elem[inner][order]
+    ends = mesh.nodes[facets.pairs[facets.facet[inner][order]]]  # (U, 2, 2)
+    t = np.linspace(0.0, 1.0, 7)[:, None]
+    pts = ends[:, :1] + t * (ends[:, 1:] - ends[:, :1])  # (U, 7, 2) along each facet
+    traces = _traces(fld, elems, pts)
+    np.testing.assert_allclose(traces[0::2], traces[1::2], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traces, poly(pts[..., 0], pts[..., 1]), rtol=0.0, atol=1e-12)
+    if all(len(ids) for ids in mesh.eid.values()):  # a rectangle/triangle facet was checked
+        tri = np.isin(elems, mesh.eid["t"])
+        assert np.any(tri[0::2] != tri[1::2])
+
+
+def _traces(fld, elems, pts):
+    """Values at pattern points pts[u] (U, T, 2) of element elems[u], from its own dof row."""
+    out = np.empty(pts.shape[:2])
+    for shape in ("r", "t"):
+        ids, place = element_placements(fld.mesh, shape)
+        u = np.flatnonzero(np.isin(elems, ids))
+        if not u.size:
+            continue
+        k = np.searchsorted(ids, elems[u])
+        ref = np.einsum("utd,ued->ute", pts[u] - place.origin[k][:, None], place.inv[k])
+        basis = rect_basis(fld.q) if shape == "r" else tri_basis(fld.q)
+        B = basis.eval(ref.reshape(-1, 2)).reshape(len(u), pts.shape[1], -1)
+        out[u] = np.einsum("utn,un->ut", B, fld.coeffs[fld.dofmap.dofs[shape][k]])
+    return out
 
 
 def _eval_at(fld, idx, pattern_pts):

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 import hpbl.layouts
 import hpbl.macro
-from hpbl import study
+from hpbl import fem, study
 from hpbl.fem import assemble, interpolate
 from hpbl.macro import assign_refinement_patterns, build_geo_bl_mesh
 from hpbl.meshio import mesh_svg
 from hpbl.oracles import ManufacturedSolution
+from hpbl.patches import PatchParams
 from hpbl.study import (
     ConvergenceTable,
     ExperimentConfig,
@@ -22,8 +24,11 @@ from hpbl.study import (
     mesh_for,
     read_results,
     reference_solution,
+    run_cell,
     run_experiment,
 )
+
+from helpers import field_difference_oracle
 
 
 def _table(errors, ps=None):
@@ -188,6 +193,80 @@ def test_field_difference_tracks_true_error():
     true = error_norms(fld, ms.value, ms.grad, eps, 1.0)["energy"]
     approx = field_difference_norms(ref, fld, eps, 1.0)["energy"]
     assert approx == pytest.approx(true, rel=0.05)
+
+
+@pytest.mark.parametrize("domain", ["slit", "lshape"])
+def test_field_difference_matches_per_call_oracle(domain):
+    # the reference's side is formed once and reused for p = 1..3; each
+    # norm equals the per-call path's bit for bit
+    cfg = ExperimentConfig(domain=domain, eps=(1e-2,), p_max=3, mode="reference")
+    ref = reference_solution(cfg, 1e-2)
+    for p in (1, 2, 3):
+        fld, _, norms = run_cell(cfg, p, 1e-2, ref)
+        assert norms == field_difference_oracle(ref, fld, 1e-2, 1.0)
+    # another c forms another side; a callable c is evaluated at the points
+    def c(x, y):
+        return 1.0 + x * x
+
+    assert field_difference_norms(ref, fld, 1e-2, c) == field_difference_oracle(ref, fld, 1e-2, c)
+
+
+def test_reference_side_is_formed_once_per_eps(monkeypatch):
+    # the reference mesh is mapped once per shape by its assembly and once
+    # per shape for the norms of all graded fields; each graded field
+    # builds one point locator; the last eps's reference is gone before
+    # the next reference solve
+    mapped, located, refs, ref_meshes = [], [], [], []
+    geometry, locator, solve = fem.element_geometry, fem._PatternLocator, study.reference_solution
+
+    def counted_geometry(mesh, shape, ref_pts):
+        mapped.append((mesh, shape))
+        return geometry(mesh, shape, ref_pts)
+
+    class CountedLocator(locator):
+        def __init__(self, mesh, qids):
+            located.append(mesh)
+            super().__init__(mesh, qids)
+
+    def counted_solve(config, eps):
+        assert all(r() is None for r in refs)
+        ref = solve(config, eps)
+        refs.append(weakref.ref(ref))
+        ref_meshes.append(ref.mesh)
+        return ref
+
+    monkeypatch.setattr(fem, "element_geometry", counted_geometry)
+    monkeypatch.setattr(fem, "_PatternLocator", CountedLocator)
+    monkeypatch.setattr(study, "reference_solution", counted_solve)
+    cfg = ExperimentConfig(domain="lshape", eps=(1e-1, 1e-2), p_max=3, mode="reference")
+    tables = run_experiment(cfg)
+    assert len(ref_meshes) == 2
+    for mesh in ref_meshes:
+        assert sorted(s for m, s in mapped if m is mesh) == ["r", "r", "t", "t"]
+    graded = [t.meshes[p] for t in tables for p in (1, 2, 3)]
+    assert len(located) == len(graded) == 6
+    assert all(a is b for a, b in zip(located, graded))
+
+
+def test_field_difference_rejects_other_macro_nodes():
+    # the same 2 x 2 quads on the unit square and on a square of width 2:
+    # f = x interpolates exactly on both, but the layouts differ
+    def field(width):
+        nodes = [[width * x, width * y] for y in (0, 0.5, 1) for x in (0, 0.5, 1)]
+        polygon, macro, assignments = hpbl.layouts.from_config({
+            "vertices": [[0, 0], [width, 0], [width, width], [0, width]],
+            "macro": {"nodes": nodes,
+                      "quads": [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]},
+        })
+        mesh = build_geo_bl_mesh(macro, polygon, PatchParams(0.25, 1, 1), assignments)
+        return interpolate(mesh, 2, lambda x, y: x)
+
+    one, two = field(1.0), field(2.0)
+    assert np.array_equal(one.mesh.oriented, two.mesh.oriented)
+    with pytest.raises(ValueError, match="different macro layouts"):
+        field_difference_norms(two, one, 1e-2, 1.0)
+    with pytest.raises(ValueError, match="different macro layouts"):
+        field_difference_norms(one, two, 1e-2, 1.0)
 
 
 def test_export_files(tmp_path):
