@@ -47,14 +47,21 @@ classes.  So only one chunk's blocks are held at a time, not every
 block of a shape, which grows like elements x q^4, and the system on
 all free dofs is never formed: ``LinearSystem.matrix`` is the skeleton
 system.
-``LinearSystem.solve`` runs CG (or a direct solve) on it and recovers
-the bubbles element by element, so reported CG iterations count
-skeleton iterations.
+``LinearSystem.solve`` runs CG on it and recovers the bubbles element
+by element, so reported CG iterations count skeleton iterations.
+
+A ``DofMap`` also keeps the element data of its (mesh, q) that do not
+depend on eps, so that solves on one mesh at several eps form them
+once: the points, w det and classes that ``assemble`` reads at q + 2
+points per direction (``element_classes``, kept per c and diffusion),
+and the points, w det and inverse Jacobians of the norm kernel at
+q + 3 (``norm_geometry``).  The load, the blocks and their
+condensation stay per call.
 
 scipy is imported on first use: ``scipy.sparse`` when ``assemble``
-builds its first matrix, ``scipy.sparse.linalg`` only for a direct
-solve.  Importing this module loads no scipy, so commands that never
-assemble (``hpbl mesh``, ``fit``, ``--help``) start on numpy alone.
+builds its first matrix.  Importing this module loads no scipy, so
+commands that never assemble (``hpbl mesh``, ``fit``, ``--help``)
+start on numpy alone.
 """
 
 from __future__ import annotations
@@ -81,7 +88,6 @@ __all__ = [
     "assemble",
     "solve_cg",
     "interpolate",
-    "energy_norm",
     "error_norms",
 ]
 
@@ -155,10 +161,35 @@ class DofMap:
         self.free_index = np.full(self.ndofs, -1, dtype=np.int64)
         self.free_index[self.free] = np.arange(len(self.free))
         self._points = None
+        self._classes = None  # ((c, diffusion), per shape _ElementClasses) of the last assemble
+        self._norm = {}  # shape -> (physical points, w det, inverse Jacobians) at q + 3 points
 
     @property
     def nfree(self) -> int:
         return len(self.free)
+
+    def element_classes(self, c, diffusion=None) -> dict:
+        """Per shape, the ``_ElementClasses`` that ``assemble`` reads.
+
+        Formed on the first call and kept for later calls with the same
+        ``c`` and ``diffusion``, so cells that assemble on one mesh and
+        degree share them; callables must not change in between.
+        """
+        key = (c if callable(c) else float(c), diffusion)
+        if self._classes is None or self._classes[0] != key:
+            self._classes = None  # the old classes go before the new ones are formed
+            self._classes = key, _element_classes(self, c, diffusion)
+        return self._classes[1]
+
+    def norm_geometry(self, shape: str):
+        """Physical points (E, P, 2), w det (E, P) and inverse Jacobians
+        (E, P, 2, 2) of one shape's elements at q + 3 points per direction,
+        the points of the norm kernel; formed on first use and kept."""
+        if shape not in self._norm:
+            pts, w = _tables(shape, self.q, self.q + 3)[:2]
+            _, _, phys, det, invJ = element_geometry(self.mesh, shape, pts)
+            self._norm[shape] = phys, w * det, invJ
+        return self._norm[shape]
 
     def dof_points(self) -> np.ndarray:
         """Physical coordinates of every degree of freedom."""
@@ -195,29 +226,23 @@ class LinearSystem:
     rhs: np.ndarray
     bubbles: list
 
-    def solve(self, method: str = "cg", tol: float = 1e-12, maxiter: int | None = None):
-        """Solve the skeleton, then back-substitute the bubbles.
+    def solve(self, tol: float = 1e-12, maxiter: int | None = None):
+        """Solve the skeleton by CG, then back-substitute the bubbles.
 
         Returns (DiscreteField over all dofs, stats); the stats describe
         the skeleton solve.
         """
-        A, b = self.matrix, self.rhs
-        if method == "cg":
-            x, iters, relres = solve_cg(A, b, tol=tol, maxiter=maxiter)
-            stats = {"method": "cg", "iterations": iters, "relres": relres}
-        elif method == "direct":
-            import scipy.sparse.linalg as spla
+        x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter)
+        return self.field(x), {"iterations": iters, "relres": relres}
 
-            x = spla.spsolve(A.tocsc(), b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
-            stats = {"method": "direct", "iterations": 0, "relres": 0.0}
-        else:
-            raise ValueError(f"unknown solve method {method!r}")
+    def field(self, x: np.ndarray) -> DiscreteField:
+        """The field whose free skeleton dofs hold ``x``, bubbles back-substituted."""
         coeffs = np.zeros(self.dofmap.ndofs)
         coeffs[self.dofmap.free[: len(x)]] = x
         xb = np.append(x, 0.0)  # free index -1 (constrained) reads the trailing 0
         for dofs, fb, Xb, Xl in self.bubbles:
             coeffs[dofs] = Xl - (Xb @ xb[fb][..., None])[..., 0]
-        return DiscreteField(self.dofmap, coeffs), stats
+        return DiscreteField(self.dofmap, coeffs)
 
 
 class _Triplets:
@@ -265,6 +290,58 @@ def _chunks(n: int, step: int):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+@dataclass
+class _ElementClasses:
+    """The elements of one shape at q + 2 points per direction, sorted into
+    classes whose quadrature data are bitwise equal.
+
+    ``phys`` (E, P, 2) and ``wdet`` (E, P) are the physical points and
+    w det.  ``key`` (classes, 5 P) holds each class's w det J^-1 A J^-T
+    (4 P) and c w det (P), ``first`` each class's first element, ``cls``
+    each element's class, ``order`` the elements class by class and
+    ``start`` (classes + 1) where each class begins in ``order``.
+    """
+
+    phys: np.ndarray
+    wdet: np.ndarray
+    key: np.ndarray
+    first: np.ndarray
+    cls: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+
+def _element_classes(dofmap: DofMap, c, diffusion) -> dict:
+    """``_ElementClasses`` per shape; ValueError names the lowest element
+    with a non-positive Jacobian.  The inverse Jacobians go once the keys
+    are formed."""
+    mesh, q = dofmap.mesh, dofmap.q
+    geo = {s: element_geometry(mesh, s, _tables(s, q, q + 2)[0]) for s in ("r", "t")}
+    bad = [ei for ids, _, _, det, _ in geo.values() for ei in ids[np.any(det <= 0.0, axis=1)]]
+    if bad:
+        raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
+    out = {}
+    for shape in ("r", "t"):
+        _, _, phys, det, invJ = geo.pop(shape)
+        ne, npts = det.shape
+        wdet = _tables(shape, q, q + 2)[1] * det
+        flat = phys.reshape(-1, 2)
+        key = np.empty((ne, 5 * npts))
+        wJ = wdet[..., None, None] * invJ
+        if diffusion is not None:
+            wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+        key[:, : 4 * npts] = (wJ @ np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
+        del wJ, invJ
+        key[:, 4 * npts :] = _field_at(c, flat).reshape(ne, npts) * wdet
+        key += 0.0  # -0.0 and 0.0 alike
+        _, first, cls = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0],
+                                  return_index=True, return_inverse=True)
+        out[shape] = _ElementClasses(phys, wdet, key[first], first, cls,
+                                     np.argsort(cls, kind="stable"),
+                                     np.concatenate([[0], np.cumsum(np.bincount(cls))]))
+    return out
+
+
 def assemble(
     mesh: Mesh,
     q: int,
@@ -272,6 +349,7 @@ def assemble(
     c,
     f,
     diffusion=None,
+    dofmap: DofMap | None = None,
 ) -> LinearSystem:
     """Assemble eps^2 (A grad u, grad v) + (c u, v) = (f, v), condensed
     onto the free skeleton dofs.
@@ -282,7 +360,11 @@ def assemble(
     direction.  The element bubbles are condensed out block by block; a
     bubble block that is not positive definite raises ``RuntimeError``
     naming the lowest such element, after every block was checked to be
-    finite.
+    finite.  The physical points, w det and classes do not depend on eps
+    or f: given the ``dofmap`` of (mesh, q), assemble takes them from
+    ``DofMap.element_classes``, which keeps them for the next call on
+    it.  Without one it builds its own DofMap and keeps nothing, so a
+    field that outlives its solve (a reference) holds no element data.
 
     The elements of a shape fall into classes whose quadrature data, the
     stiffness coefficients w det J^-1 A J^-T and the reaction weights
@@ -298,24 +380,25 @@ def assemble(
     Schur complements into one set of triplets preallocated for the
     skeleton.  Peak memory is the returned system, those triplets (16
     bytes per free skeleton block entry) and their CSR conversion, the
-    class keys of one shape (5 doubles per element and point), and one
-    chunk's blocks, a few times ``_ENTRIES`` doubles.  The load gemm and
-    the condensed-load bincount run once per shape, and the CSR
-    conversion once over the triplets in class order, so the system
-    does not depend on the chunk size.
+    element classes (the class keys of one shape take 5 doubles per
+    element and point while they are sorted), and one chunk's blocks, a
+    few times ``_ENTRIES`` doubles.  The load gemm and the condensed-load
+    bincount run once per shape, and the CSR conversion once over the
+    triplets in class order, so the system does not depend on the chunk
+    size.
     """
-    dofmap = DofMap(mesh, q)
-    m = q + 2
+    if dofmap is None:
+        dofmap = DofMap(mesh, q)
+        classes = _element_classes(dofmap, c, diffusion)  # nothing to share them with
+    elif dofmap.mesh is mesh and dofmap.q == q:
+        classes = dofmap.element_classes(c, diffusion)
+    else:
+        raise ValueError("dofmap belongs to another mesh or degree")
     eps2 = eps * eps
-
-    geo = {shape: element_geometry(mesh, shape, _tables(shape, q, m)[0]) for shape in ("r", "t")}
-    bad = [ei for ids, _, _, det, _ in geo.values() for ei in ids[np.any(det <= 0.0, axis=1)]]
-    if bad:
-        raise ValueError(f"element {min(bad)} has a non-positive Jacobian")
 
     # per shape: interior (bubble) and interface dofs, free indices of the interface dofs
     split = {}
-    for shape in geo:
+    for shape in classes:
         ii = _basis_for(shape, q).interior_ids
         ib = np.setdiff1d(np.arange(dofmap.dofs[shape].shape[1]), ii)
         split[shape] = ii, ib, dofmap.free_index[dofmap.dofs[shape][:, ib]].astype(np.int32)
@@ -324,30 +407,14 @@ def assemble(
     nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
     bs = np.zeros(nskel)
     bubbles, bad = [], []
-    for shape, (ids, _, phys, det, invJ) in geo.items():
-        _, w, B, G = _tables(shape, q, m)
+    for shape, cl in classes.items():
+        _, _, B, G = _tables(shape, q, q + 2)
         ii, ib, fb = split[shape]
-        ne, (npts, nb), ni = len(ids), B.shape, ii.size
-        wdet = w * det
-        flat = phys.reshape(-1, 2)
-        load = (_field_at(f, flat).reshape(ne, npts) * wdet) @ B
+        ids, (ne, npts), nb, ni = mesh.eid[shape], cl.wdet.shape, B.shape[1], ii.size
+        load = (_field_at(f, cl.phys.reshape(-1, 2)).reshape(ne, npts) * cl.wdet) @ B
         if not np.all(np.isfinite(load)):
             raise ValueError(_NOT_FINITE)
-
-        # classes: elements whose w det J^-1 A J^-T and c w det rows are bitwise equal
-        key = np.empty((ne, 5 * npts))
-        wJ = wdet[..., None, None] * invJ
-        if diffusion is not None:
-            wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-        key[:, : 4 * npts] = (wJ @ np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
-        del wJ
-        key[:, 4 * npts :] = _field_at(c, flat).reshape(ne, npts) * wdet
-        key += 0.0  # -0.0 and 0.0 alike
-        _, first, cls = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0],
-                                  return_index=True, return_inverse=True)
-        key = key[first]
-        order = np.argsort(cls, kind="stable")  # elements class by class
-        start = np.concatenate([[0], np.cumsum(np.bincount(cls))])
+        key, first, cls = cl.key, cl.first, cl.cls
 
         Gs = np.swapaxes(G, 1, 2)
         Gt = Gs.reshape(2 * npts, nb).T
@@ -376,7 +443,7 @@ def assemble(
                 schur = schur - Sbi @ Y[:, :, : ib.size]
                 schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
 
-            members = order[start[k.start] : start[k.stop]]
+            members = cl.order[cl.start[k.start] : cl.start[k.stop]]
             for e in _chunks(len(members), step):
                 el = members[e]
                 j = cls[el] - k.start
@@ -695,20 +762,19 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, exact=None) -> dict
 
     The field's values (E, P) and physical gradients (E, P, 2) are formed
     on all elements of one shape at once, at q + 3 shared quadrature
-    points per direction.  ``exact``, when given, is the pair (u, grad u)
+    points per direction, whose geometry the field's ``DofMap`` keeps
+    (``norm_geometry``).  ``exact``, when given, is the pair (u, grad u)
     of callables f(x, y); without it u = 0.
     """
-    q = field.q
     l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
-        pts, w, B, G = _tables(shape, q, q + 3)
-        _, _, phys, det, invJ = element_geometry(field.mesh, shape, pts)
+        _, _, B, G = _tables(shape, field.q, field.q + 3)
+        phys, wdet, invJ = field.dofmap.norm_geometry(shape)
         co = field.coeffs[field.dofmap.dofs[shape]]
         vals = co @ B.T
         ne, (npts, nb) = len(co), B.shape
         gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
         grads = (gref @ invJ)[..., 0, :]
-        wdet = w * det
         flat = phys.reshape(-1, 2)
         if exact is not None:
             value, grad = exact
@@ -734,11 +800,6 @@ def _norm_dict(eps, l2, h1, flux_sq, mass) -> dict:
         "energy": math.sqrt(eps * eps * flux_sq + mass),
         "balanced": math.sqrt(eps * h1 + l2),
     }
-
-
-def energy_norm(field: DiscreteField, eps: float, c, diffusion=None) -> float:
-    """sqrt(eps^2 (A grad u, grad u) + (c u, u))."""
-    return _integrate(field, eps, c, diffusion)["energy"]
 
 
 def error_norms(

@@ -1,14 +1,26 @@
 """Convergence experiments: p sweeps on layer-adapted meshes.
 
 A study fixes a domain, sigma, and a list of eps values, then for each
-polynomial degree p builds the mesh with q = L = n = p, solves
+polynomial degree p and eps solves
 
     -eps^2 lap(u) + u = f,  u = 0 on the boundary,
 
-and measures the error, either against the closed-form manufactured
-solution or against a once-computed higher-order reference solve on the
-same macro layout.  Errors are fitted to C exp(-b p) (or
+with elements of degree q = p on a mesh of L layers of n elements
+each.  The layer rule sets (L, n): ``p`` takes L = n = p, ``corner-only``
+L = 0 and n = p, and ``balanced`` the smallest L >= p with
+sigma^L <= c1 eps^2 and n = L, so only under ``balanced`` does the mesh
+depend on eps.  Errors are measured either against the closed-form
+manufactured solution or against a once-computed higher-order reference
+solve on the same macro layout, and fitted to C exp(-b p) (or
 C exp(-b N^(1/4)) in dof mode) by least squares on the log.
+
+Cells run p by p.  The eps values whose layer counts agree at p form a
+group that shares one mesh and one ``DofMap`` with the element data
+that do not depend on eps; the group solves its cells, then measures
+their errors, and its data go before the next group starts.  In
+reference mode the cells run eps by eps, one to a group, so that one
+reference solution is held at a time.  Each table keeps its rows in p
+order either way.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DiscreteField, assemble, error_norms
+from .fem import DiscreteField, DofMap, assemble, error_norms
 from .layouts import builtin_layout, layout_names, load_config
 from .macro import (Mesh, assign_refinement_patterns, build_geo_bl_mesh, scale_resolution_L,
                     validate_mesh)
@@ -196,14 +208,21 @@ def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
     return mesh
 
 
-def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float):
+def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float,
+                dofmap: DofMap | None = None):
     ms = ManufacturedSolution(eps)
     f = ms.f if config.mode == "manufactured" else 1.0
     try:
-        fld, stats = assemble(mesh, q, eps, 1.0, f).solve()
+        fld, stats = assemble(mesh, q, eps, 1.0, f, dofmap=dofmap).solve()
     except RuntimeError as exc:
         raise RuntimeError(f"solver failed at p={q}, eps={eps:g}: {exc}") from exc
     return fld, stats, ms
+
+
+def _cell_norms(config: ExperimentConfig, fld: DiscreteField, ms, eps: float, ref) -> dict:
+    if config.mode == "manufactured":
+        return error_norms(fld, ms.value, ms.grad, eps, 1.0)
+    return field_difference_norms(ref, fld, eps, 1.0)
 
 
 def run_cell(config: ExperimentConfig, p: int, eps: float, ref: DiscreteField | None = None):
@@ -212,46 +231,76 @@ def run_cell(config: ExperimentConfig, p: int, eps: float, ref: DiscreteField | 
     ``ref`` is the reference solution in reference mode and unused in
     manufactured mode.  Returns (field, solver stats, norms).
     """
-    mesh = mesh_for(config, p, eps)
-    fld, stats, ms = _solve_cell(config, mesh, p, eps)
-    if config.mode == "manufactured":
-        norms = error_norms(fld, ms.value, ms.grad, eps, 1.0)
-    else:
-        norms = field_difference_norms(ref, fld, eps, 1.0)
-    return fld, stats, norms
+    fld, stats, ms = _solve_cell(config, mesh_for(config, p, eps), p, eps)
+    return fld, stats, _cell_norms(config, fld, ms, eps, ref)
+
+
+def _groups(config: ExperimentConfig) -> list[tuple[int, list]]:
+    """The cells of a study in run order, as (p, eps values) groups whose
+    cells share one mesh: p by p, the eps values with equal layer counts
+    together.  In reference mode eps by eps, one cell a group, so that
+    one reference is held at a time."""
+    ps = range(config.p_min, config.p_max + 1)
+    if config.mode == "reference":
+        return [(p, [eps]) for eps in config.eps for p in ps]
+    groups = []
+    for p in ps:
+        by_counts: dict = {}
+        for eps in config.eps:
+            by_counts.setdefault(_layer_counts(config, p, eps), []).append(eps)
+        groups += [(p, group) for group in by_counts.values()]
+    return groups
+
+
+def _run_group(config: ExperimentConfig, p: int, group: list, ref, tables: dict) -> None:
+    """Append the rows of the cells (p, eps in ``group``) to their tables.
+
+    The cells share one mesh and one ``DofMap``, which keeps their
+    element data; the first cell builds them inside its ``seconds``.  All
+    cells are solved before their errors are measured, so the norm
+    geometry the DofMap keeps is not held while the next cell assembles.
+    """
+    t0 = time.perf_counter()
+    mesh = mesh_for(config, p, group[0])
+    dofmap = DofMap(mesh, p)
+    solved = []
+    for eps in group:
+        solved.append((eps, *_solve_cell(config, mesh, p, eps, dofmap), time.perf_counter() - t0))
+        t0 = time.perf_counter()
+    for eps, fld, stats, ms, seconds in solved:
+        t0 = time.perf_counter()
+        norms = _cell_norms(config, fld, ms, eps, ref)
+        tables[eps].rows.append(Row(
+            p=p,
+            N=fld.dofmap.nfree,
+            error=float(norms[config.norm]),
+            iters=stats["iterations"],
+            seconds=seconds + time.perf_counter() - t0,
+        ))
+        tables[eps].meshes[p] = mesh
 
 
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceTable]:
-    """One ConvergenceTable per eps, rows over p = p_min..p_max."""
+    """One ConvergenceTable per eps, rows over p = p_min..p_max.
+
+    Cells run group by group (``_groups``, ``_run_group``), and a group's
+    fields and mesh data go before the next group starts.
+    """
     config.validate()
-    tables = []
-    for eps in config.eps:
-        table = ConvergenceTable(
-            domain=config.domain,
-            eps=eps,
-            sigma=config.sigma,
-            norm=config.norm,
-            mode=config.mode,
-        )
-        ref = None  # the last eps's reference, and the side its norms kept, go before this solve
-        ref = reference_solution(config, eps) if config.mode == "reference" else None
-        for p in range(config.p_min, config.p_max + 1):
-            t0 = time.perf_counter()
-            fld, stats, norms = run_cell(config, p, eps, ref)
-            row = Row(
-                p=p,
-                N=fld.dofmap.nfree,
-                error=float(norms[config.norm]),
-                iters=stats["iterations"],
-                seconds=time.perf_counter() - t0,
-            )
-            table.rows.append(row)
-            table.meshes[p] = fld.mesh
+    tables = {eps: ConvergenceTable(domain=config.domain, eps=eps, sigma=config.sigma,
+                                    norm=config.norm, mode=config.mode) for eps in config.eps}
+    ref = ref_eps = None
+    for p, group in _groups(config):
+        if config.mode == "reference" and group[0] != ref_eps:
+            ref = None  # the last eps's reference and the side its norms kept go before this solve
+            ref_eps = group[0]
+            ref = reference_solution(config, ref_eps)
+        _run_group(config, p, group, ref, tables)
+    for table in tables.values():
         ns = table.column("N")
         if any(b < a for a, b in zip(ns, ns[1:])):
             raise RuntimeError(f"dof count not nondecreasing in p: {ns}")
-        tables.append(table)
-    return tables
+    return list(tables.values())
 
 
 def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:

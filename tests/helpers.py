@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import _POINTS, DofMap, _tables
+from hpbl.fem import _POINTS, DofMap, _integrate, _tables
 from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
@@ -610,6 +610,21 @@ def full_system(mesh, q, eps, c, f, diffusion=None):
     full = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n)).tocsr()
     return full[dofmap.free][:, dofmap.free], load[dofmap.free]
+
+
+def direct_solve(system):
+    """``LinearSystem.solve`` with a sparse direct solve of the skeleton in
+    place of CG: (field, stats), the stats reading 0 iterations."""
+    import scipy.sparse.linalg as spla
+
+    b = system.rhs
+    x = spla.spsolve(system.matrix.tocsc(), b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
+    return system.field(x), {"iterations": 0, "relres": 0.0}
+
+
+def energy_norm(field, eps, c, diffusion=None):
+    """sqrt(eps^2 (A grad u, grad u) + (c u, u)) by the package's norm kernel."""
+    return _integrate(field, eps, c, diffusion)["energy"]
 
 
 # ---------------------------------------------------------------------------

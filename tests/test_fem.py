@@ -14,7 +14,6 @@ from hpbl.fem import (
     DofMap,
     _PatternLocator,
     assemble,
-    energy_norm,
     error_norms,
     interpolate,
     solve_cg,
@@ -32,7 +31,8 @@ from hpbl.oracles import ManufacturedSolution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 
-from helpers import element_rows, facet_uses, full_system, pattern_mesh
+from helpers import (direct_solve, element_rows, energy_norm, facet_uses, full_system,
+                     pattern_mesh)
 
 
 def _unit_square_trivial():
@@ -194,8 +194,8 @@ def test_direct_solver_matches_cg():
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
     system = assemble(mesh, 2, eps, 1.0, ms.f)
-    f_cg, _ = system.solve(method="cg")
-    f_dir, stats = system.solve(method="direct")
+    f_cg, _ = system.solve()
+    f_dir, stats = direct_solve(system)
     assert stats["iterations"] == 0
     np.testing.assert_allclose(f_cg.coeffs, f_dir.coeffs, atol=1e-9)
 
@@ -218,8 +218,7 @@ def test_empty_skeleton_solves_with_both_methods():
     # the one-element Q2 oracle: the only free dof is a bubble
     system = assemble(_unit_square_trivial(), 2, 1.0, 1.0, 1.0)
     assert system.matrix.shape == (0, 0)
-    for method in ("cg", "direct"):
-        fld, stats = system.solve(method=method)
+    for fld, stats in (system.solve(), direct_solve(system)):
         assert stats["iterations"] == 0
         assert fld(np.array([[0.5, 0.5]]))[0] == pytest.approx(25.0 / 336.0, abs=1e-14)
 
@@ -272,8 +271,7 @@ def _check_condensed_against_full(*args, **kwargs):
     assert np.abs(system.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
     full = spla.spsolve(A.tocsc(), b)
     scale = np.abs(full).max()
-    for method in ("cg", "direct"):
-        fld, _ = system.solve(method=method)
+    for fld, _ in (system.solve(), direct_solve(system)):
         x = fld.coeffs[system.dofmap.free]
         assert np.abs(x - full).max() <= 1e-10 * scale
         assert np.all(fld.coeffs[system.dofmap.dirichlet] == 0.0)
@@ -323,6 +321,24 @@ def _system_arrays(system):
     A = system.matrix
     arrays = [A.data, A.indices, A.indptr, system.rhs]
     return arrays + [a for block in system.bubbles for a in block]
+
+
+@pytest.mark.parametrize("reactions", [(1.0, 2.0), (lambda x, y: 1.0 + x, lambda x, y: 1.0 + y)])
+def test_assembly_on_a_shared_dofmap_matches_fresh_dofmaps(reactions):
+    # a DofMap keeps the element classes of the last (c, diffusion) it was
+    # assembled with; another c, constant or callable, forms them again
+    mesh = _builtin_mesh("square")
+    dm = DofMap(mesh, 3)
+    for c in reactions:
+        for eps in (1e-1, 1e-3):  # the second eps reuses the kept classes
+            f = ManufacturedSolution(eps).f
+            shared = _system_arrays(assemble(mesh, 3, eps, c, f, dofmap=dm))
+            fresh = _system_arrays(assemble(mesh, 3, eps, c, f))
+            assert all(np.array_equal(a, b) for a, b in zip(shared, fresh, strict=True))
+    with pytest.raises(ValueError, match="another mesh or degree"):
+        assemble(mesh, 2, 1e-1, 1.0, 1.0, dofmap=dm)
+    with pytest.raises(ValueError, match="another mesh or degree"):
+        assemble(_builtin_mesh("square"), 3, 1e-1, 1.0, 1.0, dofmap=dm)
 
 
 @pytest.mark.parametrize("name", ["square", "skew"])

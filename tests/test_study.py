@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -82,6 +84,52 @@ def test_run_experiment_small():
     assert ns == sorted(ns)
     errs = [r.error for r in table.rows]
     assert errs[2] < errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("domain, layers, mode, p_max, builds", [
+    ("square", "p", "manufactured", 3, 3),
+    ("square", "corner-only", "manufactured", 3, 3),
+    ("slit", "p", "reference", 2, 6),  # one mesh per cell and one per reference
+])
+def test_cells_sharing_a_mesh_match_one_eps_studies(monkeypatch, domain, layers, mode, p_max,
+                                                    builds):
+    # the eps values of one degree share its mesh and element data; every
+    # row equals, bit for bit, the row of a study of that eps alone
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_geo_bl_mesh(*args, **kwargs)
+
+    cfg = ExperimentConfig(domain=domain, eps=(1e-1, 1e-3), p_max=p_max, layers=layers, mode=mode)
+    with monkeypatch.context() as m:
+        m.setattr(study, "build_geo_bl_mesh", counting)
+        both = run_experiment(cfg)
+    assert len(built) == builds
+    assert [t.eps for t in both] == list(cfg.eps)
+    for table in both:
+        (alone,) = run_experiment(dataclasses.replace(cfg, eps=(table.eps,)))
+        assert [(r.p, r.N, r.error, r.iters) for r in table.rows] == \
+            [(r.p, r.N, r.error, r.iters) for r in alone.rows]
+
+
+def test_sharing_a_mesh_across_eps_holds_little_memory():
+    # a group keeps one DofMap's element data and solves all its cells
+    # before their norms; the traced peak of a two-eps study stays within
+    # 10% of the larger one-eps study's
+    def peak(cfg):
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cfg = ExperimentConfig(domain="square", eps=(1e-2, 1e-4), p_max=5)
+    run_experiment(cfg)  # warm: basis tables, the layout and the scipy import
+    both = peak(cfg)
+    alone = max(peak(dataclasses.replace(cfg, eps=(eps,))) for eps in cfg.eps)
+    assert both <= 1.1 * alone
 
 
 def test_reference_is_deterministic():
