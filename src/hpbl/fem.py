@@ -17,7 +17,11 @@ The assembled problem is
 
 with A a symmetric 2x2 diffusion field (identity when omitted).  Element
 geometry comes batched per shape from ``macro.element_geometry``, the
-only place element maps and Jacobians are computed, ``_integrate`` is
+only place element maps and Jacobians are computed: one Jacobian per
+element, (E, 1, 2, 2), where all the shape's macro quads are
+parallelograms (every built-in layout), else one per point.  Row
+vectors are multiplied by either through ``_times``, one matmul per
+element over all its rows in the first case.  ``_integrate`` is
 the norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
@@ -74,7 +78,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .macro import (REF_CORNERS, Mesh, element_geometry, element_placements, element_points,
-                    inverse_2x2)
+                    inverse_2x2, jacobian_points)
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
@@ -183,8 +187,10 @@ class DofMap:
 
     def norm_geometry(self, shape: str):
         """Physical points (E, P, 2), w det (E, P) and inverse Jacobians
-        (E, P, 2, 2) of one shape's elements at q + 3 points per direction,
-        the points of the norm kernel; formed on first use and kept."""
+        of one shape's elements at q + 3 points per direction, the points
+        of the norm kernel; formed on first use and kept.  The inverse
+        Jacobians are (E, 1, 2, 2) where ``element_geometry`` gives one per
+        element (parallelogram macro quads), else (E, P, 2, 2)."""
         if shape not in self._norm:
             pts, w = _tables(shape, self.q, self.q + 3)[:2]
             _, _, phys, det, invJ = element_geometry(self.mesh, shape, pts)
@@ -200,6 +206,17 @@ class DofMap:
                 pts[gd] = bil(pat)
             self._points = pts
         return self._points
+
+
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Row vectors (E, P, k, 2) times 2x2 matrices given per point (E, P,
+    2, 2) or per element (E, 1, 2, 2), as from ``element_geometry``.  Per
+    element it is one matmul over all P k rows of an element, which gives
+    the per-point products bit for bit."""
+    if mat.shape[1] == rows.shape[1]:
+        return rows @ mat
+    e, p, k, _ = rows.shape  # explicit sizes: a shape may have no elements
+    return (rows.reshape(e, p * k, 2) @ mat[:, 0]).reshape(rows.shape)
 
 
 def _field_at(fn, pts: np.ndarray) -> np.ndarray:
@@ -297,9 +314,11 @@ class _ElementClasses:
 
     ``phys`` (E, P, 2) and ``wdet`` (E, P) are the physical points and
     w det.  ``key`` (classes, 5 P) holds each class's w det J^-1 A J^-T
-    (4 P) and c w det (P), ``first`` each class's first element, ``cls``
-    each element's class, ``order`` the elements class by class and
-    ``start`` (classes + 1) where each class begins in ``order``.
+    (4 P), whose rows are multiplied by J^-T in ``_times`` (one matmul
+    per element where the Jacobian is per element), and c w det (P),
+    ``first`` each class's first element, ``cls`` each element's class,
+    ``order`` the elements class by class and ``start`` (classes + 1)
+    where each class begins in ``order``.
     """
 
     phys: np.ndarray
@@ -323,14 +342,14 @@ def _element_classes(dofmap: DofMap, c, diffusion) -> dict:
     out = {}
     for shape in ("r", "t"):
         _, _, phys, det, invJ = geo.pop(shape)
-        ne, npts = det.shape
         wdet = _tables(shape, q, q + 2)[1] * det
+        ne, npts = wdet.shape
         flat = phys.reshape(-1, 2)
         key = np.empty((ne, 5 * npts))
         wJ = wdet[..., None, None] * invJ
         if diffusion is not None:
             wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-        key[:, : 4 * npts] = (wJ @ np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
+        key[:, : 4 * npts] = _times(wJ, np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
         del wJ, invJ
         key[:, 4 * npts :] = _field_at(c, flat).reshape(ne, npts) * wdet
         key += 0.0  # -0.0 and 0.0 alike
@@ -596,11 +615,13 @@ class _FineSide:
 
     At q + 2 quadrature points per direction on the field's elements,
     rectangles first: each point's macro quad ``qids`` (N,) and pattern
-    coordinates ``pat`` (N, 2), and per shape, flat over its elements and
-    points, the macro map's inverse Jacobians, w det, c w det and the
-    field's values and physical gradients.  Physical points and element
-    Jacobians are dropped once used.  ``norms`` locates and evaluates a
-    coarse field at all points with one ``at_pattern`` call.
+    coordinates ``pat`` (N, 2), and per shape the macro map's inverse
+    Jacobians, (E, 1, 2, 2) on parallelogram quads (``jacobian_points``),
+    else (E, P, 2, 2), and, flat over its elements and points, w det,
+    c w det and the field's values and physical gradients.  Physical
+    points and element Jacobians are dropped once used.  ``norms``
+    locates and evaluates a coarse field at all points with one
+    ``at_pattern`` call.
     """
 
     def __init__(self, field: DiscreteField, c):
@@ -616,25 +637,26 @@ class _FineSide:
             co = field.coeffs[field.dofmap.dofs[shape]]
             ne, (npts, nb) = len(co), B.shape
             gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-            grads = (gref @ invJ)[..., 0, :].reshape(n, 2)
+            grads = _times(gref, invJ)[..., 0, :].reshape(n, 2)
             del gref, invJ
             wdet = w * det
             cwdet = wdet * _field_at(c, phys.reshape(-1, 2)).reshape(ne, npts)
             del phys
-            _, jinv = inverse_2x2(mesh.quad_map(mesh.macro_id[shape][:, None]).jacobian(pat))
+            bil = mesh.quad_map(mesh.macro_id[shape][:, None])
+            _, jinv = inverse_2x2(bil.jacobian(jacobian_points(mesh, shape, pat)))
             sl = slice(end, end + n)
             self.qids[sl] = np.repeat(mesh.macro_id[shape], npts)
             self.pat[sl] = pat.reshape(n, 2)
-            self.parts.append((sl, jinv.reshape(n, 2, 2), wdet.ravel(), cwdet.ravel(),
-                               (co @ B.T).ravel(), grads))
+            self.parts.append((sl, npts, jinv, wdet.ravel(), cwdet.ravel(), (co @ B.T).ravel(),
+                               grads))
             end = sl.stop
 
     def norms(self, coarse: DiscreteField, eps: float) -> dict:
         cvals, cgrads = coarse.at_pattern(self.qids, self.pat)
         l2 = h1 = mass = 0.0
-        for sl, jinv, wdet, cwdet, vals, grads in self.parts:
+        for sl, npts, jinv, wdet, cwdet, vals, grads in self.parts:
             v = vals - cvals[sl]
-            g = grads - (cgrads[sl, None, :] @ jinv)[:, 0, :]
+            g = grads - _times(cgrads[sl].reshape(len(jinv), npts, 1, 2), jinv).reshape(-1, 2)
             l2 += float(np.sum(wdet * v * v))
             h1 += float(np.sum(wdet * np.sum(g * g, axis=-1)))
             mass += float(np.sum(cwdet * v * v))
@@ -774,7 +796,7 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, exact=None) -> dict
         vals = co @ B.T
         ne, (npts, nb) = len(co), B.shape
         gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-        grads = (gref @ invJ)[..., 0, :]
+        grads = _times(gref, invJ)[..., 0, :]
         flat = phys.reshape(-1, 2)
         if exact is not None:
             value, grad = exact

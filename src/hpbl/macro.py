@@ -41,6 +41,7 @@ __all__ = [
     "placement_for",
     "element_placements",
     "element_points",
+    "jacobian_points",
     "element_geometry",
     "inverse_2x2",
     "ValidationReport",
@@ -473,6 +474,14 @@ def element_points(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     return place, mesh.quad_map(mesh.macro_id[shape][:, None]), pat
 
 
+def jacobian_points(mesh: Mesh, shape: str, pat: np.ndarray) -> np.ndarray:
+    """Where the macro map Jacobians of one shape's elements, at pattern
+    points ``pat`` (E, P, 2), are evaluated: at each element's first point
+    (E, 1, 2) when all their macro quads are parallelograms, whose affine
+    maps have one Jacobian, else at every point."""
+    return pat[:, :1] if mesh.parallelograms[mesh.macro_id[shape]].all() else pat
+
+
 def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     """Maps of all elements of one shape at shared reference points.
 
@@ -481,10 +490,14 @@ def element_geometry(mesh: Mesh, shape: str, ref_pts: np.ndarray):
     ``element_points``.  This is the only place element Jacobians are
     computed.  Returns ``(ids, pat, phys, det, inv_jac)``: element ids
     (E,), pattern and physical points (E, P, 2), Jacobian determinants
-    (E, P) and inverse Jacobians (E, P, 2, 2).
+    (E, P') and inverse Jacobians (E, P', 2, 2).  P' is 1 when every
+    macro quad of the shape is a parallelogram (all built-in layouts):
+    each element map is then affine and its one Jacobian, evaluated at
+    the first point, equals the per-point ones bit for bit.  Otherwise
+    P' = P.
     """
     place, bil, pat = element_points(mesh, shape, ref_pts)
-    det, inv = inverse_2x2(bil.jacobian(pat) @ place.mat[:, None])
+    det, inv = inverse_2x2(bil.jacobian(jacobian_points(mesh, shape, pat)) @ place.mat[:, None])
     return mesh.eid[shape], pat, bil(pat), det, inv
 
 
@@ -529,6 +542,12 @@ class Mesh:
     def quad_map(self, qids) -> BilinearMap:
         """Bilinear maps of macro quads ``qids`` (an index or an array of them)."""
         return BilinearMap(self.macro.nodes[self.oriented[qids]])
+
+    @property
+    def parallelograms(self) -> np.ndarray:
+        """(Q,) True where a macro quad is a parallelogram: its map's
+        bilinear term ``dst`` vanishes exactly, so the map is affine."""
+        return ~np.any(self.quad_map(np.arange(len(self.oriented))).dst, axis=-1)
 
     @property
     def elements(self) -> range:

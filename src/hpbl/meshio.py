@@ -62,15 +62,16 @@ def _outlines(obj):
     (E_g, k, 2) in physical coordinates, by default the element's nodes.
 
     Axis-aligned pattern edges lie on straight iso-lines of the bilinear
-    macro map and an affine map (``dst == 0``) keeps every edge straight,
-    so only an oblique pattern edge in a non-affine quad bends: elements
-    with one are sampled ``_SAMPLES`` times per edge from each corner.
+    macro map and the affine map of a parallelogram (``Mesh.parallelograms``)
+    keeps every edge straight, so only an oblique pattern edge in another
+    quad bends: elements with one are sampled ``_SAMPLES`` times per edge
+    from each corner.
     """
     if not isinstance(obj, Mesh):
         for shape, ids in obj.eid.items():
             yield ids, np.zeros(len(ids), dtype=int), obj.nodes[obj.conn[shape]]
         return
-    affine = ~np.any(obj.quad_map(np.arange(len(obj.oriented))).dst, axis=-1)
+    affine = obj.parallelograms
     t = np.linspace(0.0, 1.0, _SAMPLES, endpoint=False)[:, None]
     for shape, ids in obj.eid.items():
         qids, ref = obj.macro_id[shape], obj.ref[shape]

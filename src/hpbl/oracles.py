@@ -31,15 +31,17 @@ class ManufacturedSolution:
         self.eps = eps
         self._denom = 1.0 + np.exp(-1.0 / eps)
 
-    def X(self, t):
+    def _X_dX(self, t):
+        """X(t) and X'(t) from one evaluation of the two exponentials."""
         t = np.asarray(t, dtype=float)
-        return 1.0 - (np.exp(-t / self.eps) + np.exp(-(1.0 - t) / self.eps)) / self._denom
+        a, b = np.exp(-t / self.eps), np.exp(-(1.0 - t) / self.eps)
+        return 1.0 - (a + b) / self._denom, (a - b) / (self.eps * self._denom)
+
+    def X(self, t):
+        return self._X_dX(t)[0]
 
     def dX(self, t):
-        t = np.asarray(t, dtype=float)
-        return (np.exp(-t / self.eps) - np.exp(-(1.0 - t) / self.eps)) / (
-            self.eps * self._denom
-        )
+        return self._X_dX(t)[1]
 
     def d2X(self, t):
         return (self.X(t) - 1.0) / self.eps**2
@@ -48,7 +50,8 @@ class ManufacturedSolution:
         return self.X(x) * self.X(y)
 
     def grad(self, x, y):
-        return np.stack([self.dX(x) * self.X(y), self.X(x) * self.dX(y)], axis=-1)
+        (xx, dx), (yy, dy) = self._X_dX(x), self._X_dX(y)
+        return np.stack([dx * yy, xx * dy], axis=-1)
 
     def f(self, x, y):
         xx, yy = self.X(x), self.X(y)

@@ -25,12 +25,13 @@ from hpbl.macro import (
     element_geometry,
     element_points,
     inverse_2x2,
+    macro_from_triangulation,
     pattern_for,
     placement_for,
 )
 from hpbl.meshcheck import hanging_nodes
 from hpbl.meshio import _FILL
-from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, PatchKind
+from hpbl.patches import GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN, PatchKind, PatchParams
 from hpbl.reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
 # one element of a mesh: shape 'r'/'t', global node ids, macro quad, and the
@@ -68,6 +69,45 @@ def pattern_mesh(kind, params):
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     macro = MacroTriangulation(square, [(0, 1, 2, 3)])
     return build_geo_bl_mesh(macro, Polygon(square), params, [PatternAssignment(kind)])
+
+
+def fan_macro(vertices):
+    """Macro quads of a convex polygon triangulated as a fan from its
+    vertex centroid; a triangle's quads are parallelograms only by chance."""
+    poly = Polygon(np.asarray(vertices, dtype=float))
+    m = poly.m
+    pts = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+    return poly, macro_from_triangulation(pts, [(m, i, (i + 1) % m) for i in range(m)], poly)
+
+
+def nonaffine_meshes():
+    """Meshes whose macro quads are not parallelograms: a fan-triangulated
+    triangle and pentagon, at L = n = 1..3."""
+    angles = [0.1, 1.3, 2.9, 3.8, 5.2]
+    domains = [fan_macro([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+               fan_macro([[math.cos(a), 0.6 * math.sin(a)] for a in angles])]
+    for poly, macro in domains:
+        for L in range(1, 4):
+            yield build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L))
+
+
+def bent_corner_layout():
+    """The 2 x 2 square layout with its corner (1, 1) pulled in to (0.85,
+    0.9), the edge midpoints next to it becoming polygon vertices: three
+    parallelograms and one bent quad, each carrying the tensor pattern."""
+    nodes = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+                      [0.0, 1.0], [0.5, 1.0], [0.85, 0.9]])
+    macro = MacroTriangulation(nodes, [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8, 7)])
+    return Polygon(nodes[[0, 2, 5, 8, 7, 6]]), macro
+
+
+def element_geometry_per_point(mesh, shape, ref_pts):
+    """``macro.element_geometry`` with the Jacobian formed at every point,
+    as it was before parallelogram quads got one per element: the
+    reference its output is compared with (``test_macro``)."""
+    place, bil, pat = element_points(mesh, shape, ref_pts)
+    det, inv = inverse_2x2(bil.jacobian(pat) @ place.mat[:, None])
+    return mesh.eid[shape], pat, bil(pat), det, inv
 
 
 def reference_mesh_svg(obj, width=640):

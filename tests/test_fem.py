@@ -30,6 +30,7 @@ from hpbl.macro import (
 from hpbl.oracles import ManufacturedSolution
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
+from hpbl.study import ExperimentConfig, field_difference_norms, mesh_for, run_experiment
 
 from helpers import (direct_solve, element_rows, energy_norm, facet_uses, full_system,
                      pattern_mesh)
@@ -569,3 +570,84 @@ def test_pattern_locator_matches_scan(name, L, extra, q, seed):
         want_g[sel] = gpat[:, 0, :]  # at_pattern's gradients are pattern-frame ones
     assert np.abs(vals - want_v).max() <= 1e-13 * np.abs(want_v).max()
     assert np.abs(grads - want_g).max() <= 1e-13 * np.abs(want_g).max()
+
+
+def _per_point_jacobians(monkeypatch):
+    """Form every Jacobian per point: the per-element det and J^-1 of
+    ``element_geometry`` broadcast to a copy at each point, and the macro
+    J^-1 of ``_FineSide`` formed at every point."""
+    geometry = fem.element_geometry
+
+    def per_point(mesh, shape, ref_pts):
+        ids, pat, phys, det, inv = geometry(mesh, shape, ref_pts)
+        ne, npts = pat.shape[:2]
+        return (ids, pat, phys, np.broadcast_to(det, (ne, npts)).copy(),
+                np.broadcast_to(inv, (ne, npts, 2, 2)).copy())
+
+    monkeypatch.setattr(fem, "element_geometry", per_point)
+    monkeypatch.setattr(fem, "jacobian_points", lambda mesh, shape, pat: pat)
+
+
+def _jacobian_consumers(name):
+    """Every array and norm that the Jacobians reach on one built-in mesh:
+    systems with a constant c, a callable c and an SPD diffusion field,
+    their error norms, and on the L-shape and slit the norms of a
+    reference minus the solutions."""
+    mesh, eps = _builtin_mesh(name), 1e-2
+    ms = ManufacturedSolution(eps)
+    D = np.array([[2.0, 0.3], [0.3, 0.5]])
+    out, fields = [], []
+    for c, diffusion in ((1.0, None), (lambda x, y: 1.0 + x * x, None),
+                         (1.0, lambda p: D * (2.0 + p[:, :1, None]))):
+        system = assemble(mesh, 3, eps, c, ms.f, diffusion=diffusion)
+        fld, _ = system.solve()
+        out += _system_arrays(system) + [fld.coeffs]
+        out.append(np.array(list(error_norms(fld, ms.value, ms.grad, eps, c, diffusion).values())))
+        fields.append(fld)
+    if name != "square":
+        poly, macro = builtin_layout(name)
+        fine = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=3, n=3))
+        ref, _ = assemble(fine, 4, eps, 1.0, 1.0).solve()
+        for c in (1.0, lambda x, y: 1.0 + y):
+            out += [np.array(list(field_difference_norms(ref, fld, eps, c).values()))
+                    for fld in fields]
+    return out
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "slit"])
+def test_per_element_jacobians_match_per_point_ones(monkeypatch, name):
+    # the one Jacobian per element of a parallelogram quad gives every
+    # system, solution and norm bit for bit as a Jacobian per point does
+    default = _jacobian_consumers(name)
+    with monkeypatch.context() as m:
+        _per_point_jacobians(m)
+        assert DofMap(_builtin_mesh(name), 3).norm_geometry("r")[2].shape[1] > 1
+        per_point = _jacobian_consumers(name)
+    assert len(default) == len(per_point)
+    for a, b in zip(default, per_point):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "slit"])
+def test_builtin_layouts_keep_one_jacobian_per_element(name):
+    mesh = _builtin_mesh(name)
+    dm = DofMap(mesh, 2)
+    per_element = [(len(mesh.eid[s]), 1, 2, 2) for s in ("r", "t")]
+    assert [dm.norm_geometry(s)[2].shape for s in ("r", "t")] == per_element
+    side = fem._FineSide(interpolate(mesh, 2, lambda x, y: x * y, dofmap=dm), 1.0)
+    assert [jinv.shape for _, _, jinv, *_ in side.parts] == per_element
+
+
+def test_corner_only_study_runs_without_rectangles(monkeypatch):
+    # at L = 0 the square's meshes, the reference's among them, have no
+    # rectangles: per-element Jacobians of an empty shape
+    cfg = ExperimentConfig(domain="square", eps=(1e-2,), p_max=2, layers="corner-only",
+                           mode="reference")
+    assert len(mesh_for(cfg, cfg.p_max + 2, 1e-2).eid["r"]) == 0
+    (table,) = run_experiment(cfg)
+    assert [r.p for r in table.rows] == [1, 2]
+    with monkeypatch.context() as m:
+        _per_point_jacobians(m)
+        (per_point,) = run_experiment(cfg)
+    assert [(r.N, r.error, r.iters) for r in table.rows] == \
+        [(r.N, r.error, r.iters) for r in per_point.rows]

@@ -11,18 +11,23 @@ import hpbl.macro
 from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
 from hpbl.macro import (
+    _JAC_SAMPLES,
+    _TRI_SAMPLES,
     MacroTriangulation,
     PatternAssignment,
     assign_refinement_patterns,
     build_geo_bl_mesh,
+    element_geometry,
     macro_from_triangulation,
     scale_resolution_L,
     validate_mesh,
 )
 from hpbl.meshcheck import conformity_violations
 from hpbl.patches import PatchKind, PatchParams
+from hpbl.reference import rect_quadrature, tri_quadrature
 
-from helpers import build_by_dict, element_rows, validate_by_element
+from helpers import (bent_corner_layout, build_by_dict, element_geometry_per_point, element_rows,
+                     nonaffine_meshes, validate_by_element)
 
 
 def test_scale_resolution_L():
@@ -323,3 +328,52 @@ def test_corrupted_connectivity_reports(name):
     ref.elements.append(ref.elements[dup])
     ref.elements[flip] = ref.elements[flip]._replace(nodes=ref.elements[flip].nodes[::-1])
     assert validate_by_element(ref, check_corner_condition=False)[0] == want
+
+
+def _geometry_points(q):
+    """Per shape, the reference points element geometry is formed at: the
+    q + 2 rule of assembly, the q + 3 rule of the norms and the samples
+    of the Jacobian sign check."""
+    return [("r", rect_quadrature(q + 2)[0]), ("r", rect_quadrature(q + 3)[0]),
+            ("r", _JAC_SAMPLES), ("t", tri_quadrature(q + 2)[0]),
+            ("t", tri_quadrature(q + 3)[0]), ("t", _TRI_SAMPLES)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "slit"])
+def test_element_geometry_is_per_element_on_parallelograms(name):
+    # every built-in macro quad is a parallelogram, so each element has one
+    # Jacobian, and its broadcast is the per-point one bit for bit; at L = 0
+    # the square has no rectangles
+    poly, macro = builtin_layout(name)
+    for L, n in ((0, 0), (0, 2), (1, 1), (3, 3), (2, 4)):
+        mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=n))
+        assert mesh.parallelograms.all()
+        for q in (1, 4):
+            for shape, pts in _geometry_points(q):
+                got = element_geometry(mesh, shape, pts)
+                want = element_geometry_per_point(mesh, shape, pts)
+                ne, npts = len(mesh.eid[shape]), len(pts)
+                assert got[3].shape == (ne, 1) and got[4].shape == (ne, 1, 2, 2)
+                det = np.broadcast_to(got[3], (ne, npts))
+                inv = np.broadcast_to(got[4], (ne, npts, 2, 2))
+                assert all(_same_bits(a, b) for a, b in zip((*got[:3], det, inv), want))
+
+
+def test_element_geometry_is_per_point_on_other_quads():
+    # fan-triangulated quads, and one bent quad among three parallelograms,
+    # which makes every element of each shape take per-point Jacobians
+    poly, macro = bent_corner_layout()
+    bent = [build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L)) for L in (1, 3)]
+    for mesh in [*nonaffine_meshes(), *bent]:
+        for shape, pts in _geometry_points(2):
+            assert not mesh.parallelograms[mesh.macro_id[shape]].all()
+            got = element_geometry(mesh, shape, pts)
+            assert got[3].shape == (len(mesh.eid[shape]), len(pts))
+            want = element_geometry_per_point(mesh, shape, pts)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert all(m.parallelograms.tolist() == [True, True, True, False] for m in bent)
+    assert all(not validate_mesh(m).violations for m in bent)

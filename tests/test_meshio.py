@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpbl.geometry import Polygon
 from hpbl.layouts import builtin_layout
-from hpbl.macro import build_geo_bl_mesh, macro_from_triangulation, validate_mesh
+from hpbl.macro import build_geo_bl_mesh, validate_mesh
 from hpbl.meshio import _outlines, convergence_svg, mesh_svg, mesh_text
 from hpbl.patches import PatchKind, PatchParams, build_half_patch, build_pattern
 
-from helpers import element_rows, reference_mesh_svg
+from helpers import element_rows, fan_macro, nonaffine_meshes, reference_mesh_svg
 
 
 def test_text_dump_roundtrip_counts():
@@ -43,26 +42,6 @@ def test_mesh_svg_polygon_count():
         assert svg == mesh_svg(mesh)  # identical bytes on rerun
 
 
-def _fan_macro(vertices):
-    """Macro quads of a convex polygon triangulated as a fan from its
-    vertex centroid; a triangle's quads are parallelograms only by chance."""
-    poly = Polygon(np.asarray(vertices, dtype=float))
-    m = poly.m
-    pts = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
-    return poly, macro_from_triangulation(pts, [(m, i, (i + 1) % m) for i in range(m)], poly)
-
-
-def _nonaffine_meshes():
-    """Meshes whose macro quads are not parallelograms: a fan-triangulated
-    triangle and pentagon, at L = n = 1..3."""
-    angles = [0.1, 1.3, 2.9, 3.8, 5.2]
-    domains = [_fan_macro([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-               _fan_macro([[math.cos(a), 0.6 * math.sin(a)] for a in angles])]
-    for poly, macro in domains:
-        for L in range(1, 4):
-            yield build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L))
-
-
 def _bends(mesh, shape):
     """Per element of one shape: does an edge bend?  It does when its
     macro quad is not a parallelogram and the edge is oblique in the
@@ -81,7 +60,7 @@ def test_mesh_outlines_start_at_element_corners():
     meshes = [build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.3, L=2, n=3))
               for poly, macro in layouts]
     bent_total = 0
-    for mesh in meshes + list(_nonaffine_meshes()):
+    for mesh in meshes + list(nonaffine_meshes()):
         groups = list(_outlines(mesh))
         ids = np.concatenate([ids for ids, _, _ in groups])
         np.testing.assert_array_equal(np.sort(ids), np.arange(mesh.element_count()))
@@ -159,7 +138,7 @@ def test_mesh_svg_matches_per_point_renderer(name):
 
 def test_nonaffine_mesh_svg_matches_per_point_renderer():
     counts = np.zeros(2, dtype=int)
-    for mesh in _nonaffine_meshes():
+    for mesh in nonaffine_meshes():
         counts += _assert_same_picture(mesh, label=mesh.params)
         counts += _assert_same_picture(mesh, width=317, label=mesh.params)
     assert counts.min() > 0  # both branches
@@ -179,7 +158,7 @@ def test_random_convex_triangulations_validate_or_raise(gaps, axes, sigma, L):
     angles = np.cumsum(gaps) * (2.0 * math.pi / sum(gaps))
     vertices = np.stack([axes[0] * np.cos(angles), axes[1] * np.sin(angles)], axis=1)
     try:
-        poly, macro = _fan_macro(vertices)
+        poly, macro = fan_macro(vertices)
         mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=sigma, L=L, n=L))
     except ValueError:
         return
