@@ -37,9 +37,15 @@ each coarser field is located and evaluated at those points.
 Solves use static condensation, once per class of identical elements.
 The geometric meshes repeat a few pattern elements under a few macro
 maps, so ``assemble`` sorts the elements of each shape into classes
-whose quadrature data (w det J^-1 A J^-T and c w det at every point)
-are bitwise equal.  It forms the element blocks of the classes in
-chunks of about ``_ENTRIES`` block entries and eliminates their bubbles
+whose keys are bitwise equal.  Where an element map is affine (one
+Jacobian per element), c is a constant and A = I, the key is five
+numbers per element, det J^-1 J^-T and c det, and a block is
+sum_ab (det J^-1 J^-T)_ab R_ab + c det M_ref from reference matrices
+formed once per (shape, q) (``_ref_blocks``, the reference tensor form
+of affine elements).  Otherwise the key is the quadrature data, w det
+J^-1 A J^-T and c w det at every point, and blocks come by quadrature.
+``assemble`` forms the element blocks of the classes in chunks of
+about ``_ENTRIES`` block entries and eliminates their bubbles
 (interior dofs) chunk by chunk: one batched Cholesky factorization
 checks that the bubble blocks are positive definite, one batched solve
 forms S_ii^-1 [S_ib | I], and the Schur complements on the skeleton
@@ -106,6 +112,21 @@ def _tables(shape: str, q: int, m: int):
     basis = _basis_for(shape, q)
     pts, w = rect_quadrature(m) if shape == "r" else tri_quadrature(m)
     return pts, w, basis.eval(pts), basis.grad(pts)
+
+
+@lru_cache(maxsize=64)
+def _ref_blocks(shape: str, q: int):
+    """Blocks of the reference element at q + 2 points per direction: the
+    stiffness matrices R_ab = G_a^T diag(w) G_b flattened to (4, nb^2), row
+    2 a + b, and the mass matrix M_ref = B^T diag(w) B.  An affine element
+    with constant c and A = I has the block eps^2 sum_ab (det J^-1 J^-T)_ab
+    R_ab + c det M_ref (Kirby & Logg, ACM TOMS 32, 2006).  Plain matmuls:
+    both shapes at q = 1..7 take 0.5 ms in a fresh process, an einsum
+    4.3 ms (2-core box), which every command pays again."""
+    _, w, B, G = _tables(shape, q, q + 2)
+    Ga = np.moveaxis(G, 2, 0)  # (2, P, nb)
+    R = (np.swapaxes(Ga, 1, 2) * w)[:, None] @ Ga[None]  # (2, 2, nb, nb)
+    return R.reshape(4, -1), (B.T * w) @ B
 
 
 _POINTS = 4096  # points located and evaluated together
@@ -310,12 +331,15 @@ def _chunks(n: int, step: int):
 @dataclass
 class _ElementClasses:
     """The elements of one shape at q + 2 points per direction, sorted into
-    classes whose quadrature data are bitwise equal.
+    classes whose keys are bitwise equal.
 
     ``phys`` (E, P, 2) and ``wdet`` (E, P) are the physical points and
-    w det.  ``key`` (classes, 5 P) holds each class's w det J^-1 A J^-T
-    (4 P), whose rows are multiplied by J^-T in ``_times`` (one matmul
-    per element where the Jacobian is per element), and c w det (P),
+    w det.  ``key`` (classes, 5 P') is laid out like the Jacobians: per
+    element (P' = 1) where they are per element, c is a constant and
+    there is no diffusion field, holding det J^-1 J^-T (4) and c det (1),
+    which ``assemble`` combines with ``_ref_blocks``; else per point (P'
+    = P), holding w det J^-1 A J^-T (4 P) and c w det (P) for quadrature.
+    The rows of J^-1 are multiplied by J^-T in ``_times`` either way.
     ``first`` each class's first element, ``cls`` each element's class,
     ``order`` the elements class by class and ``start`` (classes + 1)
     where each class begins in ``order``.
@@ -344,14 +368,18 @@ def _element_classes(dofmap: DofMap, c, diffusion) -> dict:
         _, _, phys, det, invJ = geo.pop(shape)
         wdet = _tables(shape, q, q + 2)[1] * det
         ne, npts = wdet.shape
+        # per element where the block is the reference one: an affine map, constant c, A = I
+        affine = invJ.shape[1] == 1 and diffusion is None and not callable(c)
+        scale = det if affine else wdet  # the weights go into the reference blocks
+        nk = scale.shape[1]
         flat = phys.reshape(-1, 2)
-        key = np.empty((ne, 5 * npts))
-        wJ = wdet[..., None, None] * invJ
+        key = np.empty((ne, 5 * nk))
+        wJ = scale[..., None, None] * invJ
         if diffusion is not None:
             wJ = wJ @ np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-        key[:, : 4 * npts] = _times(wJ, np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * npts)
+        key[:, : 4 * nk] = _times(wJ, np.swapaxes(invJ, -1, -2)).reshape(ne, 4 * nk)
         del wJ, invJ
-        key[:, 4 * npts :] = _field_at(c, flat).reshape(ne, npts) * wdet
+        key[:, 4 * nk :] = (float(c) if affine else _field_at(c, flat).reshape(ne, npts)) * scale
         key += 0.0  # -0.0 and 0.0 alike
         _, first, cls = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0],
                                   return_index=True, return_inverse=True)
@@ -385,23 +413,27 @@ def assemble(
     it.  Without one it builds its own DofMap and keeps nothing, so a
     field that outlives its solve (a reference) holds no element data.
 
-    The elements of a shape fall into classes whose quadrature data, the
-    stiffness coefficients w det J^-1 A J^-T and the reaction weights
-    c w det at every point, are bitwise equal (one class per element
-    when nothing repeats).  A class's block is formed, checked for
-    finite entries and a positive definite bubble block, and condensed
-    once: X_b = S_ii^-1 S_ib, S_ii^-1 and the Schur complement.  What
-    stays per element is the load, X_l = S_ii^-1 l_i, the condensed
-    load l_b - X_b^T l_i (S is symmetric) and the skeleton triplets.
-    Classes run in chunks of about ``_ENTRIES`` block entries (and at
-    least two blocks), and the elements of each chunk of classes, class
-    by class, again in such chunks; each writes the free entries of its
-    Schur complements into one set of triplets preallocated for the
-    skeleton.  Peak memory is the returned system, those triplets (16
-    bytes per free skeleton block entry) and their CSR conversion, the
-    element classes (the class keys of one shape take 5 doubles per
-    element and point while they are sorted), and one chunk's blocks, a
-    few times ``_ENTRIES`` doubles.  The load gemm and the condensed-load
+    The elements of a shape fall into classes whose keys are bitwise equal
+    (one class per element when nothing repeats): on affine elements with a
+    constant c and no diffusion field, det J^-1 J^-T and c det per element,
+    and a class's block is one gemm of those four numbers with the
+    reference stiffness matrices plus c det times the reference mass matrix
+    (``_ref_blocks``); otherwise the stiffness coefficients w det J^-1 A
+    J^-T and the reaction weights c w det at every point, and the block
+    comes by quadrature.  A class's block is formed, checked for finite
+    entries and a positive definite bubble block, and condensed once: X_b =
+    S_ii^-1 S_ib, S_ii^-1 and the Schur complement.  What stays per element
+    is the load, X_l = S_ii^-1 l_i, the condensed load l_b - X_b^T l_i (S
+    is symmetric) and the skeleton triplets.  Classes run in chunks of
+    about ``_ENTRIES`` block entries (and at least two blocks), and the
+    elements of each chunk of classes, class by class, again in such
+    chunks; each writes the free entries of its Schur complements into one
+    set of triplets preallocated for the skeleton.  Peak memory is the
+    returned system, those triplets (16 bytes per free skeleton block
+    entry) and their CSR conversion, the element classes (the class keys of
+    one shape take 5 doubles per element, or per element and point on the
+    quadrature path, while they are sorted), and one chunk's blocks, a few
+    times ``_ENTRIES`` doubles.  The load gemm and the condensed-load
     bincount run once per shape, and the CSR conversion once over the
     triplets in class order, so the system does not depend on the chunk
     size.
@@ -435,16 +467,23 @@ def assemble(
             raise ValueError(_NOT_FINITE)
         key, first, cls = cl.key, cl.first, cl.cls
 
-        Gs = np.swapaxes(G, 1, 2)
-        Gt = Gs.reshape(2 * npts, nb).T
+        per_element = key.shape[1] == 5
+        if per_element:
+            R, M = _ref_blocks(shape, q)
+        else:
+            Gs = np.swapaxes(G, 1, 2)
+            Gt = Gs.reshape(2 * npts, nb).T
         Xb, Xl = np.empty((ne, ni, ib.size)), np.empty((ne, ni))
         cload = load[:, ib]
         step = max(2, _ENTRIES // (nb * nb))
         for k in _chunks(len(first), step):
-            # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
-            K = Gt @ (key[k, : 4 * npts].reshape(-1, npts, 2, 2) @ Gs).reshape(-1, 2 * npts, nb)
-            S = eps2 * K + (B.T * key[k, None, 4 * npts :]) @ B  # + mass
-            del K  # before the next chunk forms its stiffness
+            if per_element:  # stiffness sum_ab (det J^-1 J^-T)_ab R_ab, mass c det M_ref
+                S = eps2 * (key[k, :4] @ R).reshape(-1, nb, nb) + key[k, 4, None, None] * M
+            else:
+                # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
+                K = Gt @ (key[k, : 4 * npts].reshape(-1, npts, 2, 2) @ Gs).reshape(-1, 2 * npts, nb)
+                S = eps2 * K + (B.T * key[k, None, 4 * npts :]) @ B  # + mass
+                del K  # before the next chunk forms its stiffness
             S = 0.5 * (S + np.swapaxes(S, 1, 2))
             if not np.all(np.isfinite(S)):
                 raise ValueError(_NOT_FINITE)
@@ -532,30 +571,6 @@ class DiscreteField:
         self.q = dofmap.q
         self.coeffs = np.asarray(coeffs, dtype=float)
         self._fine = None  # (c, _FineSide) of the last difference_norms call
-
-    def __call__(self, points) -> np.ndarray:
-        """Evaluate at physical points.
-
-        Newton's method inverts every macro bilinear map at every point at
-        once; a point belongs to the lowest-numbered macro quad whose
-        inverse image lies in the unit square within 1e-10.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        bil = self.mesh.quad_map(np.arange(len(self.mesh.oriented)))
-        st = np.full((len(points), len(self.mesh.oriented), 2), 0.5)
-        with np.errstate(all="ignore"):  # points outside a quad may diverge
-            for _ in range(30):
-                r = bil(st) - points[:, None, :]
-                (a, b), (c, d) = np.moveaxis(bil.jacobian(st), (-2, -1), (0, 1))
-                step = np.stack([d * r[..., 0] - b * r[..., 1], a * r[..., 1] - c * r[..., 0]], -1)
-                st = st - step / (a * d - b * c)[..., None]
-            res = np.linalg.norm(bil(st) - points[:, None, :], axis=-1)
-            ok = (res < 1e-10) & np.all((st >= -1e-10) & (st <= 1.0 + 1e-10), axis=-1)
-        lost = ~ok.any(axis=1)
-        if lost.any():
-            raise ValueError(f"point {points[np.argmax(lost)]} not found in any element")
-        qids = np.argmax(ok, axis=1)
-        return self.at_pattern(qids, st[np.arange(len(points)), qids])[0]
 
     def at_pattern(self, qids, pat):
         """Values (P,) and pattern-frame gradients (P, 2) at pattern points.

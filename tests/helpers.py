@@ -667,6 +667,32 @@ def energy_norm(field, eps, c, diffusion=None):
     return _integrate(field, eps, c, diffusion)["energy"]
 
 
+def evaluate(field, points):
+    """Values of a ``DiscreteField`` at physical points.
+
+    Newton's method inverts every macro bilinear map at every point at
+    once; a point belongs to the lowest-numbered macro quad whose
+    inverse image lies in the unit square within 1e-10, and
+    ``at_pattern`` evaluates it there.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    bil = field.mesh.quad_map(np.arange(len(field.mesh.oriented)))
+    st = np.full((len(points), len(field.mesh.oriented), 2), 0.5)
+    with np.errstate(all="ignore"):  # points outside a quad may diverge
+        for _ in range(30):
+            r = bil(st) - points[:, None, :]
+            (a, b), (c, d) = np.moveaxis(bil.jacobian(st), (-2, -1), (0, 1))
+            step = np.stack([d * r[..., 0] - b * r[..., 1], a * r[..., 1] - c * r[..., 0]], -1)
+            st = st - step / (a * d - b * c)[..., None]
+        res = np.linalg.norm(bil(st) - points[:, None, :], axis=-1)
+        ok = (res < 1e-10) & np.all((st >= -1e-10) & (st <= 1.0 + 1e-10), axis=-1)
+    lost = ~ok.any(axis=1)
+    if lost.any():
+        raise ValueError(f"point {points[np.argmax(lost)]} not found in any element")
+    qids = np.argmax(ok, axis=1)
+    return field.at_pattern(qids, st[np.arange(len(points)), qids])[0]
+
+
 # ---------------------------------------------------------------------------
 # the per-call field difference, which the reference's once-formed side replaced
 

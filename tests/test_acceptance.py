@@ -37,6 +37,7 @@ from hpbl.study import (
 from helpers import (
     BoundaryLayerFn,
     CornerSingularityFn,
+    evaluate,
     lebesgue_constant,
     patch_metrics,
     patch_sums,
@@ -233,7 +234,7 @@ def test_06_single_element_center_value():
     t0 = time.perf_counter()
     mesh = pattern_mesh(PatchKind.TRIVIAL, PatchParams(sigma=0.5, L=0, n=0))
     fld, _ = assemble(mesh, 2, 1.0, 1.0, 1.0).solve()
-    center = float(fld(np.array([[0.5, 0.5]]))[0])
+    center = float(evaluate(fld, np.array([[0.5, 0.5]]))[0])
     assert center == pytest.approx(25.0 / 336.0, abs=1e-12)
     dt = time.perf_counter() - t0
     assert dt < 1.0
