@@ -25,14 +25,17 @@ element over all its rows in the first case.  ``_integrate`` is
 the norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
-the sorted pattern node coordinates of its macro quad) and evaluates
-the field coefficient-first, so its cost grows with the number of
-points only; its gradients are pattern-frame ones, so evaluating
-values forms no macro Jacobians.  ``DiscreteField.difference_norms``
-integrates a field minus a coarser one on the same macro layout: the
-finer field's side (``_FineSide``: points, weights, macro inverse
-Jacobians, values and gradients) is formed once and kept on it, and
-each coarser field is located and evaluated at those points.
+the sorted pattern node coordinates of its macro quad), forms the
+bases' point factors once per located point and contracts them with
+the coefficients, so its cost grows with the number of points only;
+its gradients are pattern-frame ones, so evaluating values forms no
+macro Jacobians.  ``DiscreteField.difference_norms`` integrates a
+field minus a coarser one on the same macro layout: the finer field's
+side (``_FineSide``: points, weights, macro inverse Jacobians, values
+and gradients) is formed once and kept on it.  Quads that carry the
+same pattern hold bitwise-equal pattern points, so each coarser field
+is located and tabulated only at the points of the first quad of each
+(finer, coarser) pattern pair, and evaluated at every point from those.
 
 Solves use static condensation, once per class of identical elements.
 The geometric meshes repeat a few pattern elements under a few macro
@@ -572,7 +575,7 @@ class DiscreteField:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self._fine = None  # (c, _FineSide) of the last difference_norms call
 
-    def at_pattern(self, qids, pat):
+    def at_pattern(self, qids, pat, same=None):
         """Values (P,) and pattern-frame gradients (P, 2) at pattern points.
 
         Point k lies in macro quad ``qids[k]`` at pattern coordinates
@@ -581,27 +584,43 @@ class DiscreteField:
         clipped to [0, 1]; the gradient jumps across facets (the TENSOR
         diagonal among them), so this rule fixes the side a point on a
         facet takes.  ``_PatternLocator`` finds that element among the few
-        candidates of the point's pattern cell, and the field is evaluated
-        coefficient-first (``expansion`` of the bases), in blocks of
-        ``_POINTS``: time and memory grow with the number of points, not
-        with points x elements.  The gradients are taken in the pattern
-        frame; the inverse Jacobian of the macro quad map at ``pat`` takes
-        them to physical ones (row vector times matrix).
+        candidates of the point's pattern cell; the bases' point
+        ``factors`` are formed once per located point and ``contract``ed
+        with the coefficients in blocks of ``_POINTS``: time and memory
+        grow with the number of points, not with points x elements.  The
+        gradients are taken in the pattern frame; the inverse Jacobian of
+        the macro quad map at ``pat`` takes them to physical ones (row
+        vector times matrix).
+
+        ``same`` = (first, src) locates and tabulates only the points
+        ``first``; point k takes the location of point ``first[src[k]]``,
+        its element moved by the two quads' element offsets.  The caller
+        vouches that both lie at bitwise-equal pattern coordinates in quads
+        that carry one pattern object of this field's mesh, so the result
+        is the one without ``same``, where each quad is its own group.
         """
         qids = np.asarray(qids, dtype=np.int64)
         pat = np.asarray(pat, dtype=float)
-        loc = _PatternLocator(self.mesh, qids)
-        eids, ref = loc.locate(qids, pat)
+        first, src = same if same is not None else (np.arange(len(pat)),) * 2
+        quad = qids[first]
+        loc = _PatternLocator(self.mesh, quad)
+        found, ref = loc.locate(quad, pat[first])
+        eids = found[src] + (loc.offset[qids] - loc.offset[quad[src]])
         vals = np.empty(len(pat))
         grads = np.empty((len(pat), 2))
         for shape in ("r", "t"):
             basis = _basis_for(shape, self.q)
+            at = np.flatnonzero(loc.tri[found] == (shape == "t"))
+            table = basis.factors(ref[at])
+            row = np.empty(len(first), dtype=np.int64)
+            row[at] = np.arange(len(at))
             sel = np.flatnonzero(loc.tri[eids] == (shape == "t"))
             for lo in range(0, len(sel), _POINTS):
                 k = sel[lo : lo + _POINTS]
                 e = eids[k]
                 co = self.coeffs[self.dofmap.dofs[shape][loc.slot[e]]]
-                vals[k], gref = basis.expansion(ref[k], co)
+                r = row[src[k]]
+                vals[k], gref = basis.contract([t[r] for t in table], co)
                 grads[k] = (gref[:, None, :] @ loc.inv[e])[:, 0, :]  # reference -> pattern
         return vals, grads
 
@@ -612,7 +631,9 @@ class DiscreteField:
         direction.  This field's side of it (``_FineSide``) is formed on
         the first call and kept for later calls with the same ``c``, so a
         reference compared with several coarse fields is mapped and
-        evaluated once; its coefficients must not change in between.
+        evaluated once; its coefficients must not change in between.  The
+        coarse field is located and tabulated once per pair of patterns
+        that a macro quad carries in the two meshes.
         """
         mesh = coarse.mesh
         if not (np.array_equal(self.mesh.oriented, mesh.oriented)
@@ -634,9 +655,14 @@ class _FineSide:
     Jacobians, (E, 1, 2, 2) on parallelogram quads (``jacobian_points``),
     else (E, P, 2, 2), and, flat over its elements and points, w det,
     c w det and the field's values and physical gradients.  Physical
-    points and element Jacobians are dropped once used.  ``norms``
-    locates and evaluates a coarse field at all points with one
-    ``at_pattern`` call.
+    points and element Jacobians are dropped once used.
+
+    Elements are numbered quad by quad, so a shape's points of a quad are
+    one slice, ``start``/``count`` (2, Q), and quads that share a pattern
+    object (``patterns``, the mesh's list) hold bitwise-equal pattern
+    points in the same order.  ``norms`` locates and tabulates a coarse
+    field only in the first quad of each (fine, coarse) pattern pair,
+    through one ``at_pattern`` call.
     """
 
     def __init__(self, field: DiscreteField, c):
@@ -644,9 +670,11 @@ class _FineSide:
         sizes = [len(mesh.eid[s]) * len(_tables(s, q, q + 2)[1]) for s in ("r", "t")]
         self.qids = np.empty(sum(sizes), dtype=np.int64)
         self.pat = np.empty((sum(sizes), 2))
+        self.patterns = mesh.patterns
+        self.count = np.empty((2, len(mesh.patterns)), dtype=np.int64)
         self.parts = []
         end = 0
-        for shape, n in zip(("r", "t"), sizes):
+        for i, (shape, n) in enumerate(zip(("r", "t"), sizes)):
             pts, w, B, G = _tables(shape, q, q + 2)
             _, pat, phys, det, invJ = element_geometry(mesh, shape, pts)
             co = field.coeffs[field.dofmap.dofs[shape]]
@@ -662,12 +690,14 @@ class _FineSide:
             sl = slice(end, end + n)
             self.qids[sl] = np.repeat(mesh.macro_id[shape], npts)
             self.pat[sl] = pat.reshape(n, 2)
+            self.count[i] = npts * np.bincount(mesh.macro_id[shape], minlength=len(mesh.patterns))
             self.parts.append((sl, npts, jinv, wdet.ravel(), cwdet.ravel(), (co @ B.T).ravel(),
                                grads))
             end = sl.stop
+        self.start = np.cumsum(self.count).reshape(self.count.shape) - self.count
 
     def norms(self, coarse: DiscreteField, eps: float) -> dict:
-        cvals, cgrads = coarse.at_pattern(self.qids, self.pat)
+        cvals, cgrads = coarse.at_pattern(self.qids, self.pat, self._same(coarse.mesh))
         l2 = h1 = mass = 0.0
         for sl, npts, jinv, wdet, cwdet, vals, grads in self.parts:
             v = vals - cvals[sl]
@@ -677,6 +707,20 @@ class _FineSide:
             mass += float(np.sum(cwdet * v * v))
         return _norm_dict(eps, l2, h1, h1, mass)
 
+    def _same(self, coarse: Mesh):
+        """``at_pattern``'s (first, src) on a coarse mesh: the points of each
+        (fine, coarse) pattern pair's first quad, and each point's row
+        among them."""
+        seen = {}
+        rep = np.array([seen.setdefault((id(a), id(b)), qid)
+                        for qid, (a, b) in enumerate(zip(self.patterns, coarse.patterns))])
+        reps = np.flatnonzero(rep == np.arange(len(rep)))
+        count = self.count[:, reps]
+        row = np.zeros(self.count.shape, dtype=np.int64)  # where a first quad's points start
+        row[:, reps] = np.cumsum(count).reshape(count.shape) - count
+        first = _ranges(self.start[:, reps].ravel(), count.ravel())
+        return first, _ranges(row[:, rep].ravel(), self.count.ravel())
+
 
 class _PatternLocator:
     """Point location by pattern cell in the macro quads ``qids`` of a mesh.
@@ -684,7 +728,10 @@ class _PatternLocator:
     Holds per element, in element order, its shape (``tri``), its row in
     ``DofMap.dofs[shape]`` (``slot``) and its affine placement: a
     ``frame`` row holds the origin, then the inverse matrix (``inv``) row
-    by row.  The sorted unique x and y coordinates of each quad's pattern
+    by row; and per macro quad of the mesh the id of its first element
+    (``offset``), since elements are numbered quad by quad.  Cells are
+    built only for the quads ``qids``, the ones whose points are
+    located.  The sorted unique x and y coordinates of each quad's pattern
     nodes cut its pattern frame into cells, and each element of the quad
     is a candidate of every cell that its corner bounding box touches.
     The box is widened by the containment slack ``_TOL * sum|mat|``,
@@ -711,6 +758,7 @@ class _PatternLocator:
             lo[ids] = xy.min(axis=1) - widen[:, None]
             hi[ids] = xy.max(axis=1) + widen[:, None]
         self.inv = self.frame[:, 2:].reshape(n, 2, 2)
+        self.offset = np.searchsorted(macro_of, np.arange(len(mesh.oriented)))  # quad by quad
 
         self.lines = {}  # quad -> (inner x lines, inner y lines, id of its first cell)
         rows = [np.empty((0, 3), dtype=np.int64)]  # (element, first, last cell) per element x cell

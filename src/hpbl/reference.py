@@ -142,22 +142,30 @@ class RectBasis:
         gy = np.einsum("ni,nj->nji", bx, dby).reshape(len(pts), self.ndofs)
         return np.stack([gx, gy], axis=-1)
 
-    def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
-        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at pts[k].
+    def factors(self, pts: np.ndarray):
+        """The point factors of ``contract`` at pts (P, 2): the 1-D values
+        and derivatives in x stacked (P, q+1, 2), and those in y (P, q+1)
+        twice.  A row depends only on its point, so rows can be gathered."""
+        d = self.basis_1d.diff_matrix()
+        bx = self.basis_1d.eval(pts[:, 0])
+        by = self.basis_1d.eval(pts[:, 1])
+        return np.stack([bx, bx @ d], axis=-1), by, by @ d
+
+    def contract(self, factors, coeffs: np.ndarray):
+        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at
+        point k, from the rows of ``factors`` for those points.
 
         Coefficient-first: each point's (q+1) x (q+1) coefficient grid is
         contracted with the 1-D factors in x, then in y, so no (P, nbasis)
         table is built.
         """
+        bx, by, dby = factors
         n = self.q + 1
-        d = self.basis_1d.diff_matrix()
-        bx = self.basis_1d.eval(pts[:, 0])
-        by = self.basis_1d.eval(pts[:, 1])
         # rows: y index j; (P, n, 2) holds sum_i c_ji l_i(x) and sum_i c_ji l_i'(x)
-        tx = coeffs.reshape(-1, n, n) @ np.stack([bx, bx @ d], axis=-1)
+        tx = coeffs.reshape(-1, n, n) @ bx
         vals = np.einsum("pj,pj->p", by, tx[..., 0])
         gx = np.einsum("pj,pj->p", by, tx[..., 1])
-        gy = np.einsum("pj,pj->p", by @ d, tx[..., 0])
+        gy = np.einsum("pj,pj->p", dby, tx[..., 0])
         return vals, np.column_stack([gx, gy])
 
 
@@ -308,14 +316,21 @@ class TriBasis:
         _, g = self._modal(pts, grad=True)  # (P, M, 2); matmul runs on BLAS, einsum here does not
         return np.swapaxes(np.swapaxes(g, 1, 2) @ self._vinv, 1, 2)
 
-    def expansion(self, pts: np.ndarray, coeffs: np.ndarray):
-        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at pts[k].
+    def factors(self, pts: np.ndarray):
+        """The point factors of ``contract`` at pts (P, 2): the modal values
+        (P, M) and gradients (P, M, 2).  A row depends only on its point,
+        so rows can be gathered."""
+        return self._modal(pts, grad=True)
+
+    def contract(self, factors, coeffs: np.ndarray):
+        """Values (P,) and gradients (P, 2) of sum_n coeffs[k, n] phi_n at
+        point k, from the rows of ``factors`` for those points.
 
         Coefficient-first: the nodal coefficients go to modal ones through
         V^-1 once per point, then meet the modal values and gradients.
         """
+        mvals, mgrads = factors
         modal = coeffs @ self._vinv.T
-        mvals, mgrads = self._modal(pts, grad=True)
         vals = np.einsum("pm,pm->p", mvals, modal)
         grads = np.einsum("pmd,pm->pd", mgrads, modal)
         return vals, grads

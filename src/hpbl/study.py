@@ -328,7 +328,9 @@ def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c
     the same pattern points (``DiscreteField.difference_norms``).  The
     reference's side, its element maps, values and gradients there, is
     formed on the first call and kept on ``ref``, so the graded fields of
-    one eps pay only for locating and evaluating themselves.  Fields whose
+    one eps pay only for locating and evaluating themselves, and each
+    locates and tabulates only the points of one macro quad per pair of
+    patterns (reference, graded) that the quads carry.  Fields whose
     macro quads or macro node coordinates differ raise ``ValueError``.
     """
     return ref.difference_norms(fld, eps, c)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import _POINTS, DofMap, _integrate, _tables
+from hpbl.fem import _POINTS, DofMap, _basis_for, _integrate, _PatternLocator, _tables
 from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
@@ -693,6 +693,29 @@ def evaluate(field, points):
     return field.at_pattern(qids, st[np.arange(len(points)), qids])[0]
 
 
+def at_pattern_per_point(field, qids, pat):
+    """``DiscreteField.at_pattern`` as it was before points were shared by
+    pattern pair: every point located in its own quad and the basis
+    factors formed at every point, block by block, then contracted with
+    the coefficients."""
+    qids = np.asarray(qids, dtype=np.int64)
+    pat = np.asarray(pat, dtype=float)
+    loc = _PatternLocator(field.mesh, qids)
+    eids, ref = loc.locate(qids, pat)
+    vals = np.empty(len(pat))
+    grads = np.empty((len(pat), 2))
+    for shape in ("r", "t"):
+        basis = _basis_for(shape, field.q)
+        sel = np.flatnonzero(loc.tri[eids] == (shape == "t"))
+        for lo in range(0, len(sel), _POINTS):
+            k = sel[lo : lo + _POINTS]
+            e = eids[k]
+            co = field.coeffs[field.dofmap.dofs[shape][loc.slot[e]]]
+            vals[k], gref = basis.contract(basis.factors(ref[k]), co)
+            grads[k] = (gref[:, None, :] @ loc.inv[e])[:, 0, :]  # reference -> pattern
+    return vals, grads
+
+
 # ---------------------------------------------------------------------------
 # the per-call field difference, which the reference's once-formed side replaced
 
@@ -701,8 +724,9 @@ def field_difference_oracle(ref, fld, eps, c):
     """Norms of ref - fld as every call formed them before the reference's
     side was kept: the reference mesh mapped at q_ref + 2 points per
     direction and the reference evaluated there, then fld located per
-    shape through ``at_pattern`` and its pattern gradients pushed through
-    the macro Jacobian's inverse.  ``c`` is a constant or a callable."""
+    shape at every point (``at_pattern_per_point``) and its pattern
+    gradients pushed through the macro Jacobian's inverse.  ``c`` is a
+    constant or a callable."""
     l2 = h1 = mass = 0.0  # without a diffusion field, the flux integral is h1
     for shape in ("r", "t"):
         pts, w, B, G = _tables(shape, ref.q, ref.q + 2)
@@ -714,7 +738,7 @@ def field_difference_oracle(ref, fld, eps, c):
         grads = (gref @ invJ)[..., 0, :]
         wdet = w * det
         qids = np.repeat(ref.mesh.macro_id[shape], npts)
-        sub_vals, gpat = fld.at_pattern(qids, pat.reshape(-1, 2))
+        sub_vals, gpat = at_pattern_per_point(fld, qids, pat.reshape(-1, 2))
         _, jinv = inverse_2x2(fld.mesh.quad_map(qids).jacobian(pat.reshape(-1, 2)))
         vals = vals - sub_vals.reshape(ne, npts)
         grads = grads - (gpat[:, None, :] @ jinv)[:, 0, :].reshape(pat.shape)

@@ -572,6 +572,20 @@ def test_pattern_locator_matches_scan(name, L, extra, q, seed):
     assert np.abs(grads - want_g).max() <= 1e-13 * np.abs(want_g).max()
 
 
+def test_unlocated_point_names_its_own_quad():
+    # a point outside the pattern frame of a quad that shares its pattern
+    # with a lower-numbered quad: the error names the quad it was given in
+    mesh = _builtin_mesh("slit")
+    first = {}
+    qid = next(q for q, p in enumerate(mesh.patterns) if first.setdefault(id(p), q) != q)
+    dm = DofMap(mesh, 2)
+    fld = DiscreteField(dm, np.ones(dm.ndofs))
+    qids = [first[id(mesh.patterns[qid])], qid, qid]
+    pat = [[0.5, 0.5], [0.25, 0.25], [1.5, 0.5]]
+    with pytest.raises(ValueError, match=f"^1 points not located, the first in macro quad {qid};"):
+        fld.at_pattern(qids, pat)
+
+
 def _per_point_jacobians(monkeypatch):
     """Form every Jacobian per point: the per-element det and J^-1 of
     ``element_geometry`` broadcast to a copy at each point, and the macro

@@ -271,6 +271,32 @@ def test_array_mesh_matches_object_path(name, sigma, L, extra):
     assert (report.violations, report.warnings) == validate_by_element(want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit"]),
+    L=st.integers(0, 6),
+    extra=st.sampled_from([0, 3]),
+)
+def test_quads_sharing_a_pattern_hold_equal_elements(name, L, extra):
+    # the premise of locating points once per pattern pair: elements are
+    # numbered quad by quad, and the quads that share a pattern object hold
+    # as many elements of each shape, with bitwise-equal pattern corners, in
+    # the same order
+    poly, macro = builtin_layout(name)
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L + extra))
+    groups = {}
+    for qid, pattern in enumerate(mesh.patterns):
+        groups.setdefault(id(pattern), []).append(qid)
+    assert len(groups) < len(mesh.patterns)
+    for s, ref in mesh.ref.items():
+        assert np.all(np.diff(mesh.macro_id[s]) >= 0)
+        for qids in groups.values():
+            first = ref[mesh.macro_id[s] == qids[0]]
+            for qid in qids[1:]:
+                same = ref[mesh.macro_id[s] == qid]
+                assert same.shape == first.shape and same.tobytes() == first.tobytes()
+
+
 # validate_mesh on each built-in L=2 mesh with element `dup` appended again
 # and the node order of the last original element reversed, as the
 # element-object mesh reported it

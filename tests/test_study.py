@@ -15,7 +15,7 @@ from hpbl.fem import assemble, interpolate
 from hpbl.macro import assign_refinement_patterns, build_geo_bl_mesh
 from hpbl.meshio import mesh_svg
 from hpbl.oracles import ManufacturedSolution
-from hpbl.patches import PatchParams
+from hpbl.patches import PatchKind, PatchParams
 from hpbl.study import (
     ConvergenceTable,
     ExperimentConfig,
@@ -257,6 +257,74 @@ def test_field_difference_matches_per_call_oracle(domain):
         return 1.0 + x * x
 
     assert field_difference_norms(ref, fld, 1e-2, c) == field_difference_oracle(ref, fld, 1e-2, c)
+
+
+@pytest.mark.parametrize("layers", ["p", "balanced", "corner-only"])
+@pytest.mark.parametrize("domain", ["square", "lshape", "slit"])
+def test_field_difference_matches_per_point_path(domain, layers):
+    # located and tabulated once per pattern pair, the norms of a reference
+    # minus graded fields equal those of every point located on its own,
+    # bit for bit; random coefficients on the study's meshes, the square at
+    # L = 0 (corner-only) with no rectangles among them
+    rng = np.random.default_rng(7)
+    cfg = ExperimentConfig(domain=domain, eps=(1e-2, 1e-3), p_max=3, mode="reference",
+                           layers=layers)
+    for eps in cfg.eps:
+        dm = fem.DofMap(mesh_for(cfg, 5, eps), 5)
+        ref = fem.DiscreteField(dm, rng.standard_normal(dm.ndofs))
+        for p in (1, 2, 3):
+            dm = fem.DofMap(mesh_for(cfg, p, eps), p)
+            fld = fem.DiscreteField(dm, rng.standard_normal(dm.ndofs))
+            assert field_difference_norms(ref, fld, eps, 1.0) == field_difference_oracle(
+                ref, fld, eps, 1.0)
+
+
+def test_field_difference_splits_quads_by_the_coarse_pattern():
+    # a coarse mesh whose quads of one fine pattern carry two patterns (one
+    # quad made trivial, same rotation): the pair, not the fine pattern
+    # alone, decides whose points are located
+    poly, macro = hpbl.layouts.builtin_layout("slit")
+    fine_asn = assign_refinement_patterns(macro, poly)
+    groups = {}
+    for qid, a in enumerate(fine_asn):
+        groups.setdefault((a.kind, a.flip, a.layers_from_L), []).append(qid)
+    qid = next(qs[1] for key, qs in groups.items() if key[0] is not PatchKind.TRIVIAL and qs[1:])
+    coarse_asn = list(fine_asn)
+    coarse_asn[qid] = dataclasses.replace(fine_asn[qid], kind=PatchKind.TRIVIAL)
+    rng = np.random.default_rng(3)
+    fields = []
+    for asn, (L, q) in ((fine_asn, (3, 4)), (coarse_asn, (2, 2))):
+        mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L), asn)
+        dm = fem.DofMap(mesh, q)
+        fields.append(fem.DiscreteField(dm, rng.standard_normal(dm.ndofs)))
+    ref, fld = fields
+    want = field_difference_oracle(ref, fld, 1e-2, 1.0)
+    assert field_difference_norms(ref, fld, 1e-2, 1.0) == want
+
+
+def test_slit_locates_each_pattern_pair_once(monkeypatch):
+    # the slit bench study: each graded field locates only the points of
+    # each (reference, graded) pattern pair's first quad, one locator each
+    cfg = ExperimentConfig(domain="slit", eps=(1e-2,), p_max=4, mode="reference")
+    ref = reference_solution(cfg, 1e-2)
+    located, locate = [], fem._PatternLocator.locate
+
+    def counted(self, qids, pat):
+        located.append(len(pat))
+        return locate(self, qids, pat)
+
+    monkeypatch.setattr(fem._PatternLocator, "locate", counted)
+    for p in (1, 2, 3, 4):
+        fld, _, _ = run_cell(cfg, p, 1e-2, ref)
+        side = ref._fine[1]
+        pairs = {}
+        for qid, (a, b) in enumerate(zip(ref.mesh.assignments, fld.mesh.assignments)):
+            key = (a.kind, a.flip, a.layers_from_L, b.kind, b.flip, b.layers_from_L)
+            pairs.setdefault(key, qid)
+        want = int(side.count[:, list(pairs.values())].sum())
+        assert located[-1] == want
+        assert (len(pairs), want, len(side.qids)) == (6, 10624, 35584)
+    assert len(located) == 4
 
 
 def test_reference_side_is_formed_once_per_eps(monkeypatch):
