@@ -61,15 +61,23 @@ block of a shape, which grows like elements x q^4, and the system on
 all free dofs is never formed: ``LinearSystem.matrix`` is the skeleton
 system.
 ``LinearSystem.solve`` runs CG on it and recovers the bubbles element
-by element, so reported CG iterations count skeleton iterations.
+by element, so reported CG iterations count skeleton iterations.  CG is
+preconditioned by overlapping additive Schwarz on vertex stars: a mesh
+node's dof with the interior dofs of the facets ending at it
+(``DofMap.stars``), each star's dense block of the skeleton matrix
+inverted once per solve.  On condensed hp systems this keeps the
+iteration count nearly flat in p (Pavarino, Numer. Math. 66, 1994;
+Schoeberl, Melenk, Pechstein & Zaglmayr, IMA J. Numer. Anal. 28, 2008):
+the slit's q = 6 reference solve takes 47 iterations where point Jacobi
+took 289.
 
-A ``DofMap`` also keeps the element data of its (mesh, q) that do not
-depend on eps, so that solves on one mesh at several eps form them
-once: the points, w det and classes that ``assemble`` reads at q + 2
-points per direction (``element_classes``, kept per c and diffusion),
-and the points, w det and inverse Jacobians of the norm kernel at
-q + 3 (``norm_geometry``).  The load, the blocks and their
-condensation stay per call.
+A ``DofMap`` also keeps the data of its (mesh, q) that do not depend
+on eps, so that solves on one mesh at several eps form them once: the
+points, w det and classes that ``assemble`` reads at q + 2 points per
+direction (``element_classes``, kept per c and diffusion), the points,
+w det and inverse Jacobians of the norm kernel at q + 3
+(``norm_geometry``) and the stars.  The load, the blocks and their
+condensation, and the inverse star blocks stay per call.
 
 scipy is imported on first use: ``scipy.sparse`` when ``assemble``
 builds its first matrix.  Importing this module loads no scipy, so
@@ -188,6 +196,8 @@ class DofMap:
         self.free = np.nonzero(~dirichlet)[0]
         self.free_index = np.full(self.ndofs, -1, dtype=np.int64)
         self.free_index[self.free] = np.arange(len(self.free))
+        self._pairs = facets.pairs
+        self._stars = None
         self._points = None
         self._classes = None  # ((c, diffusion), per shape _ElementClasses) of the last assemble
         self._norm = {}  # shape -> (physical points, w det, inverse Jacobians) at q + 3 points
@@ -220,6 +230,30 @@ class DofMap:
             _, _, phys, det, invJ = element_geometry(self.mesh, shape, pts)
             self._norm[shape] = phys, w * det, invJ
         return self._norm[shape]
+
+    @property
+    def stars(self) -> dict:
+        """The vertex stars of ``solve_cg``'s preconditioner, by size: per
+        star size s a (stars, s) array of free skeleton indices.  The star
+        of a mesh node holds its own dof, then the interior dofs of the
+        facets that end at it, free dofs only; stars without a free dof are
+        left out.  Every free skeleton dof is in some star.  Formed on first
+        use and kept; they do not depend on eps."""
+        if self._stars is None:
+            nv = len(self.mesh.nodes)
+            facet = np.arange(nv, self.nskeleton)  # facet f's dofs, for its lower then upper node
+            owner = np.concatenate([np.arange(nv), np.repeat(self._pairs.T.ravel(), self.q - 1)])
+            dof = self.free_index[np.concatenate([np.arange(nv), facet, facet])]
+            free = dof >= 0
+            order = np.argsort(owner[free], kind="stable")  # node by node, own dof first
+            owner, dof = owner[free][order], dof[free][order]
+            size = np.bincount(owner, minlength=nv)
+            start = np.cumsum(size) - size
+            self._stars = {}
+            for s in np.unique(size[size > 0]):
+                at = start[size == s]
+                self._stars[int(s)] = dof[at[:, None] + np.arange(s)]
+        return self._stars
 
     def dof_points(self) -> np.ndarray:
         """Physical coordinates of every degree of freedom."""
@@ -273,7 +307,8 @@ class LinearSystem:
         Returns (DiscreteField over all dofs, stats); the stats describe
         the skeleton solve.
         """
-        x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter)
+        x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter,
+                                    stars=self.dofmap.stars)
         return self.field(x), {"iterations": iters, "relres": relres}
 
     def field(self, x: np.ndarray) -> DiscreteField:
@@ -521,12 +556,20 @@ def assemble(
     return LinearSystem(dofmap, skel.csr(nskel), bs, bubbles)
 
 
-def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):
-    """Jacobi-preconditioned conjugate gradients.
+def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, stars=None):
+    """Conjugate gradients, preconditioned by additive Schwarz on stars.
 
-    Returns (x, iterations, relative residual); raises if the tolerance
-    is not reached within the iteration cap, and at once on breakdown
-    (a non-finite residual or p.Ap <= 0).
+    ``stars`` maps a size s to a (blocks, s) array of indices, as
+    ``DofMap.stars``; the preconditioner is z = sum_v R_v^T A_v^-1 R_v r
+    over the stars v, with A_v the dense block of A on a star's indices
+    (overlapping vertex stars: Pavarino, Numer. Math. 66, 1994).  Without
+    stars every index is its own star, which is point Jacobi.  The blocks
+    are read from A and inverted batched, in chunks of about ``_ENTRIES``
+    entries, once per call.  The stopping rule is the unpreconditioned
+    ||r|| / ||b|| <= tol.  Returns (x, iterations, relative residual);
+    raises if the tolerance is not reached within the iteration cap, and
+    at once on breakdown (a non-finite residual, a singular star block,
+    r.z <= 0 or p.Ap <= 0).
     """
     n = len(b)
     if maxiter is None:
@@ -534,16 +577,39 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("matrix diagonal must be positive for Jacobi scaling")
+    if np.any(A.diagonal() <= 0.0):
+        raise ValueError("matrix diagonal must be positive")
+    if not math.isfinite(bnorm):
+        raise RuntimeError("cg breakdown at iteration 1: residual is not finite")
+    blocks = []  # per star size: indices (m, s) and inverse blocks (m, s, s)
+    for D in (stars or {1: np.arange(n)[:, None]}).values():
+        m, s = D.shape
+        inv = np.empty((m, s, s))
+        for k in _chunks(m, max(1, _ENTRIES // (s * s))):
+            rows, cols = np.repeat(D[k], s, axis=1).ravel(), np.tile(D[k], s).ravel()
+            try:
+                inv[k] = np.linalg.inv(np.asarray(A[rows, cols]).reshape(-1, s, s))
+            except np.linalg.LinAlgError:
+                raise RuntimeError(
+                    "cg breakdown at iteration 1: preconditioner is singular") from None
+        blocks.append((D, inv))
+    at = np.concatenate([D.ravel() for D, _ in blocks])
+
+    def precondition(r):
+        y = [(inv @ r[D][..., None]).ravel() for D, inv in blocks]
+        return np.bincount(at, weights=np.concatenate(y), minlength=n)
+
     x = np.zeros(n)
     r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
     relres = 1.0
     for it in range(1, maxiter + 1):
+        z = precondition(r)
+        rz_new = float(r @ z)
+        if not rz_new > 0.0:
+            raise RuntimeError(
+                f"cg breakdown at iteration {it}: preconditioner not positive definite")
+        p = z if it == 1 else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = A @ p
         pAp = float(p @ Ap)
         if not pAp > 0.0:
@@ -558,10 +624,6 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None):
             raise RuntimeError(f"cg breakdown at iteration {it}: residual is not finite")
         if relres <= tol:
             return x, it, relres
-        z = r / diag
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     raise RuntimeError(f"cg failed to converge: relres={relres:.3e} after {maxiter} iterations")
 
 
@@ -729,15 +791,16 @@ class _PatternLocator:
     ``DofMap.dofs[shape]`` (``slot``) and its affine placement: a
     ``frame`` row holds the origin, then the inverse matrix (``inv``) row
     by row; and per macro quad of the mesh the id of its first element
-    (``offset``), since elements are numbered quad by quad.  Cells are
-    built only for the quads ``qids``, the ones whose points are
-    located.  The sorted unique x and y coordinates of each quad's pattern
-    nodes cut its pattern frame into cells, and each element of the quad
-    is a candidate of every cell that its corner bounding box touches.
-    The box is widened by the containment slack ``_TOL * sum|mat|``,
-    doubled to cover rounding in the reference coordinates, plus a few
-    ulps for rounding in the box itself, so a cell's candidates include
-    every element that can contain one of its points within ``_TOL``.
+    (``offset``), since elements are numbered quad by quad.  Cells, and
+    the element corner boxes that pick their candidates, are formed only
+    for the quads ``qids``, the ones whose points are located.  The sorted unique x and
+    y coordinates of each quad's pattern nodes cut its pattern frame into
+    cells, and each element of the quad is a candidate of every cell that
+    its corner bounding box touches.  The box is widened by the
+    containment slack ``_TOL * sum|mat|``, doubled to cover rounding in
+    the reference coordinates, plus a few ulps for rounding in the box
+    itself, so a cell's candidates include every element that can contain
+    one of its points within ``_TOL``.
     """
 
     def __init__(self, mesh: Mesh, qids: np.ndarray):
@@ -746,17 +809,20 @@ class _PatternLocator:
         self.frame = np.empty((n, 6))
         self.slot = np.empty(n, dtype=np.int64)
         macro_of = np.empty(n, dtype=np.int64)
-        lo, hi = np.empty((n, 2)), np.empty((n, 2))
+        lo, hi = np.empty((n, 2)), np.empty((n, 2))  # corner boxes, of the quads qids only
+        located = np.isin(np.arange(len(mesh.oriented)), qids)
         for shape, corners in REF_CORNERS.items():
             ids, place = element_placements(mesh, shape)
             self.tri[ids] = shape == "t"
             macro_of[ids] = mesh.macro_id[shape]
             self.frame[ids] = np.column_stack([place.origin, place.inv.reshape(-1, 4)])
             self.slot[ids] = np.arange(len(ids))
-            xy = place.origin[:, None, :] + corners @ np.swapaxes(place.mat, 1, 2)
-            widen = 2.0 * _TOL * np.abs(place.mat).sum(axis=(1, 2)) + 8.0 * np.finfo(float).eps
-            lo[ids] = xy.min(axis=1) - widen[:, None]
-            hi[ids] = xy.max(axis=1) + widen[:, None]
+            sel = located[mesh.macro_id[shape]]
+            mat = place.mat[sel]
+            xy = place.origin[sel][:, None, :] + corners @ np.swapaxes(mat, 1, 2)
+            widen = 2.0 * _TOL * np.abs(mat).sum(axis=(1, 2)) + 8.0 * np.finfo(float).eps
+            lo[ids[sel]] = xy.min(axis=1) - widen[:, None]
+            hi[ids[sel]] = xy.max(axis=1) + widen[:, None]
         self.inv = self.frame[:, 2:].reshape(n, 2, 2)
         self.offset = np.searchsorted(macro_of, np.arange(len(mesh.oriented)))  # quad by quad
 

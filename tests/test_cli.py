@@ -78,7 +78,7 @@ def test_solve_reference_mode_reports_errors(capsys):
 def test_solve_reports_solver_failure(monkeypatch, capsys, command):
     import hpbl.fem
 
-    def boom(A, b, tol=0.0, maxiter=None):
+    def boom(*args, **kwargs):
         raise RuntimeError("no convergence")
 
     monkeypatch.setattr(hpbl.fem, "solve_cg", boom)

@@ -88,6 +88,9 @@ def test_solve_cg_oracles():
     x, iters, relres = solve_cg(A, b)
     assert relres <= 1e-12
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
+    x, iters, relres = solve_cg(A, b, stars={30: np.arange(30)[None]})
+    assert iters == 1 and relres <= 1e-12  # one star over every dof inverts A
+    np.testing.assert_allclose(A @ x, b, atol=1e-9)
 
 
 def test_cg_failure_raises():
@@ -109,6 +112,17 @@ def test_cg_stops_at_once_on_indefinite_matrix():
     A = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
     with pytest.raises(RuntimeError, match="breakdown at iteration 1:"):
         solve_cg(A, np.array([1.0, -1.0]), maxiter=10_000)
+
+
+def test_cg_stops_at_once_on_indefinite_star_block():
+    # one star over both dofs: its block [[1, 3], [3, 1]] is indefinite, and
+    # r.z = b.A^-1 b = -1/8 for b = (1, 0)
+    A = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="breakdown at iteration 1: preconditioner not positive"):
+        solve_cg(A, np.array([1.0, 0.0]), maxiter=10_000, stars={2: np.array([[0, 1]])})
+    singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="breakdown at iteration 1: preconditioner is singular"):
+        solve_cg(singular, np.array([1.0, 0.0]), stars={2: np.array([[0, 1]])})
 
 
 def test_assemble_rejects_nonfinite_load():
@@ -745,3 +759,60 @@ def test_per_point_data_keep_per_point_keys():
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=0, n=0))
     assert _classes(mesh, 2)["r"].key.shape == (0, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["square", "lshape", "slit"]),
+    L=st.integers(0, 5),
+    extra=st.integers(0, 3),
+    q=st.integers(1, 6),
+)
+def test_vertex_stars_hold_each_node_and_its_facets(name, L, extra, q):
+    poly, macro = builtin_layout(name)
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=L, n=L + extra))
+    dm = DofMap(mesh, q)
+    # each node's dof and the interior dofs of every element edge ending at it
+    star = [{v} for v in range(len(mesh.nodes))]
+    for shape, gd in dm.dofs.items():
+        for e in (rect_basis(q) if shape == "r" else tri_basis(q)).edge_ids:
+            for row in gd[:, e].tolist():
+                star[row[0]].update(row[1:-1])
+                star[row[-1]].update(row[1:-1])
+    expected = sorted(tuple(sorted(f for f in dm.free_index[sorted(s)].tolist() if f >= 0))
+                      for s in star)
+    expected = [s for s in expected if s]
+
+    assert all(D.shape[1] == size for size, D in dm.stars.items())
+    rows = [row for D in dm.stars.values() for row in D.tolist()]
+    assert all(len(set(row)) == len(row) for row in rows)
+    assert sorted(tuple(sorted(row)) for row in rows) == expected
+    nskel = int(np.searchsorted(dm.free, dm.nskeleton))
+    assert sorted(set().union(*rows)) == list(range(nskel))
+    if q == 1:
+        assert set(dm.stars) <= {1}
+    assert dm.stars is dm.stars  # formed once and kept
+
+
+@pytest.mark.parametrize("q", [1, 3, 6])
+@pytest.mark.parametrize("layers", ["p", "balanced", "corner-only"])
+@pytest.mark.parametrize("name", ["square", "lshape", "slit"])
+def test_star_cg_matches_the_direct_solve(name, layers, q):
+    eps = 1e-2
+    config = ExperimentConfig(domain=name, eps=[eps], p_max=q, layers=layers)
+    system = assemble(mesh_for(config, q, eps), q, eps, 1.0, 1.0)
+    (f_cg, stats), (f_dir, _) = system.solve(), direct_solve(system)
+    assert stats["relres"] <= 1e-12
+    np.testing.assert_allclose(f_cg.coeffs, f_dir.coeffs, rtol=0.0, atol=1e-9)
+
+
+def test_star_cg_iterations_on_the_slit_reference():
+    # the slit benchmark study's reference solve (eps 1e-2, p_max 4, so q = 6):
+    # 47 star iterations, 289 point-Jacobi ones
+    config = ExperimentConfig(domain="slit", eps=[1e-2], p_max=4, mode="reference")
+    q = config.p_max + 2
+    system = assemble(mesh_for(config, q, 1e-2), q, 1e-2, 1.0, 1.0)
+    _, stats = system.solve()
+    _, jacobi, _ = solve_cg(system.matrix, system.rhs)
+    assert stats["iterations"] <= 80
+    assert stats["iterations"] < jacobi
