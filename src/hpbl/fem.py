@@ -21,7 +21,9 @@ only place element maps and Jacobians are computed: one Jacobian per
 element, (E, 1, 2, 2), where all the shape's macro quads are
 parallelograms (every built-in layout), else one per point.  Row
 vectors are multiplied by either through ``_times``, one matmul per
-element over all its rows in the first case.  ``_integrate`` is
+element over all its rows in the first case.  Elementwise per-point
+work runs on x and y planes, (E, P) each, not on (..., 2) arrays,
+which stay at API boundaries and in matmuls.  ``_integrate`` is
 the norm kernel behind every error and energy norm, and
 ``DiscreteField.at_pattern`` is the one point locator.  It finds each
 point's element among the candidates of its pattern cell (a grid on
@@ -764,8 +766,9 @@ class _FineSide:
         for sl, npts, jinv, wdet, cwdet, vals, grads in self.parts:
             v = vals - cvals[sl]
             g = grads - _times(cgrads[sl].reshape(len(jinv), npts, 1, 2), jinv).reshape(-1, 2)
+            gx, gy = g[:, 0], g[:, 1]
             l2 += float(np.sum(wdet * v * v))
-            h1 += float(np.sum(wdet * np.sum(g * g, axis=-1)))
+            h1 += float(np.sum(wdet * (gx * gx + gy * gy)))
             mass += float(np.sum(cwdet * v * v))
         return _norm_dict(eps, l2, h1, h1, mass)
 
@@ -931,14 +934,15 @@ def _integrate(field: DiscreteField, eps, c, diffusion=None, exact=None) -> dict
             value, grad = exact
             vals = vals - _field_at(value, flat).reshape(ne, npts)
             grads = grads - np.broadcast_to(grad(*flat.T), flat.shape).reshape(phys.shape)
-        gsq = np.sum(grads * grads, axis=-1)
+        gx, gy = grads[..., 0], grads[..., 1]
+        gsq = gx * gx + gy * gy
         l2 += float(np.sum(wdet * vals * vals))
         h1 += float(np.sum(wdet * gsq))
-        flux = grads
+        flux = gsq
         if diffusion is not None:
-            Ap = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
-            flux = (grads[..., None, :] @ Ap)[..., 0, :]
-        flux_sq += float(np.sum(wdet * np.sum(flux * grads, axis=-1)))
+            A = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 4)
+            flux = (gx * A[..., 0] + gy * A[..., 2]) * gx + (gx * A[..., 1] + gy * A[..., 3]) * gy
+        flux_sq += float(np.sum(wdet * flux))
         mass += float(np.sum(wdet * _field_at(c, flat).reshape(ne, npts) * vals * vals))
     return _norm_dict(eps, l2, h1, flux_sq, mass)
 

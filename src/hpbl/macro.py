@@ -422,8 +422,9 @@ class BilinearMap:
         self.dst = c[..., 2, :] - c[..., 1, :] - c[..., 3, :] + c[..., 0, :]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        s, t = pts[..., 0:1], pts[..., 1:2]
-        return self.p0 + s * self.ds + t * self.dt + (s * t) * self.dst
+        s, t = pts[..., 0], pts[..., 1]  # x and y as planes, not as (..., 2) broadcasts
+        return np.stack([self.p0[..., k] + s * self.ds[..., k] + t * self.dt[..., k]
+                         + (s * t) * self.dst[..., k] for k in range(2)], axis=-1)
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         s, t = pts[..., 0:1], pts[..., 1:2]

@@ -4,7 +4,7 @@
 on the unit square with u = 0 on the boundary, exhibiting genuine
 boundary layers on all four edges.  Its evaluations are stable for
 arbitrarily small eps: no exponential is ever taken of a positive
-argument.
+argument, nor of one below -745.2, which underflows to 0.0 at 15-25x the cost.
 """
 
 from __future__ import annotations
@@ -34,17 +34,15 @@ class ManufacturedSolution:
     def _X_dX(self, t):
         """X(t) and X'(t) from one evaluation of the two exponentials."""
         t = np.asarray(t, dtype=float)
-        a, b = np.exp(-t / self.eps), np.exp(-(1.0 - t) / self.eps)
+        a, b = self._decay(t), self._decay(1.0 - t)
         return 1.0 - (a + b) / self._denom, (a - b) / (self.eps * self._denom)
+
+    def _decay(self, u):
+        """exp(-u/eps), taken only where it does not underflow; NaN stays NaN."""
+        return np.exp(-u / self.eps, out=np.zeros_like(u), where=~(u >= 745.2 * self.eps))
 
     def X(self, t):
         return self._X_dX(t)[0]
-
-    def dX(self, t):
-        return self._X_dX(t)[1]
-
-    def d2X(self, t):
-        return (self.X(t) - 1.0) / self.eps**2
 
     def value(self, x, y):
         return self.X(x) * self.X(y)
@@ -56,9 +54,4 @@ class ManufacturedSolution:
     def f(self, x, y):
         xx, yy = self.X(x), self.X(y)
         return xx + yy - xx * yy
-
-    def residual(self, x, y):
-        """-eps^2 Lap(u) + u - f, pointwise (zero up to roundoff)."""
-        lap = self.d2X(x) * self.X(y) + self.X(x) * self.d2X(y)
-        return -self.eps**2 * lap + self.value(x, y) - self.f(x, y)
 

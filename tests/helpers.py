@@ -8,7 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import _POINTS, DofMap, _basis_for, _integrate, _PatternLocator, _tables
+from hpbl.fem import (_POINTS, DofMap, _basis_for, _field_at, _integrate, _norm_dict,
+                      _PatternLocator, _tables, _times)
 from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
@@ -217,6 +218,29 @@ class CornerSingularityFn:
             raise ValueError("gradient of the corner singularity is singular at r=0")
         scale = (1.0 - self.beta) * r ** (-1.0 - self.beta)
         return np.stack([scale * x, scale * y], axis=-1)
+
+
+def manufactured_residual(ms, x, y):
+    """-eps^2 Lap(u) + u - f of a ``ManufacturedSolution``, pointwise (zero
+    up to roundoff), with X'' = (X - 1) / eps^2."""
+    def d2X(t):
+        return (ms.X(t) - 1.0) / ms.eps**2
+
+    lap = d2X(x) * ms.X(y) + ms.X(x) * d2X(y)
+    return -ms.eps**2 * lap + ms.value(x, y) - ms.f(x, y)
+
+
+def X_dX_unmasked(ms, t):
+    """``ManufacturedSolution._X_dX`` with every exponential taken."""
+    t = np.asarray(t, dtype=float)
+    a, b = np.exp(-t / ms.eps), np.exp(-(1.0 - t) / ms.eps)
+    return 1.0 - (a + b) / ms._denom, (a - b) / (ms.eps * ms._denom)
+
+
+def bilinear_broadcast(bil, pts):
+    """``BilinearMap.__call__`` as one broadcast over a length-2 last axis."""
+    s, t = pts[..., 0:1], pts[..., 1:2]
+    return bil.p0 + s * bil.ds + t * bil.dt + (s * t) * bil.dst
 
 
 def sup_errors(field, exact, exact_grad=None, n=400):
@@ -665,6 +689,29 @@ def direct_solve(system):
 def energy_norm(field, eps, c, diffusion=None):
     """sqrt(eps^2 (A grad u, grad u) + (c u, u)) by the package's norm kernel."""
     return _integrate(field, eps, c, diffusion)["energy"]
+
+
+def error_norms_matmul_flux(field, exact, exact_grad, eps, c, diffusion):
+    """``fem.error_norms`` with a diffusion field, as it was with (E, P, 2)
+    gradients and the flux A grad e as one 1x2 by 2x2 matmul per point:
+    the reference the plane kernel is compared with (``test_fem``)."""
+    l2 = h1 = flux_sq = mass = 0.0
+    for shape in ("r", "t"):
+        _, _, B, G = _tables(shape, field.q, field.q + 3)
+        phys, wdet, invJ = field.dofmap.norm_geometry(shape)
+        co = field.coeffs[field.dofmap.dofs[shape]]
+        ne, (npts, nb) = len(co), B.shape
+        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
+        flat = phys.reshape(-1, 2)
+        vals = co @ B.T - _field_at(exact, flat).reshape(ne, npts)
+        grads = _times(gref, invJ)[..., 0, :] - exact_grad(*flat.T).reshape(phys.shape)
+        Ap = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+        flux = (grads[..., None, :] @ Ap)[..., 0, :]
+        l2 += float(np.sum(wdet * vals * vals))
+        h1 += float(np.sum(wdet * np.sum(grads * grads, axis=-1)))
+        flux_sq += float(np.sum(wdet * np.sum(flux * grads, axis=-1)))
+        mass += float(np.sum(wdet * _field_at(c, flat).reshape(ne, npts) * vals * vals))
+    return _norm_dict(eps, l2, h1, flux_sq, mass)
 
 
 def evaluate(field, points):

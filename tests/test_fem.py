@@ -32,8 +32,8 @@ from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_basis, tri_basis
 from hpbl.study import ExperimentConfig, field_difference_norms, mesh_for, run_experiment
 
-from helpers import (direct_solve, element_rows, energy_norm, evaluate, facet_uses, full_system,
-                     nonaffine_meshes, pattern_mesh)
+from helpers import (direct_solve, element_rows, energy_norm, error_norms_matmul_flux, evaluate,
+                     facet_uses, full_system, nonaffine_meshes, pattern_mesh)
 
 
 def _unit_square_trivial():
@@ -666,6 +666,25 @@ def test_per_element_jacobians_match_per_point_ones(monkeypatch, name):
             assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("name", ["square", "slit"])
+def test_plane_flux_matches_the_matmul_flux(name):
+    # the flux A grad e from the four entries of A, against one matmul per
+    # point: the same energy norm to 1e-14, the other norms bit for bit
+    mesh, eps = _builtin_mesh(name), 1e-2
+    ms = ManufacturedSolution(eps)
+    D = np.array([[2.0, 0.3], [0.3, 0.5]])
+
+    def diffusion(p):
+        return D * (2.0 + p[:, :1, None])
+
+    fld, _ = assemble(mesh, 3, eps, 1.0, ms.f, diffusion=diffusion).solve()
+    for c in (1.0, lambda x, y: 1.0 + x * x):
+        got = error_norms(fld, ms.value, ms.grad, eps, c, diffusion)
+        want = error_norms_matmul_flux(fld, ms.value, ms.grad, eps, c, diffusion)
+        assert got["energy"] == pytest.approx(want["energy"], rel=1e-14, abs=0.0)
+        assert all(got[k] == want[k] for k in ("l2", "h1", "balanced"))
+
+
 @pytest.mark.parametrize("name", ["square", "lshape", "slit"])
 def test_builtin_layouts_keep_one_jacobian_per_element(name):
     mesh = _builtin_mesh(name)
@@ -804,6 +823,19 @@ def test_star_cg_matches_the_direct_solve(name, layers, q):
     (f_cg, stats), (f_dir, _) = system.solve(), direct_solve(system)
     assert stats["relres"] <= 1e-12
     np.testing.assert_allclose(f_cg.coeffs, f_dir.coeffs, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("layers, eps", [("p", 1e-2), ("p", 1e-8), ("balanced", 1e-2)])
+@pytest.mark.parametrize("name", ["square", "slit"])
+def test_star_cg_iterations_stay_few(name, layers, eps):
+    # a guard against the preconditioner falling back toward point Jacobi,
+    # which took 240-290 iterations per high-p solve; the star CG took at
+    # most 55 here (slit, balanced layers, p = 2)
+    for q in (2, 5):
+        config = ExperimentConfig(domain=name, eps=[eps], p_max=q, layers=layers)
+        _, stats = assemble(mesh_for(config, q, eps), q, eps, 1.0, 1.0).solve()
+        assert stats["iterations"] <= 80, q
+        assert stats["relres"] <= 1e-12, q
 
 
 def test_star_cg_iterations_on_the_slit_reference():

@@ -13,6 +13,7 @@ from hpbl.layouts import builtin_layout
 from hpbl.macro import (
     _JAC_SAMPLES,
     _TRI_SAMPLES,
+    BilinearMap,
     MacroTriangulation,
     PatternAssignment,
     assign_refinement_patterns,
@@ -26,8 +27,9 @@ from hpbl.meshcheck import conformity_violations
 from hpbl.patches import PatchKind, PatchParams
 from hpbl.reference import rect_quadrature, tri_quadrature
 
-from helpers import (bent_corner_layout, build_by_dict, element_geometry_per_point, element_rows,
-                     nonaffine_meshes, validate_by_element)
+from helpers import (bent_corner_layout, bilinear_broadcast, build_by_dict,
+                     element_geometry_per_point, element_rows, nonaffine_meshes,
+                     validate_by_element)
 
 
 def test_scale_resolution_L():
@@ -403,3 +405,21 @@ def test_element_geometry_is_per_point_on_other_quads():
             assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert all(m.parallelograms.tolist() == [True, True, True, False] for m in bent)
     assert all(not validate_mesh(m).violations for m in bent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ne=st.integers(0, 6), npts=st.integers(1, 9),
+       scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e5]))
+def test_bilinear_map_planes_match_the_broadcast(seed, ne, npts, scale):
+    # x and y formed as planes give the (..., 2) broadcast formula bit for
+    # bit: stacked maps (E, 1) at per-element points (E, P, 2), as
+    # element_points builds them, stacked maps at shared points, as node
+    # placement calls them, and one map at (P, 2) points
+    rng = np.random.default_rng(seed)
+    corners = scale * rng.standard_normal((ne, 1, 4, 2)) + rng.uniform(-1.0, 1.0, 2)
+    pts = rng.uniform(0.0, 1.0, (ne, npts, 2))
+    shared = rng.uniform(0.0, 1.0, (npts, 2))
+    stacked = BilinearMap(corners)
+    single = BilinearMap(scale * rng.standard_normal((4, 2)))
+    for bil, at in ((stacked, pts), (stacked, shared), (single, shared)):
+        assert _same_bits(bil(at), bilinear_broadcast(bil, at))

@@ -3,7 +3,7 @@ import pytest
 
 from hpbl.oracles import ManufacturedSolution
 
-from helpers import BoundaryLayerFn, CornerSingularityFn
+from helpers import BoundaryLayerFn, CornerSingularityFn, X_dX_unmasked, manufactured_residual
 
 
 def _fd_grad(f, x, y, h=1e-6):
@@ -37,8 +37,23 @@ def test_manufactured_residual_small():
     x, y = rng.uniform(0.01, 0.99, size=(2, 10000))
     for eps in (1.0, 0.1, 0.01, 0.001):
         ms = ManufacturedSolution(eps)
-        res = ms.residual(x, y)
+        res = manufactured_residual(ms, x, y)
         assert np.abs(res).max() < 1e-10, eps
+
+
+def test_manufactured_exponentials_skip_only_exact_zeros():
+    # exp(-u/eps) is taken only where it does not underflow; around the
+    # cut, u/eps from 700 to 760, and at the ends, X and X' are the
+    # formula with every exponential taken, bit for bit
+    r = np.linspace(700.0, 760.0, 6001)
+    for eps in 10.0 ** -np.arange(9):
+        ms = ManufacturedSolution(eps)
+        t = np.concatenate([eps * r, 1.0 - eps * r, [0.0, 1.0]])
+        with np.errstate(over="ignore"):  # t far outside [0, 1] at eps >= 1e-2
+            got, want = ms._X_dX(t), X_dX_unmasked(ms, t)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), eps
+    assert np.isnan(ManufacturedSolution(1e-3)._X_dX(np.array([0.5, np.nan]))).tolist() == [
+        [False, True], [False, True]]
 
 
 def test_manufactured_grad_consistent():
