@@ -6,85 +6,38 @@ elements sharing it agree), and the rest interior to elements.  Edge
 restrictions of both the tensor and the triangle basis are univariate
 Lagrange interpolants on Gauss-Lobatto points of the same degree,
 which makes the glued space H1-conforming also across the
-rectangle/triangle interfaces inside the patterns.  ``DofMap`` builds
-the numbering from the mesh's per-shape arrays as one table per shape,
-``dofs[shape]`` (E, nbasis) whose rows match ``Mesh.conn[shape]``, and
-assembly, DoF points, norm kernel and point locator index it directly.
+rectangle/triangle interfaces inside the patterns.  ``DofMap`` numbers
+them in one table per shape, ``dofs[shape]`` (E, nbasis), whose rows
+match ``Mesh.conn[shape]`` and which every kernel indexes directly.
 
-The assembled problem is
+The problem is eps^2 (A grad u, grad v) + (c u, v) = (f, v), u = 0 on
+the boundary, with A a symmetric 2x2 diffusion field (identity when
+omitted).  Element geometry comes batched per shape from
+``macro.element_geometry``: one Jacobian per element where the macro
+quads are parallelograms (every built-in layout), else one per point,
+applied to row vectors by ``_times``.  Per-point work runs on x and y
+planes, (E, P) each; (..., 2) arrays stay at API boundaries and in
+matmuls.  ``_integrate`` is the norm kernel behind every error norm,
+``DiscreteField.at_pattern`` the one point locator, and
+``DiscreteField.difference_norms`` integrates a field minus a coarser
+one on the same macro layout.
 
-    eps^2 (A grad u, grad v) + (c u, v) = (f, v),   u = 0 on the boundary,
+Solves work class by class.  The geometric meshes repeat a few pattern
+elements under a few macro maps, so ``assemble`` sorts each shape's
+elements into classes of bitwise-equal keys and condenses the bubbles
+once per class, keeping the class's Schur complement and X_b; only the
+load stays per element.  ``LinearSystem.solve`` runs CG on the skeleton
+system (node and facet dofs), preconditioned by vertex-star blocks that
+``hpbl.stars`` sums from the class Schur complements, one block per
+class of equal stars (237 for the 562 stars of the slit's q = 6
+reference mesh).
 
-with A a symmetric 2x2 diffusion field (identity when omitted).  Element
-geometry comes batched per shape from ``macro.element_geometry``, the
-only place element maps and Jacobians are computed: one Jacobian per
-element, (E, 1, 2, 2), where all the shape's macro quads are
-parallelograms (every built-in layout), else one per point.  Row
-vectors are multiplied by either through ``_times``, one matmul per
-element over all its rows in the first case.  Elementwise per-point
-work runs on x and y planes, (E, P) each, not on (..., 2) arrays,
-which stay at API boundaries and in matmuls.  ``_integrate`` is
-the norm kernel behind every error and energy norm, and
-``DiscreteField.at_pattern`` is the one point locator.  It finds each
-point's element among the candidates of its pattern cell (a grid on
-the sorted pattern node coordinates of its macro quad), forms the
-bases' point factors once per located point and contracts them with
-the coefficients, so its cost grows with the number of points only;
-its gradients are pattern-frame ones, so evaluating values forms no
-macro Jacobians.  ``DiscreteField.difference_norms`` integrates a
-field minus a coarser one on the same macro layout: the finer field's
-side (``_FineSide``: points, weights, macro inverse Jacobians, values
-and gradients) is formed once and kept on it.  Quads that carry the
-same pattern hold bitwise-equal pattern points, so each coarser field
-is located and tabulated only at the points of the first quad of each
-(finer, coarser) pattern pair, and evaluated at every point from those.
-
-Solves use static condensation, once per class of identical elements.
-The geometric meshes repeat a few pattern elements under a few macro
-maps, so ``assemble`` sorts the elements of each shape into classes
-whose keys are bitwise equal.  Where an element map is affine (one
-Jacobian per element), c is a constant and A = I, the key is five
-numbers per element, det J^-1 J^-T and c det, and a block is
-sum_ab (det J^-1 J^-T)_ab R_ab + c det M_ref from reference matrices
-formed once per (shape, q) (``_ref_blocks``, the reference tensor form
-of affine elements).  Otherwise the key is the quadrature data, w det
-J^-1 A J^-T and c w det at every point, and blocks come by quadrature.
-``assemble`` forms the element blocks of the classes in chunks of
-about ``_ENTRIES`` block entries and eliminates their bubbles
-(interior dofs) chunk by chunk: one batched Cholesky factorization
-checks that the bubble blocks are positive definite, one batched solve
-forms S_ii^-1 [S_ib | I], and the Schur complements on the skeleton
-(the node and facet dofs, which ``DofMap`` numbers before every
-bubble) follow.  The load, X_l = S_ii^-1 l_i, the condensed load and
-the free Schur entries, written into one set of preallocated
-triplets, stay per element, in chunks over the elements of those
-classes.  So only one chunk's blocks are held at a time, not every
-block of a shape, which grows like elements x q^4, and the system on
-all free dofs is never formed: ``LinearSystem.matrix`` is the skeleton
-system.
-``LinearSystem.solve`` runs CG on it and recovers the bubbles element
-by element, so reported CG iterations count skeleton iterations.  CG is
-preconditioned by overlapping additive Schwarz on vertex stars: a mesh
-node's dof with the interior dofs of the facets ending at it
-(``DofMap.stars``), each star's dense block of the skeleton matrix
-inverted once per solve.  On condensed hp systems this keeps the
-iteration count nearly flat in p (Pavarino, Numer. Math. 66, 1994;
-Schoeberl, Melenk, Pechstein & Zaglmayr, IMA J. Numer. Anal. 28, 2008):
-the slit's q = 6 reference solve takes 47 iterations where point Jacobi
-took 289.
-
-A ``DofMap`` also keeps the data of its (mesh, q) that do not depend
-on eps, so that solves on one mesh at several eps form them once: the
-points, w det and classes that ``assemble`` reads at q + 2 points per
-direction (``element_classes``, kept per c and diffusion), the points,
-w det and inverse Jacobians of the norm kernel at q + 3
-(``norm_geometry``) and the stars.  The load, the blocks and their
-condensation, and the inverse star blocks stay per call.
-
-scipy is imported on first use: ``scipy.sparse`` when ``assemble``
-builds its first matrix.  Importing this module loads no scipy, so
-commands that never assemble (``hpbl mesh``, ``fit``, ``--help``)
-start on numpy alone.
+A ``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
+cells of a study that share a mesh form it once: the element classes
+and their star classes (per c and diffusion), the star layout and the
+norm kernel's geometry.  scipy is imported on first use, when
+``assemble`` builds its first matrix, so commands that never assemble
+(``hpbl mesh``, ``fit``, ``--help``) start on numpy alone.
 """
 
 from __future__ import annotations
@@ -140,6 +93,13 @@ def _ref_blocks(shape: str, q: int):
     Ga = np.moveaxis(G, 2, 0)  # (2, P, nb)
     R = (np.swapaxes(Ga, 1, 2) * w)[:, None] @ Ga[None]  # (2, 2, nb, nb)
     return R.reshape(4, -1), (B.T * w) @ B
+
+
+@lru_cache(maxsize=64)
+def _split(shape: str, q: int):
+    """The interior (bubble) basis ids and the interface ids, sorted."""
+    ii = _basis_for(shape, q).interior_ids
+    return ii, np.setdiff1d(np.arange(_basis_for(shape, q).ndofs), ii)
 
 
 _POINTS = 4096  # points located and evaluated together
@@ -201,7 +161,8 @@ class DofMap:
         self._pairs = facets.pairs
         self._stars = None
         self._points = None
-        self._classes = None  # ((c, diffusion), per shape _ElementClasses) of the last assemble
+        # ((c, diffusion), per shape _ElementClasses, their star classes or None) of the last assemble
+        self._classes = None
         self._norm = {}  # shape -> (physical points, w det, inverse Jacobians) at q + 3 points
 
     @property
@@ -218,8 +179,21 @@ class DofMap:
         key = (c if callable(c) else float(c), diffusion)
         if self._classes is None or self._classes[0] != key:
             self._classes = None  # the old classes go before the new ones are formed
-            self._classes = key, _element_classes(self, c, diffusion)
+            self._classes = key, _element_classes(self, c, diffusion), None
         return self._classes[1]
+
+    def star_classes(self, cls: dict):
+        """``stars.classes`` for elements of the classes ``cls`` (per shape,
+        each element's class).  Kept beside ``element_classes`` when ``cls``
+        are theirs, with the same lifetime; otherwise formed and not kept."""
+        from .stars import classes
+
+        kept = self._classes
+        if kept is None or any(cls[s] is not cl.cls for s, cl in kept[1].items()):
+            return classes(self, cls)
+        if kept[2] is None:
+            self._classes = *kept[:2], classes(self, cls)
+        return self._classes[2]
 
     def norm_geometry(self, shape: str):
         """Physical points (E, P, 2), w det (E, P) and inverse Jacobians
@@ -235,26 +209,17 @@ class DofMap:
 
     @property
     def stars(self) -> dict:
-        """The vertex stars of ``solve_cg``'s preconditioner, by size: per
-        star size s a (stars, s) array of free skeleton indices.  The star
-        of a mesh node holds its own dof, then the interior dofs of the
-        facets that end at it, free dofs only; stars without a free dof are
-        left out.  Every free skeleton dof is in some star.  Formed on first
-        use and kept; they do not depend on eps."""
+        """``star_layout``'s stars."""
+        return self.star_layout()[0]
+
+    def star_layout(self):
+        """The vertex stars of the skeleton preconditioner and where each
+        element corner lies in them (``stars.layout``); formed on first use
+        and kept, they do not depend on eps."""
         if self._stars is None:
-            nv = len(self.mesh.nodes)
-            facet = np.arange(nv, self.nskeleton)  # facet f's dofs, for its lower then upper node
-            owner = np.concatenate([np.arange(nv), np.repeat(self._pairs.T.ravel(), self.q - 1)])
-            dof = self.free_index[np.concatenate([np.arange(nv), facet, facet])]
-            free = dof >= 0
-            order = np.argsort(owner[free], kind="stable")  # node by node, own dof first
-            owner, dof = owner[free][order], dof[free][order]
-            size = np.bincount(owner, minlength=nv)
-            start = np.cumsum(size) - size
-            self._stars = {}
-            for s in np.unique(size[size > 0]):
-                at = start[size == s]
-                self._stars[int(s)] = dof[at[:, None] + np.arange(s)]
+            from .stars import layout  # loaded on the first solve
+
+            self._stars = layout(self)
         return self._stars
 
     def dof_points(self) -> np.ndarray:
@@ -292,25 +257,32 @@ class LinearSystem:
 
     ``matrix`` and ``rhs`` are the Schur complement and condensed load on
     the free skeleton dofs, which lead the free numbering; the system on
-    all free dofs is never formed.  ``bubbles`` holds per shape the
-    bubble dofs (E, ni), the free index of each interface dof (E, nb -
-    ni; -1 where constrained) and X = S_ii^-1 [S_ib | l_i] split into
-    ``Xb`` (E, ni, nb - ni) and ``Xl`` (E, ni), so that u_i = Xl - Xb u_b.
+    all free dofs is never formed.  ``classes`` holds per shape each
+    element's class (E,) and the classes' Schur complements on the
+    interface dofs (classes, nb - ni, nb - ni).  ``bubbles`` holds per
+    shape the bubble dofs (E, ni), the free index of each interface dof
+    (E, nb - ni; -1 where constrained), each element's class, X_b =
+    S_ii^-1 S_ib per class and X_l = S_ii^-1 l_i per element (E, ni), so
+    that u_i = X_l - X_b u_b.
     """
 
     dofmap: DofMap
     matrix: sp.csr_matrix  # free skeleton x free skeleton, symmetric positive definite
     rhs: np.ndarray
+    classes: dict
     bubbles: list
 
     def solve(self, tol: float = 1e-12, maxiter: int | None = None):
-        """Solve the skeleton by CG, then back-substitute the bubbles.
+        """Solve the skeleton by CG on the vertex-star blocks of
+        ``stars.blocks``, then back-substitute the bubbles.
 
         Returns (DiscreteField over all dofs, stats); the stats describe
         the skeleton solve.
         """
+        from .stars import blocks
+
         x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter,
-                                    stars=self.dofmap.stars)
+                                    stars=blocks(self))
         return self.field(x), {"iterations": iters, "relres": relres}
 
     def field(self, x: np.ndarray) -> DiscreteField:
@@ -318,8 +290,9 @@ class LinearSystem:
         coeffs = np.zeros(self.dofmap.ndofs)
         coeffs[self.dofmap.free[: len(x)]] = x
         xb = np.append(x, 0.0)  # free index -1 (constrained) reads the trailing 0
-        for dofs, fb, Xb, Xl in self.bubbles:
-            coeffs[dofs] = Xl - (Xb @ xb[fb][..., None])[..., 0]
+        for dofs, fb, cls, Xb, Xl in self.bubbles:
+            for e in _chunks(len(dofs), max(2, _ENTRIES // (Xb.shape[1] * Xb.shape[2]))):
+                coeffs[dofs[e]] = Xl[e] - (Xb[cls[e]] @ xb[fb[e]][..., None])[..., 0]
         return DiscreteField(self.dofmap, coeffs)
 
 
@@ -454,29 +427,22 @@ def assemble(
     field that outlives its solve (a reference) holds no element data.
 
     The elements of a shape fall into classes whose keys are bitwise equal
-    (one class per element when nothing repeats): on affine elements with a
-    constant c and no diffusion field, det J^-1 J^-T and c det per element,
-    and a class's block is one gemm of those four numbers with the
-    reference stiffness matrices plus c det times the reference mass matrix
-    (``_ref_blocks``); otherwise the stiffness coefficients w det J^-1 A
-    J^-T and the reaction weights c w det at every point, and the block
-    comes by quadrature.  A class's block is formed, checked for finite
-    entries and a positive definite bubble block, and condensed once: X_b =
-    S_ii^-1 S_ib, S_ii^-1 and the Schur complement.  What stays per element
-    is the load, X_l = S_ii^-1 l_i, the condensed load l_b - X_b^T l_i (S
-    is symmetric) and the skeleton triplets.  Classes run in chunks of
-    about ``_ENTRIES`` block entries (and at least two blocks), and the
-    elements of each chunk of classes, class by class, again in such
-    chunks; each writes the free entries of its Schur complements into one
-    set of triplets preallocated for the skeleton.  Peak memory is the
-    returned system, those triplets (16 bytes per free skeleton block
-    entry) and their CSR conversion, the element classes (the class keys of
-    one shape take 5 doubles per element, or per element and point on the
-    quadrature path, while they are sorted), and one chunk's blocks, a few
-    times ``_ENTRIES`` doubles.  The load gemm and the condensed-load
-    bincount run once per shape, and the CSR conversion once over the
-    triplets in class order, so the system does not depend on the chunk
-    size.
+    (``_ElementClasses``); a class's block comes from the reference blocks
+    (``_ref_blocks``) on affine elements with a constant c and no diffusion
+    field, else by quadrature.  A class's block is formed, checked for finite
+    entries and a positive definite bubble block, and condensed once; its
+    Schur complement and X_b = S_ii^-1 S_ib go on the system.  What stays
+    per element is the load, X_l = S_ii^-1 l_i, the condensed load l_b -
+    X_b^T l_i (S is symmetric) and the skeleton triplets.  Classes run in
+    chunks of about ``_ENTRIES`` block entries (and at least two blocks),
+    and the elements of each chunk of classes, class by class, again in
+    such chunks; each writes the free entries of its Schur complements
+    into one set of triplets preallocated for the skeleton.  Peak memory
+    is the returned system, those triplets (16 bytes per free skeleton
+    block entry) and their CSR conversion, the element classes, and one
+    chunk's blocks, a few times ``_ENTRIES`` doubles.  The CSR conversion
+    runs once over the triplets in class order, so the system does not
+    depend on the chunk size.
     """
     if dofmap is None:
         dofmap = DofMap(mesh, q)
@@ -487,20 +453,16 @@ def assemble(
         raise ValueError("dofmap belongs to another mesh or degree")
     eps2 = eps * eps
 
-    # per shape: interior (bubble) and interface dofs, free indices of the interface dofs
-    split = {}
-    for shape in classes:
-        ii = _basis_for(shape, q).interior_ids
-        ib = np.setdiff1d(np.arange(dofmap.dofs[shape].shape[1]), ii)
-        split[shape] = ii, ib, dofmap.free_index[dofmap.dofs[shape][:, ib]].astype(np.int32)
-    skel = _Triplets(fb for _, _, fb in split.values())
+    # per shape: free indices of the interface dofs
+    fbs = {s: dofmap.free_index[dofmap.dofs[s][:, _split(s, q)[1]]].astype(np.int32) for s in classes}
+    skel = _Triplets(fbs.values())
 
     nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
     bs = np.zeros(nskel)
-    bubbles, bad = [], []
+    schurs, bubbles, bad = {}, [], []
     for shape, cl in classes.items():
         _, _, B, G = _tables(shape, q, q + 2)
-        ii, ib, fb = split[shape]
+        (ii, ib), fb = _split(shape, q), fbs[shape]
         ids, (ne, npts), nb, ni = mesh.eid[shape], cl.wdet.shape, B.shape[1], ii.size
         load = (_field_at(f, cl.phys.reshape(-1, 2)).reshape(ne, npts) * cl.wdet) @ B
         if not np.all(np.isfinite(load)):
@@ -513,7 +475,8 @@ def assemble(
         else:
             Gs = np.swapaxes(G, 1, 2)
             Gt = Gs.reshape(2 * npts, nb).T
-        Xb, Xl = np.empty((ne, ni, ib.size)), np.empty((ne, ni))
+        Xb, Xl = np.empty((len(first), ni, ib.size)), np.empty((ne, ni))
+        schurs[shape] = cls, np.empty((len(first), ib.size, ib.size))
         cload = load[:, ib]
         step = max(2, _ENTRIES // (nb * nb))
         for k in _chunks(len(first), step):
@@ -538,36 +501,39 @@ def assemble(
                     continue
                 eye = np.broadcast_to(np.eye(ni), Sii.shape)
                 Y = np.linalg.solve(Sii, np.concatenate([np.swapaxes(Sbi, 1, 2), eye], 2))
+                Xb[k] = Y[:, :, : ib.size]
                 schur = schur - Sbi @ Y[:, :, : ib.size]
                 schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
+            schurs[shape][1][k] = schur
 
             members = cl.order[cl.start[k.start] : cl.start[k.stop]]
             for e in _chunks(len(members), step):
                 el = members[e]
                 j = cls[el] - k.start
                 if ni:
-                    xb, li = Y[j, :, : ib.size], load[el][:, ii]
-                    Xb[el], Xl[el] = xb, (Y[j, :, ib.size :] @ li[..., None])[..., 0]
-                    cload[el] -= (li[:, None, :] @ xb)[:, 0]
+                    li = load[el][:, ii]
+                    Xl[el] = (Y[j, :, ib.size :] @ li[..., None])[..., 0]
+                    cload[el] -= (li[:, None, :] @ Xb[cls[el]])[:, 0]
                 skel.put(fb[el], schur[j])
         if ni:
-            bubbles.append((dofmap.dofs[shape][:, ii], fb, Xb, Xl))
+            bubbles.append((dofmap.dofs[shape][:, ii], fb, cls, Xb, Xl))
         bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    return LinearSystem(dofmap, skel.csr(nskel), bs, bubbles)
+    return LinearSystem(dofmap, skel.csr(nskel), bs, schurs, bubbles)
 
 
 def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, stars=None):
     """Conjugate gradients, preconditioned by additive Schwarz on stars.
 
-    ``stars`` maps a size s to a (blocks, s) array of indices, as
-    ``DofMap.stars``; the preconditioner is z = sum_v R_v^T A_v^-1 R_v r
-    over the stars v, with A_v the dense block of A on a star's indices
-    (overlapping vertex stars: Pavarino, Numer. Math. 66, 1994).  Without
-    stars every index is its own star, which is point Jacobi.  The blocks
-    are read from A and inverted batched, in chunks of about ``_ENTRIES``
-    entries, once per call.  The stopping rule is the unpreconditioned
+    ``stars`` holds per star size s the indices of the stars (m, s), the
+    distinct blocks (k, s, s) and the block of each star (m,); the
+    preconditioner is z = sum_v R_v^T A_v^-1 R_v r over the stars v, with
+    A_v the dense block of A on a star's indices (overlapping vertex stars:
+    Pavarino, Numer. Math. 66, 1994).  Without stars every index is its own
+    star, with its diagonal entry as block, which is point Jacobi.  Each
+    distinct block is inverted once per call, batched, and the inverses
+    are gathered per star for the apply.  The stopping rule is the unpreconditioned
     ||r|| / ||b|| <= tol.  Returns (x, iterations, relative residual);
     raises if the tolerance is not reached within the iteration cap, and
     at once on breakdown (a non-finite residual, a singular star block,
@@ -583,18 +549,14 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, 
         raise ValueError("matrix diagonal must be positive")
     if not math.isfinite(bnorm):
         raise RuntimeError("cg breakdown at iteration 1: residual is not finite")
+    if stars is None:
+        stars = [(np.arange(n)[:, None], A.diagonal()[:, None, None], np.arange(n))]
     blocks = []  # per star size: indices (m, s) and inverse blocks (m, s, s)
-    for D in (stars or {1: np.arange(n)[:, None]}).values():
-        m, s = D.shape
-        inv = np.empty((m, s, s))
-        for k in _chunks(m, max(1, _ENTRIES // (s * s))):
-            rows, cols = np.repeat(D[k], s, axis=1).ravel(), np.tile(D[k], s).ravel()
-            try:
-                inv[k] = np.linalg.inv(np.asarray(A[rows, cols]).reshape(-1, s, s))
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    "cg breakdown at iteration 1: preconditioner is singular") from None
-        blocks.append((D, inv))
+    for D, S, which in stars:
+        try:
+            blocks.append((D, np.linalg.inv(S)[which]))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("cg breakdown at iteration 1: preconditioner is singular") from None
     at = np.concatenate([D.ravel() for D, _ in blocks])
 
     def precondition(r):

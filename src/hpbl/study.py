@@ -7,9 +7,10 @@ polynomial degree p and eps solves
 
 with elements of degree q = p on a mesh of L layers of n elements
 each.  The layer rule sets (L, n): ``p`` takes L = n = p, ``corner-only``
-L = 0 and n = p, and ``balanced`` the smallest L >= p with
-sigma^L <= c1 eps^2 and n = L, so only under ``balanced`` does the mesh
-depend on eps.  Errors are measured either against the closed-form
+L = 0 and n = p, ``balanced`` the smallest L >= p with sigma^L <= c1
+eps^2 and n = L, and ``scale`` the smallest L with sigma^L <= c1 eps (the
+energy norm's length scale) and n = max(p, L), so only under
+``balanced`` and ``scale`` does the mesh depend on eps.  Errors are measured either against the closed-form
 manufactured solution or against a once-computed higher-order reference
 solve on the same macro layout, and fitted to C exp(-b p) (or
 C exp(-b N^(1/4)) in dof mode) by least squares on the log.
@@ -59,7 +60,7 @@ __all__ = [
 
 _NORMS = ("energy", "balanced", "h1", "l2")
 _MODES = ("manufactured", "reference")
-_LAYERS = ("p", "balanced", "corner-only")
+_LAYERS = ("p", "balanced", "corner-only", "scale")
 # the type each scalar field must hold, since a config file can give any JSON value
 _TYPES = {"domain": str, "sigma": float, "p_min": int, "p_max": int, "c1": float, "norm": str,
           "mode": str, "layers": str}
@@ -85,7 +86,7 @@ class ExperimentConfig:
     c1: float = 1.0
     norm: str = "energy"
     mode: str = "manufactured"
-    layers: str = "p"  # p: L=n=p; balanced: L so sigma^L <= eps^2; corner-only: L=0
+    layers: str = "p"  # p: L=n=p; balanced: L so sigma^L <= eps^2; corner-only: L=0; scale: sigma^L <= eps
 
     def validate(self) -> None:
         for name, kind in _TYPES.items():
@@ -189,6 +190,9 @@ def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, in
         return p, p
     if config.layers == "corner-only":
         return 0, p
+    if config.layers == "scale":  # sigma^L <= c1 eps, the energy norm's scale
+        L = scale_resolution_L(config.sigma, eps, config.c1)
+        return L, max(p, L)
     # balanced-norm runs resolve eps^2: sigma^L <= eps^2
     L = max(p, scale_resolution_L(config.sigma, eps**2, config.c1))
     return L, max(p, L)

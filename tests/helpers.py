@@ -801,3 +801,17 @@ def field_difference_oracle(ref, fld, eps, c):
         "energy": math.sqrt(eps * eps * h1 + mass),
         "balanced": math.sqrt(eps * h1 + l2),
     }
+
+
+def star_blocks(A, stars):
+    """``solve_cg``'s stars with every star's dense block read from the CSR
+    matrix A by point indexing, ``A[rows, cols]``: per star size the
+    indices (m, s) of ``stars`` (as ``DofMap.stars``), the blocks (m, s, s)
+    and each star's block index.  The oracle for the blocks that
+    ``LinearSystem`` forms from the element classes."""
+    out = []
+    for D in stars.values():
+        m, s = D.shape
+        rows, cols = np.repeat(D, s, axis=1).ravel(), np.tile(D, s).ravel()
+        out.append((D, np.asarray(A[rows, cols]).reshape(m, s, s), np.arange(m)))
+    return out

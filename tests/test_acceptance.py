@@ -335,3 +335,43 @@ def test_10_balanced_norm_convergence():
     assert dt < 600.0
     rates = ", ".join(f"{e:g}:b={f.b:.2f}" for e, f in fits.items())
     print(f"check 10: PASS — balanced-norm rates {rates} ({dt:.1f}s)")
+
+
+EPS_SCALE = (1e-2, 1e-4, 1e-6, 1e-8)
+
+
+@pytest.fixture(scope="module")
+def square_scale_sweep():
+    """Shared energy-norm studies on the square, p = 1..6, eps down to 1e-8:
+    under ``layers="scale"`` (sigma^L <= c1 eps, n = max(p, L)) and under
+    ``corner-only``, the negative control."""
+    t0 = time.perf_counter()
+    tables = {layers: run_experiment(ExperimentConfig(domain="square", eps=EPS_SCALE, p_min=1,
+                                                      p_max=6, layers=layers))
+              for layers in ("scale", "corner-only")}
+    return {"tables": tables, "seconds": time.perf_counter() - t0}
+
+
+def test_11_robust_exponential_convergence_on_scale_resolving_meshes(square_scale_sweep):
+    # the paper's claim on the square: once the mesh resolves the length
+    # scale eps, the energy error decays like exp(-b p) with b independent of
+    # eps (measured r2 >= 0.994, max b / min b 1.19), and at each p the
+    # error does not grow as eps shrinks; corner layers alone do not resolve
+    # the boundary layers (measured b <= 0.33)
+    t0 = time.perf_counter()
+    scale = square_scale_sweep["tables"]["scale"]
+    fits = {t.eps: fit_exponential(t) for t in scale}
+    for eps, fit in fits.items():
+        assert fit.r2 >= 0.98, (eps, fit)
+    bs = [fit.b for fit in fits.values()]
+    assert max(bs) / min(bs) <= 1.5, bs
+    for p in range(1, 7):
+        errors = [next(r.error for r in t.rows if r.p == p) for t in scale]
+        assert all(b <= a for a, b in zip(errors, errors[1:])), (p, errors)
+    control = {t.eps: fit_exponential(t).b for t in square_scale_sweep["tables"]["corner-only"]}
+    assert all(b < 0.5 for b in control.values()), control
+    dt = square_scale_sweep["seconds"] + time.perf_counter() - t0
+    assert dt < 600.0
+    rates = ", ".join(f"{e:g}:b={f.b:.2f},r2={f.r2:.3f}" for e, f in fits.items())
+    print(f"check 11: PASS — scale-rule energy rates {rates}; b ratio {max(bs) / min(bs):.2f}; "
+          f"corner-only b <= {max(control.values()):.2f} ({dt:.1f}s)")

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpbl import fem
+from hpbl import fem, stars
 from hpbl.fem import (
     DiscreteField,
     DofMap,
@@ -33,7 +33,7 @@ from hpbl.reference import rect_basis, tri_basis
 from hpbl.study import ExperimentConfig, field_difference_norms, mesh_for, run_experiment
 
 from helpers import (direct_solve, element_rows, energy_norm, error_norms_matmul_flux, evaluate,
-                     facet_uses, full_system, nonaffine_meshes, pattern_mesh)
+                     facet_uses, full_system, nonaffine_meshes, pattern_mesh, star_blocks)
 
 
 def _unit_square_trivial():
@@ -88,7 +88,7 @@ def test_solve_cg_oracles():
     x, iters, relres = solve_cg(A, b)
     assert relres <= 1e-12
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
-    x, iters, relres = solve_cg(A, b, stars={30: np.arange(30)[None]})
+    x, iters, relres = solve_cg(A, b, stars=star_blocks(A, {30: np.arange(30)[None]}))
     assert iters == 1 and relres <= 1e-12  # one star over every dof inverts A
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
 
@@ -119,10 +119,11 @@ def test_cg_stops_at_once_on_indefinite_star_block():
     # r.z = b.A^-1 b = -1/8 for b = (1, 0)
     A = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
     with pytest.raises(RuntimeError, match="breakdown at iteration 1: preconditioner not positive"):
-        solve_cg(A, np.array([1.0, 0.0]), maxiter=10_000, stars={2: np.array([[0, 1]])})
+        solve_cg(A, np.array([1.0, 0.0]), maxiter=10_000,
+                 stars=star_blocks(A, {2: np.array([[0, 1]])}))
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError, match="breakdown at iteration 1: preconditioner is singular"):
-        solve_cg(singular, np.array([1.0, 0.0]), stars={2: np.array([[0, 1]])})
+        solve_cg(singular, np.array([1.0, 0.0]), stars=star_blocks(singular, {2: np.array([[0, 1]])}))
 
 
 def test_assemble_rejects_nonfinite_load():
@@ -326,16 +327,23 @@ def test_element_blocks_are_condensed_once_per_class(monkeypatch, c, classes):
     monkeypatch.setattr(fem, "_not_positive_definite", count)
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=4, n=4))
-    assemble(mesh, 4, 1e-2, c, 1.0)
+    system = assemble(mesh, 4, 1e-2, c, 1.0)
     assert [len(ids) for ids in mesh.eid.values()] == [96, 8]
     # 9 bubbles in a rectangle, 3 in a triangle at q = 4
     assert (checked[9], checked[3]) == classes
+    # one X_b and one Schur complement per class, a class index per element
+    assert tuple(len(Xb) for _, _, _, Xb, _ in system.bubbles) == classes
+    assert tuple(len(S) for _, S in system.classes.values()) == classes
+    assert [len(cls) for _, _, cls, _, _ in system.bubbles] == [96, 8]
 
 
 def _system_arrays(system):
+    # the per-class arrays taken per element, since the class numbering
+    # follows the keys, which differ between the Jacobian paths
     A = system.matrix
     arrays = [A.data, A.indices, A.indptr, system.rhs]
-    return arrays + [a for block in system.bubbles for a in block]
+    arrays += [S[cls] for cls, S in system.classes.values()]
+    return arrays + [a for dofs, fb, cls, Xb, Xl in system.bubbles for a in (dofs, fb, Xb[cls], Xl)]
 
 
 @pytest.mark.parametrize("reactions", [(1.0, 2.0), (lambda x, y: 1.0 + x, lambda x, y: 1.0 + y)])
@@ -811,6 +819,84 @@ def test_vertex_stars_hold_each_node_and_its_facets(name, L, extra, q):
     if q == 1:
         assert set(dm.stars) <= {1}
     assert dm.stars is dm.stars  # formed once and kept
+
+
+_D = np.array([[2.0, 0.3], [0.3, 0.5]])
+_STAR_MESHES = {
+    "square": lambda q: _builtin_mesh("square"),
+    "lshape": lambda q: _builtin_mesh("lshape"),
+    "slit": lambda q: _builtin_mesh("slit"),
+    # 14 layers, the innermost elements with aspect ratios near 1/eps
+    "square-scale-1e-8": lambda q: mesh_for(ExperimentConfig(eps=[1e-8], layers="scale"), q, 1e-8),
+}
+
+
+@pytest.mark.parametrize("data", ["constant", "field"])
+@pytest.mark.parametrize("q", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(_STAR_MESHES))
+def test_star_blocks_match_the_matrix(name, q, data):
+    # the star blocks summed from the element classes' Schur complements are
+    # the skeleton matrix's dense blocks on the stars (measured within 2.3e-16
+    # of each block set's largest entry), with a constant c and with a
+    # callable c and a diffusion field (one class per element).  Boundary
+    # stars are among them: nodes whose own dof is constrained, with free
+    # dofs on the facets ending at them
+    mesh = _STAR_MESHES[name](q)
+    if data == "constant":
+        system = assemble(mesh, q, 1e-2, 1.0, 1.0)
+    else:
+        system = assemble(mesh, q, 1e-2, lambda x, y: 1.0 + x**2 + y / 2, 1.0,
+                          diffusion=lambda p: _D * (2.0 + p[:, :1, None]))
+        assert all(len(np.unique(cls)) == len(cls) for cls, _ in system.classes.values())
+    dm = system.dofmap
+    free_nodes = np.count_nonzero(dm.free_index[: len(mesh.nodes)] >= 0)
+    assert sum(map(len, dm.stars.values())) > free_nodes or q == 1  # some boundary stars
+    got = stars.blocks(system)
+    want = star_blocks(system.matrix, dm.stars)
+    assert len(got) == len(want)
+    for (D, S, which), (D_want, S_want, _) in zip(got, want):
+        assert np.array_equal(D, D_want) and len(which) == len(D) and len(S) <= len(D)
+        assert np.abs(S[which] - S_want).max() <= 1e-14 * np.abs(S_want).max()
+
+
+def test_star_blocks_are_inverted_once_per_class(monkeypatch):
+    # the square at L = n = q = 7 has 289 stars with 98 distinct blocks; CG
+    # inverts those 98 only, and the second eps on the same DofMap reuses
+    # the star classes
+    inverted, inv = [], np.linalg.inv
+
+    def count(S):
+        if S.ndim == 3:  # a batch of star blocks, not the triangle basis' Vandermonde matrix
+            inverted.append(len(S))
+        return inv(S)
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=7, n=7))
+    dm = DofMap(mesh, 7)
+    for eps in (1e-2, 1e-4):
+        system = assemble(mesh, 7, eps, 1.0, 1.0, dofmap=dm)
+        _, stats = system.solve()
+        assert stats["relres"] <= 1e-12
+    assert sum(map(len, dm.stars.values())) == 289
+    assert sum(inverted) == 2 * 98
+    assert dm.star_classes({s: cls for s, (cls, _) in system.classes.items()}) is dm._classes[2]
+
+
+def test_solve_reads_no_matrix_entries(monkeypatch):
+    # the star blocks come from the element classes, so the solve needs no
+    # point indexing of the skeleton matrix, which a numpy-only CSR holder
+    # would not have
+    system = assemble(_builtin_mesh("slit"), 4, 1e-2, 1.0, 1.0)
+
+    def refuse(self, key):
+        raise AssertionError("CSR point indexing")
+
+    monkeypatch.setattr(type(system.matrix), "__getitem__", refuse)
+    with pytest.raises(AssertionError, match="CSR point indexing"):
+        system.matrix[0, 0]
+    _, stats = system.solve()
+    assert stats["relres"] <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 3, 6])
