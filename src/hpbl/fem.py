@@ -17,10 +17,10 @@ omitted).  Element geometry comes batched per shape from
 quads are parallelograms (every built-in layout), else one per point,
 applied to row vectors by ``_times``.  Per-point work runs on x and y
 planes, (E, P) each; (..., 2) arrays stay at API boundaries and in
-matmuls.  ``_integrate`` is the norm kernel behind every error norm,
-``DiscreteField.at_pattern`` the one point locator, and
-``DiscreteField.difference_norms`` integrates a field minus a coarser
-one on the same macro layout.
+matmuls.  ``error_norms`` and ``DiscreteField.difference_norms`` (a
+field minus a coarser one on the same macro layout) share one norm
+kernel, ``_at_points`` and ``_integrals``, and
+``DiscreteField.at_pattern`` is the one point locator.
 
 Solves work class by class.  The geometric meshes repeat a few pattern
 elements under a few macro maps, so ``assemble`` sorts each shape's
@@ -599,7 +599,7 @@ class DiscreteField:
         self.mesh = dofmap.mesh
         self.q = dofmap.q
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self._fine = None  # (c, _FineSide) of the last difference_norms call
+        self._fine = None  # ((c, diffusion), _FineSide) of the last difference_norms call
 
     def at_pattern(self, qids, pat, same=None):
         """Values (P,) and pattern-frame gradients (P, 2) at pattern points.
@@ -650,14 +650,15 @@ class DiscreteField:
                 grads[k] = (gref[:, None, :] @ loc.inv[e])[:, 0, :]  # reference -> pattern
         return vals, grads
 
-    def difference_norms(self, coarse: DiscreteField, eps: float, c) -> dict:
-        """Norms of self - coarse for a coarse field on the same macro layout.
+    def difference_norms(self, coarse: DiscreteField, eps: float, c, diffusion=None) -> dict:
+        """``error_norms`` of self - coarse, a field on the same macro layout.
 
         The integral runs over this field's elements at q + 2 points per
         direction.  This field's side of it (``_FineSide``) is formed on
-        the first call and kept for later calls with the same ``c``, so a
-        reference compared with several coarse fields is mapped and
-        evaluated once; its coefficients must not change in between.  The
+        the first call and kept for later calls with the same ``c`` and
+        ``diffusion``, so a reference compared with several coarse fields
+        is mapped and evaluated once; its coefficients must not change in
+        between.  The
         coarse field is located and tabulated once per pair of patterns
         that a macro quad carries in the two meshes.
         """
@@ -665,10 +666,10 @@ class DiscreteField:
         if not (np.array_equal(self.mesh.oriented, mesh.oriented)
                 and np.array_equal(self.mesh.macro.nodes, mesh.macro.nodes)):
             raise ValueError("fields live on different macro layouts")
-        key = c if callable(c) else float(c)
+        key = (c if callable(c) else float(c), diffusion)
         if self._fine is None or self._fine[0] != key:
             self._fine = None  # the old side goes before the new one is formed
-            self._fine = key, _FineSide(self, c)
+            self._fine = key, _FineSide(self, c, diffusion)
         return self._fine[1].norms(coarse, eps)
 
 
@@ -679,9 +680,9 @@ class _FineSide:
     rectangles first: each point's macro quad ``qids`` (N,) and pattern
     coordinates ``pat`` (N, 2), and per shape the macro map's inverse
     Jacobians, (E, 1, 2, 2) on parallelogram quads (``jacobian_points``),
-    else (E, P, 2, 2), and, flat over its elements and points, w det,
-    c w det and the field's values and physical gradients.  Physical
-    points and element Jacobians are dropped once used.
+    else (E, P, 2, 2), w det and, from ``_at_points``, the field's values
+    and physical gradients, c w det and A (None without a diffusion field).
+    Physical points and element Jacobians are dropped once used.
 
     Elements are numbered quad by quad, so a shape's points of a quad are
     one slice, ``start``/``count`` (2, Q), and quads that share a pattern
@@ -691,7 +692,7 @@ class _FineSide:
     through one ``at_pattern`` call.
     """
 
-    def __init__(self, field: DiscreteField, c):
+    def __init__(self, field: DiscreteField, c, diffusion):
         mesh, q = field.mesh, field.q
         sizes = [len(mesh.eid[s]) * len(_tables(s, q, q + 2)[1]) for s in ("r", "t")]
         self.qids = np.empty(sum(sizes), dtype=np.int64)
@@ -701,38 +702,29 @@ class _FineSide:
         self.parts = []
         end = 0
         for i, (shape, n) in enumerate(zip(("r", "t"), sizes)):
-            pts, w, B, G = _tables(shape, q, q + 2)
+            pts, w = _tables(shape, q, q + 2)[:2]
             _, pat, phys, det, invJ = element_geometry(mesh, shape, pts)
-            co = field.coeffs[field.dofmap.dofs[shape]]
-            ne, (npts, nb) = len(co), B.shape
-            gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-            grads = _times(gref, invJ)[..., 0, :].reshape(n, 2)
-            del gref, invJ
             wdet = w * det
-            cwdet = wdet * _field_at(c, phys.reshape(-1, 2)).reshape(ne, npts)
-            del phys
+            vals, grads, cwdet, A = _at_points(field, shape, q + 2, phys, wdet, invJ, c, diffusion)
+            del phys, invJ
             bil = mesh.quad_map(mesh.macro_id[shape][:, None])
             _, jinv = inverse_2x2(bil.jacobian(jacobian_points(mesh, shape, pat)))
             sl = slice(end, end + n)
-            self.qids[sl] = np.repeat(mesh.macro_id[shape], npts)
+            self.qids[sl] = np.repeat(mesh.macro_id[shape], len(w))
             self.pat[sl] = pat.reshape(n, 2)
-            self.count[i] = npts * np.bincount(mesh.macro_id[shape], minlength=len(mesh.patterns))
-            self.parts.append((sl, npts, jinv, wdet.ravel(), cwdet.ravel(), (co @ B.T).ravel(),
-                               grads))
+            self.count[i] = len(w) * np.bincount(mesh.macro_id[shape], minlength=len(mesh.patterns))
+            self.parts.append((sl, jinv, wdet, cwdet, A, vals, grads))
             end = sl.stop
         self.start = np.cumsum(self.count).reshape(self.count.shape) - self.count
 
     def norms(self, coarse: DiscreteField, eps: float) -> dict:
         cvals, cgrads = coarse.at_pattern(self.qids, self.pat, self._same(coarse.mesh))
-        l2 = h1 = mass = 0.0
-        for sl, npts, jinv, wdet, cwdet, vals, grads in self.parts:
-            v = vals - cvals[sl]
-            g = grads - _times(cgrads[sl].reshape(len(jinv), npts, 1, 2), jinv).reshape(-1, 2)
-            gx, gy = g[:, 0], g[:, 1]
-            l2 += float(np.sum(wdet * v * v))
-            h1 += float(np.sum(wdet * (gx * gx + gy * gy)))
-            mass += float(np.sum(cwdet * v * v))
-        return _norm_dict(eps, l2, h1, h1, mass)
+        sums = np.zeros(4)
+        for sl, jinv, wdet, cwdet, A, vals, grads in self.parts:
+            v = vals - cvals[sl].reshape(vals.shape)
+            g = grads - _times(cgrads[sl].reshape(*vals.shape, 1, 2), jinv)[..., 0, :]
+            sums += _integrals(wdet, cwdet, A, v, g)
+        return _norm_dict(eps, *sums)
 
     def _same(self, coarse: Mesh):
         """``at_pattern``'s (first, src) on a coarse mesh: the points of each
@@ -873,40 +865,34 @@ def interpolate(mesh: Mesh, q: int, fn, dofmap: DofMap | None = None) -> Discret
 # norms
 
 
-def _integrate(field: DiscreteField, eps, c, diffusion=None, exact=None) -> dict:
-    """The norm kernel: l2, h1, energy and balanced norms of field - u.
+def _at_points(field: DiscreteField, shape: str, m: int, phys, wdet, invJ, c, diffusion):
+    """A field and the problem data at one shape's points, m per direction,
+    given their physical points (E, P, 2), w det (E, P) and inverse
+    Jacobians (``element_geometry``): the field's values (E, P) and
+    physical gradients (E, P, 2), c w det (E, P), and A's entries a00,
+    a01, a10, a11 as (E, P) planes, or None without a diffusion field."""
+    _, _, B, G = _tables(shape, field.q, m)
+    co = field.coeffs[field.dofmap.dofs[shape]]
+    ne, (npts, nb) = len(co), B.shape
+    G = np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)
+    grads = _times((co @ G).reshape(ne, npts, 1, 2), invJ)[..., 0, :]
+    flat = phys.reshape(-1, 2)
+    A = None
+    if diffusion is not None:
+        A = np.moveaxis(np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 4), -1, 0)
+    return co @ B.T, grads, wdet * _field_at(c, flat).reshape(ne, npts), A
 
-    The field's values (E, P) and physical gradients (E, P, 2) are formed
-    on all elements of one shape at once, at q + 3 shared quadrature
-    points per direction, whose geometry the field's ``DofMap`` keeps
-    (``norm_geometry``).  ``exact``, when given, is the pair (u, grad u)
-    of callables f(x, y); without it u = 0.
-    """
-    l2 = h1 = flux_sq = mass = 0.0
-    for shape in ("r", "t"):
-        _, _, B, G = _tables(shape, field.q, field.q + 3)
-        phys, wdet, invJ = field.dofmap.norm_geometry(shape)
-        co = field.coeffs[field.dofmap.dofs[shape]]
-        vals = co @ B.T
-        ne, (npts, nb) = len(co), B.shape
-        gref = (co @ np.swapaxes(G, 0, 1).reshape(nb, 2 * npts)).reshape(ne, npts, 1, 2)
-        grads = _times(gref, invJ)[..., 0, :]
-        flat = phys.reshape(-1, 2)
-        if exact is not None:
-            value, grad = exact
-            vals = vals - _field_at(value, flat).reshape(ne, npts)
-            grads = grads - np.broadcast_to(grad(*flat.T), flat.shape).reshape(phys.shape)
-        gx, gy = grads[..., 0], grads[..., 1]
-        gsq = gx * gx + gy * gy
-        l2 += float(np.sum(wdet * vals * vals))
-        h1 += float(np.sum(wdet * gsq))
-        flux = gsq
-        if diffusion is not None:
-            A = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 4)
-            flux = (gx * A[..., 0] + gy * A[..., 2]) * gx + (gx * A[..., 1] + gy * A[..., 3]) * gy
-        flux_sq += float(np.sum(wdet * flux))
-        mass += float(np.sum(wdet * _field_at(c, flat).reshape(ne, npts) * vals * vals))
-    return _norm_dict(eps, l2, h1, flux_sq, mass)
+
+def _integrals(wdet, cwdet, A, v, g) -> np.ndarray:
+    """The integrals of v^2, |g|^2, A g . g and c v^2 over one shape's elements,
+    from values v (E, P), gradients g (E, P, 2) and ``_at_points``' data."""
+    gx, gy = g[..., 0], g[..., 1]
+    h1 = float(np.sum(wdet * (gx * gx + gy * gy)))
+    flux = h1
+    if A is not None:
+        a00, a01, a10, a11 = A
+        flux = float(np.sum(wdet * ((gx * a00 + gy * a10) * gx + (gx * a01 + gy * a11) * gy)))
+    return np.array([float(np.sum(wdet * v * v)), h1, flux, float(np.sum(cwdet * v * v))])
 
 
 def _norm_dict(eps, l2, h1, flux_sq, mass) -> dict:
@@ -927,10 +913,21 @@ def error_norms(
     c,
     diffusion=None,
 ) -> dict:
-    """Norms of u_h - u for a smooth exact solution.
+    """Norms of u_h - u for a smooth exact solution u, or for u = 0 when
+    ``exact`` is None, at q + 3 points per direction (``norm_geometry``).
 
     Returns l2, h1 seminorm, the energy norm
     sqrt(eps^2 |A^(1/2) grad e|^2 + |c^(1/2) e|^2), and the balanced norm
     sqrt(eps |grad e|^2 + |e|^2).
     """
-    return _integrate(field, eps, c, diffusion, exact=(exact, exact_grad))
+    sums = np.zeros(4)
+    for shape in ("r", "t"):
+        phys, wdet, invJ = field.dofmap.norm_geometry(shape)
+        vals, grads, cwdet, A = _at_points(field, shape, field.q + 3, phys, wdet, invJ, c,
+                                           diffusion)
+        if exact is not None:
+            flat = phys.reshape(-1, 2)
+            vals = vals - _field_at(exact, flat).reshape(vals.shape)
+            grads = grads - np.broadcast_to(exact_grad(*flat.T), flat.shape).reshape(phys.shape)
+        sums += _integrals(wdet, cwdet, A, vals, grads)
+    return _norm_dict(eps, *sums)

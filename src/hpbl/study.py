@@ -324,20 +324,21 @@ def reference_solution(config: ExperimentConfig, eps: float) -> DiscreteField:
 # comparing fields that live on different refinements of one macro layout
 
 
-def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c) -> dict:
+def field_difference_norms(ref: DiscreteField, fld: DiscreteField, eps: float, c,
+                           diffusion=None) -> dict:
     """Norms of ref - fld for fields on two refinements of one macro layout.
 
     Integration runs over the finer field's elements (the reference) at
     q_ref + 2 points per direction, with the coarser field evaluated at
     the same pattern points (``DiscreteField.difference_norms``).  The
-    reference's side, its element maps, values and gradients there, is
-    formed on the first call and kept on ``ref``, so the graded fields of
-    one eps pay only for locating and evaluating themselves, and each
-    locates and tabulates only the points of one macro quad per pair of
-    patterns (reference, graded) that the quads carry.  Fields whose
-    macro quads or macro node coordinates differ raise ``ValueError``.
+    reference's side, its element maps, values, gradients and data there,
+    is formed on the first call per c and diffusion and kept on ``ref``, so
+    the graded fields of one eps pay only for locating and evaluating
+    themselves, each in one macro quad per pair of patterns (reference,
+    graded) that the quads carry.  Fields whose macro quads or macro node
+    coordinates differ raise ``ValueError``.
     """
-    return ref.difference_norms(fld, eps, c)
+    return ref.difference_norms(fld, eps, c, diffusion)
 
 
 # ---------------------------------------------------------------------------

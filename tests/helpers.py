@@ -8,8 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hpbl.fem import (_POINTS, DofMap, _basis_for, _field_at, _integrate, _norm_dict,
-                      _PatternLocator, _tables, _times)
+from hpbl.fem import (_POINTS, DofMap, _basis_for, _field_at, _norm_dict, _PatternLocator,
+                      _tables, _times, error_norms)
 from hpbl.gausslobatto import LagrangeBasis1D, gauss_lobatto_rule
 from hpbl.geometry import Polygon
 from hpbl.macro import (
@@ -688,7 +688,7 @@ def direct_solve(system):
 
 def energy_norm(field, eps, c, diffusion=None):
     """sqrt(eps^2 (A grad u, grad u) + (c u, u)) by the package's norm kernel."""
-    return _integrate(field, eps, c, diffusion)["energy"]
+    return error_norms(field, None, None, eps, c, diffusion)["energy"]
 
 
 def error_norms_matmul_flux(field, exact, exact_grad, eps, c, diffusion):
@@ -767,14 +767,15 @@ def at_pattern_per_point(field, qids, pat):
 # the per-call field difference, which the reference's once-formed side replaced
 
 
-def field_difference_oracle(ref, fld, eps, c):
+def field_difference_oracle(ref, fld, eps, c, diffusion=None):
     """Norms of ref - fld as every call formed them before the reference's
     side was kept: the reference mesh mapped at q_ref + 2 points per
     direction and the reference evaluated there, then fld located per
     shape at every point (``at_pattern_per_point``) and its pattern
     gradients pushed through the macro Jacobian's inverse.  ``c`` is a
-    constant or a callable."""
-    l2 = h1 = mass = 0.0  # without a diffusion field, the flux integral is h1
+    constant or a callable; the flux A grad e of a ``diffusion`` field is
+    one 1x2 by 2x2 matmul per point, as in ``error_norms_matmul_flux``."""
+    l2 = h1 = flux_sq = mass = 0.0
     for shape in ("r", "t"):
         pts, w, B, G = _tables(shape, ref.q, ref.q + 2)
         _, pat, phys, det, invJ = element_geometry(ref.mesh, shape, pts)
@@ -792,13 +793,18 @@ def field_difference_oracle(ref, fld, eps, c):
         flat = phys.reshape(-1, 2)
         l2 += float(np.sum(wdet * vals * vals))
         h1 += float(np.sum(wdet * np.sum(grads * grads, axis=-1)))
+        flux = grads
+        if diffusion is not None:
+            Ap = np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 2, 2)
+            flux = (grads[..., None, :] @ Ap)[..., 0, :]
+        flux_sq += float(np.sum(wdet * np.sum(flux * grads, axis=-1)))
         cval = c(flat[:, 0], flat[:, 1]) if callable(c) else c
         cval = np.broadcast_to(np.asarray(cval, dtype=float), (len(flat),))
         mass += float(np.sum(wdet * cval.reshape(ne, npts) * vals * vals))
     return {
         "l2": math.sqrt(l2),
         "h1": math.sqrt(h1),
-        "energy": math.sqrt(eps * eps * h1 + mass),
+        "energy": math.sqrt(eps * eps * flux_sq + mass),
         "balanced": math.sqrt(eps * h1 + l2),
     }
 

@@ -257,6 +257,26 @@ def test_field_difference_matches_per_call_oracle(domain):
         return 1.0 + x * x
 
     assert field_difference_norms(ref, fld, 1e-2, c) == field_difference_oracle(ref, fld, 1e-2, c)
+    # a diffusion field enters the energy norm's flux (the oracle forms it
+    # as one matmul per point: the energy agrees to 1e-14, the rest bit for
+    # bit); the side is formed again when only diffusion changes and kept
+    # while (c, diffusion) repeats
+    D = np.array([[2.0, 0.3], [0.3, 0.5]])
+
+    def diffusion(p):
+        return D * (2.0 + p[:, :1, None])
+
+    for cc in (c, 1.0):
+        field_difference_norms(ref, fld, 1e-2, cc)
+        side = ref._fine
+        got = field_difference_norms(ref, fld, 1e-2, cc, diffusion)
+        assert ref._fine is not side
+        want = field_difference_oracle(ref, fld, 1e-2, cc, diffusion)
+        assert got["energy"] == pytest.approx(want["energy"], rel=1e-14, abs=0.0)
+        assert all(got[k] == want[k] for k in ("l2", "h1", "balanced"))
+        side = ref._fine
+        assert field_difference_norms(ref, fld, 1e-2, cc, diffusion) == got
+        assert ref._fine is side
 
 
 @pytest.mark.parametrize("layers", ["p", "balanced", "corner-only"])
