@@ -33,11 +33,11 @@ class of equal stars (237 for the 562 stars of the slit's q = 6
 reference mesh).
 
 A ``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
-cells of a study that share a mesh form it once: the element classes
-and their star classes (per c and diffusion), the star layout and the
-norm kernel's geometry.  scipy is imported on first use, when
-``assemble`` builds its first matrix, so commands that never assemble
-(``hpbl mesh``, ``fit``, ``--help``) start on numpy alone.
+cells of a study that share a mesh form it once: the star layout, one
+record of element and star classes per c and diffusion, and the norm
+kernel's geometry.  ``hpbl.stars`` loads with the first ``DofMap`` and
+scipy with the first matrix, so commands that build neither (``hpbl
+mesh``, ``fit``, ``--help``) start on numpy alone.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class DofMap:
     dofs nv + (q-1) f + [0, q-1), read backwards by an element that
     traverses it from its higher-numbered node.  Bubbles follow in
     element order.  The facets used once carry the Dirichlet condition.
+    ``stars`` and ``corners`` are the skeleton preconditioner's vertex
+    stars and where each element corner lies in them (``stars.layout``).
     """
 
     def __init__(self, mesh: Mesh, q: int):
@@ -158,19 +160,20 @@ class DofMap:
         self.free = np.nonzero(~dirichlet)[0]
         self.free_index = np.full(self.ndofs, -1, dtype=np.int64)
         self.free_index[self.free] = np.arange(len(self.free))
-        self._pairs = facets.pairs
-        self._stars = None
+        from .stars import layout  # loaded with the first DofMap
+
+        self.stars, self.corners = layout(self, facets.pairs)
         self._points = None
-        # ((c, diffusion), per shape _ElementClasses, their star classes or None) of the last assemble
-        self._classes = None
+        self._classes = None  # ((c, diffusion), ``_classes``) of the last assemble
         self._norm = {}  # shape -> (physical points, w det, inverse Jacobians) at q + 3 points
 
     @property
     def nfree(self) -> int:
         return len(self.free)
 
-    def element_classes(self, c, diffusion=None) -> dict:
-        """Per shape, the ``_ElementClasses`` that ``assemble`` reads.
+    def classes(self, c, diffusion=None) -> tuple:
+        """``_classes``: per shape the ``_ElementClasses`` that ``assemble``
+        reads, and their star classes.
 
         Formed on the first call and kept for later calls with the same
         ``c`` and ``diffusion``, so cells that assemble on one mesh and
@@ -179,21 +182,8 @@ class DofMap:
         key = (c if callable(c) else float(c), diffusion)
         if self._classes is None or self._classes[0] != key:
             self._classes = None  # the old classes go before the new ones are formed
-            self._classes = key, _element_classes(self, c, diffusion), None
+            self._classes = key, _classes(self, c, diffusion)
         return self._classes[1]
-
-    def star_classes(self, cls: dict):
-        """``stars.classes`` for elements of the classes ``cls`` (per shape,
-        each element's class).  Kept beside ``element_classes`` when ``cls``
-        are theirs, with the same lifetime; otherwise formed and not kept."""
-        from .stars import classes
-
-        kept = self._classes
-        if kept is None or any(cls[s] is not cl.cls for s, cl in kept[1].items()):
-            return classes(self, cls)
-        if kept[2] is None:
-            self._classes = *kept[:2], classes(self, cls)
-        return self._classes[2]
 
     def norm_geometry(self, shape: str):
         """Physical points (E, P, 2), w det (E, P) and inverse Jacobians
@@ -206,21 +196,6 @@ class DofMap:
             _, _, phys, det, invJ = element_geometry(self.mesh, shape, pts)
             self._norm[shape] = phys, w * det, invJ
         return self._norm[shape]
-
-    @property
-    def stars(self) -> dict:
-        """``star_layout``'s stars."""
-        return self.star_layout()[0]
-
-    def star_layout(self):
-        """The vertex stars of the skeleton preconditioner and where each
-        element corner lies in them (``stars.layout``); formed on first use
-        and kept, they do not depend on eps."""
-        if self._stars is None:
-            from .stars import layout  # loaded on the first solve
-
-            self._stars = layout(self)
-        return self._stars
 
     def dof_points(self) -> np.ndarray:
         """Physical coordinates of every degree of freedom."""
@@ -263,7 +238,7 @@ class LinearSystem:
     shape the bubble dofs (E, ni), the free index of each interface dof
     (E, nb - ni; -1 where constrained), each element's class, X_b =
     S_ii^-1 S_ib per class and X_l = S_ii^-1 l_i per element (E, ni), so
-    that u_i = X_l - X_b u_b.
+    that u_i = X_l - X_b u_b.  ``stars`` holds their ``stars.classes``.
     """
 
     dofmap: DofMap
@@ -271,8 +246,9 @@ class LinearSystem:
     rhs: np.ndarray
     classes: dict
     bubbles: list
+    stars: tuple
 
-    def solve(self, tol: float = 1e-12, maxiter: int | None = None):
+    def solve(self):
         """Solve the skeleton by CG on the vertex-star blocks of
         ``stars.blocks``, then back-substitute the bubbles.
 
@@ -281,8 +257,7 @@ class LinearSystem:
         """
         from .stars import blocks
 
-        x, iters, relres = solve_cg(self.matrix, self.rhs, tol=tol, maxiter=maxiter,
-                                    stars=blocks(self))
+        x, iters, relres = solve_cg(self.matrix, self.rhs, stars=blocks(self))
         return self.field(x), {"iterations": iters, "relres": relres}
 
     def field(self, x: np.ndarray) -> DiscreteField:
@@ -367,10 +342,12 @@ class _ElementClasses:
     start: np.ndarray
 
 
-def _element_classes(dofmap: DofMap, c, diffusion) -> dict:
-    """``_ElementClasses`` per shape; ValueError names the lowest element
-    with a non-positive Jacobian.  The inverse Jacobians go once the keys
-    are formed."""
+def _classes(dofmap: DofMap, c, diffusion) -> tuple:
+    """``_ElementClasses`` per shape and their ``stars.classes``;
+    ValueError names the lowest element with a non-positive Jacobian.
+    The inverse Jacobians go once the keys are formed."""
+    from . import stars
+
     mesh, q = dofmap.mesh, dofmap.q
     geo = {s: element_geometry(mesh, s, _tables(s, q, q + 2)[0]) for s in ("r", "t")}
     bad = [ei for ids, _, _, det, _ in geo.values() for ei in ids[np.any(det <= 0.0, axis=1)]]
@@ -399,7 +376,7 @@ def _element_classes(dofmap: DofMap, c, diffusion) -> dict:
         out[shape] = _ElementClasses(phys, wdet, key[first], first, cls,
                                      np.argsort(cls, kind="stable"),
                                      np.concatenate([[0], np.cumsum(np.bincount(cls))]))
-    return out
+    return out, stars.classes(dofmap, {s: cl.cls for s, cl in out.items()})
 
 
 def assemble(
@@ -421,10 +398,10 @@ def assemble(
     bubble block that is not positive definite raises ``RuntimeError``
     naming the lowest such element, after every block was checked to be
     finite.  The physical points, w det and classes do not depend on eps
-    or f: given the ``dofmap`` of (mesh, q), assemble takes them from
-    ``DofMap.element_classes``, which keeps them for the next call on
-    it.  Without one it builds its own DofMap and keeps nothing, so a
-    field that outlives its solve (a reference) holds no element data.
+    or f: given the ``dofmap`` of (mesh, q), assemble takes them, with
+    their star classes, from ``DofMap.classes``, which keeps them for
+    the next call.  Without one it builds its own DofMap and keeps
+    nothing, so a field that outlives its solve holds no element data.
 
     The elements of a shape fall into classes whose keys are bitwise equal
     (``_ElementClasses``); a class's block comes from the reference blocks
@@ -446,9 +423,9 @@ def assemble(
     """
     if dofmap is None:
         dofmap = DofMap(mesh, q)
-        classes = _element_classes(dofmap, c, diffusion)  # nothing to share them with
+        classes, stars = _classes(dofmap, c, diffusion)  # nothing to share them with
     elif dofmap.mesh is mesh and dofmap.q == q:
-        classes = dofmap.element_classes(c, diffusion)
+        classes, stars = dofmap.classes(c, diffusion)
     else:
         raise ValueError("dofmap belongs to another mesh or degree")
     eps2 = eps * eps
@@ -520,7 +497,7 @@ def assemble(
         bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    return LinearSystem(dofmap, skel.csr(nskel), bs, schurs, bubbles)
+    return LinearSystem(dofmap, skel.csr(nskel), bs, schurs, bubbles, stars)
 
 
 def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, stars=None):

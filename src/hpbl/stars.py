@@ -11,11 +11,11 @@ by class.  So ``layout`` records where each element corner's dofs sit
 in its star (it depends on the mesh and q only), ``classes`` sorts the
 stars into classes of equal blocks, keyed by integers from the element
 classes and that layout, and ``blocks`` sums one block per star class
-from the class Schur complements that ``fem.assemble`` keeps: the
-matrix is never indexed, and only the distinct blocks are inverted.
+from the class Schur complements and star classes of a ``LinearSystem``:
+the matrix is never indexed, and only the distinct blocks are inverted.
 
-``fem`` imports this module on the first solve, so commands that never
-solve do not load it.
+``fem`` imports this module with the first ``DofMap``, so commands that
+build none do not load it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ def _corners(shape: str, q: int) -> np.ndarray:
     return np.searchsorted(_split(shape, q)[1], local)
 
 
-def layout(dofmap):
-    """The stars of a ``DofMap`` and where each element corner lies in them.
+def layout(dofmap, pairs: np.ndarray):
+    """The stars of a ``DofMap`` with facets ``pairs`` and where each
+    element corner lies in them.
 
     Returns ``stars``, per star size s the (stars, s) free skeleton
     indices, and ``corners``, per shape (E, corners, 6): the corner's star
@@ -48,9 +49,9 @@ def layout(dofmap):
     first dof in element order and the step to the next; -1, with step 0,
     where constrained.
     """
-    q, nv, nf = dofmap.q, len(dofmap.mesh.nodes), len(dofmap._pairs)
+    q, nv, nf = dofmap.q, len(dofmap.mesh.nodes), len(pairs)
     # star entries: each node's dof, then each facet's dofs for its lower and its upper node
-    owner = np.concatenate([np.arange(nv), np.repeat(dofmap._pairs.T.ravel(), q - 1)])
+    owner = np.concatenate([np.arange(nv), np.repeat(pairs.T.ravel(), q - 1)])
     dof = dofmap.free_index[np.r_[:nv, nv : dofmap.nskeleton, nv : dofmap.nskeleton]]
     free = np.flatnonzero(dof >= 0)
     order = free[np.argsort(owner[free], kind="stable")]  # node by node, own dof first
@@ -82,8 +83,8 @@ def layout(dofmap):
 
 
 def classes(dofmap, cls: dict):
-    """The stars of ``DofMap.star_layout`` in classes of equal blocks,
-    for elements of the classes ``cls`` (per shape, each element's class).
+    """The stars of a ``DofMap`` in classes of equal blocks, for elements
+    of the classes ``cls`` (per shape, each element's class).
 
     Each contribution, an element corner, is keyed by one integer packed
     from (element class, shape, corner, layout columns); stars of one size
@@ -92,7 +93,7 @@ def classes(dofmap, cls: dict):
     shape the contributions of each class's first star: (class, element
     class, corner, layout columns).
     """
-    stars, corners = dofmap.star_layout()
+    stars, corners = dofmap.stars, dofmap.corners
     radix = (2, 2 + max(stars, default=0), 3, 2 + max(stars, default=0), 3)
     star, key = [], []
     for i, (shape, place) in enumerate(corners.items()):
@@ -136,10 +137,10 @@ def classes(dofmap, cls: dict):
 
 def blocks(system) -> list:
     """``solve_cg``'s stars for a ``LinearSystem``: per star size the stars'
-    indices, one block per star class (``DofMap.star_classes``), summed
+    indices, one block per star class (the system's ``stars``), summed
     from the class Schur complements, and each star's class."""
     q, schur = system.dofmap.q, system.classes
-    groups, size, parts = system.dofmap.star_classes({s: cl for s, (cl, _) in schur.items()})
+    groups, size, parts = system.stars
     offset = np.cumsum(size * size) - size * size  # of each class's block in ``flat``
     flat = np.zeros(int(np.sum(size * size)) + 1)  # constrained entries go to the last
     j = np.arange(q - 1)

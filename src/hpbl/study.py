@@ -190,11 +190,10 @@ def _layer_counts(config: ExperimentConfig, p: int, eps: float) -> tuple[int, in
         return p, p
     if config.layers == "corner-only":
         return 0, p
-    if config.layers == "scale":  # sigma^L <= c1 eps, the energy norm's scale
-        L = scale_resolution_L(config.sigma, eps, config.c1)
-        return L, max(p, L)
-    # balanced-norm runs resolve eps^2: sigma^L <= eps^2
-    L = max(p, scale_resolution_L(config.sigma, eps**2, config.c1))
+    # sigma^L <= c1 eps^k: k = 1 is the energy norm's scale; balanced-norm
+    # runs resolve eps^2 and take at least p layers
+    k = 2 if config.layers == "balanced" else 1
+    L = max(p if k == 2 else 0, scale_resolution_L(config.sigma, eps**k, config.c1))
     return L, max(p, L)
 
 

@@ -378,7 +378,7 @@ def test_study_and_solve_refuse_an_invalid_layout(tmp_path, capsys, override):
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():  # and hpbl.stars, which only a solve needs
+def scipy_modules():  # and hpbl.stars, which only a DofMap needs
     return sorted(m for m in sys.modules if m in ("scipy", "hpbl.stars") or m.startswith("scipy."))
 
 out_dir, csv = sys.argv[1], sys.argv[2]
@@ -393,6 +393,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         hpbl.cli.main(["--help"])
     except SystemExit as exc:
         seen["help"] = [exc.code, scipy_modules()]
+    rc = hpbl.cli.main(["solve", "-p", "2", "--eps", "1e-2"])
+    seen["solve"] = [rc, scipy_modules()]
 print(json.dumps(seen))
 """
 
@@ -413,7 +415,8 @@ def test_mesh_fit_and_help_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert list(seen) == ["import", "mesh", "fit", "help"]
+    assert list(seen) == ["import", "mesh", "fit", "help", "solve"]
     for step, (rc, modules) in seen.items():
         assert rc == 0, step
-        assert modules == [], (step, modules)
+        assert modules == [] or step == "solve", (step, modules)
+    assert "hpbl.stars" in seen["solve"][1]  # with the solve's DofMap

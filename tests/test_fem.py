@@ -764,7 +764,7 @@ def test_reference_blocks_match_quadrature(shape):
 
 
 def _classes(mesh, q, c=1.0, diffusion=None):
-    return fem._element_classes(DofMap(mesh, q), c, diffusion)
+    return fem._classes(DofMap(mesh, q), c, diffusion)[0]
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "slit"])
@@ -902,7 +902,20 @@ def test_star_blocks_are_inverted_once_per_class(monkeypatch):
         assert stats["relres"] <= 1e-12
     assert sum(map(len, dm.stars.values())) == 289
     assert sum(inverted) == 2 * 98
-    assert dm.star_classes({s: cls for s, (cls, _) in system.classes.items()}) is dm._classes[2]
+    assert system.stars is dm.classes(1.0)[1]
+
+
+def test_a_system_keeps_its_star_classes_past_another_assemble():
+    # a system solved after a later assemble re-keyed its DofMap still solves
+    # with the star classes of its own element classes: bit for bit the
+    # solve of a system assembled alone
+    mesh, f = _builtin_mesh("slit"), lambda x, y: 1.0 + x * y
+    dm = DofMap(mesh, 3)
+    system = assemble(mesh, 3, 1e-2, 1.0, f, dofmap=dm)
+    assemble(mesh, 3, 1e-2, lambda x, y: 1.0 + x**2, f, dofmap=dm)
+    (fld, stats), (want, want_stats) = system.solve(), assemble(mesh, 3, 1e-2, 1.0, f).solve()
+    assert stats["iterations"] == want_stats["iterations"]
+    assert np.array_equal(fld.coeffs, want.coeffs)
 
 
 def test_solve_reads_no_matrix_entries(monkeypatch):
