@@ -1,14 +1,11 @@
 """Continuous hp finite elements on refined macro meshes.
 
 Degrees of freedom follow the nodal bases: one per mesh node, q-1 per
-facet (ordered away from the facet's lower-numbered node, so the two
-elements sharing it agree), and the rest interior to elements.  Edge
-restrictions of both the tensor and the triangle basis are univariate
-Lagrange interpolants on Gauss-Lobatto points of the same degree,
-which makes the glued space H1-conforming also across the
-rectangle/triangle interfaces inside the patterns.  ``DofMap`` numbers
-them in one table per shape, ``dofs[shape]`` (E, nbasis), whose rows
-match ``Mesh.conn[shape]`` and which every kernel indexes directly.
+facet and the rest interior to elements (``DofMap``).  Edge restrictions
+of both the tensor and the triangle basis are univariate Lagrange
+interpolants on Gauss-Lobatto points of the same degree, which makes the
+glued space H1-conforming also across the rectangle/triangle interfaces
+inside the patterns.
 
 The problem is eps^2 (A grad u, grad v) + (c u, v) = (f, v), u = 0 on
 the boundary, with A a symmetric 2x2 diffusion field (identity when
@@ -17,27 +14,20 @@ omitted).  Element geometry comes batched per shape from
 quads are parallelograms (every built-in layout), else one per point,
 applied to row vectors by ``_times``.  Per-point work runs on x and y
 planes, (E, P) each; (..., 2) arrays stay at API boundaries and in
-matmuls.  ``error_norms`` and ``DiscreteField.difference_norms`` (a
-field minus a coarser one on the same macro layout) share one norm
-kernel, ``_at_points`` and ``_integrals``, and
+matmuls.  ``error_norms`` and ``DiscreteField.difference_norms`` share
+one norm kernel, ``_at_points`` and ``_integrals``, and
 ``DiscreteField.at_pattern`` is the one point locator.
 
-Solves work class by class.  The geometric meshes repeat a few pattern
-elements under a few macro maps, so ``assemble`` sorts each shape's
-elements into classes of bitwise-equal keys and condenses the bubbles
-once per class, keeping the class's Schur complement and X_b; only the
-load stays per element.  ``LinearSystem.solve`` runs CG on the skeleton
-system (node and facet dofs), preconditioned by vertex-star blocks that
-``hpbl.stars`` sums from the class Schur complements, one block per
-class of equal stars (237 for the 562 stars of the slit's q = 6
-reference mesh).
-
-A ``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
-cells of a study that share a mesh form it once: the star layout, one
-record of element and star classes per c and diffusion, and the norm
-kernel's geometry.  ``hpbl.stars`` loads with the first ``DofMap`` and
-scipy with the first matrix, so commands that build neither (``hpbl
-mesh``, ``fit``, ``--help``) start on numpy alone.
+Solves work class by class: the geometric meshes repeat a few pattern
+elements under a few macro maps, so ``assemble`` condenses the bubbles
+once per class of equal elements, and the skeleton CG is preconditioned
+by vertex-star blocks (``hpbl.stars``), one per class of equal stars
+(237 for the 562 stars of the slit's q = 6 reference mesh).  A
+``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
+cells of a study that share a mesh form it once.  ``hpbl.stars`` loads
+with the first ``DofMap`` and scipy with the first matrix, so commands
+that build neither (``hpbl mesh``, ``fit``, ``--help``) start on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -49,8 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .macro import (REF_CORNERS, Mesh, element_geometry, element_placements, element_points,
-                    inverse_2x2, jacobian_points)
+from .macro import (REF_CORNERS, Mesh, element_geometry, element_points, inverse_2x2,
+                    jacobian_points, placement_for)
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
 
@@ -530,8 +520,8 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, 
         stars = [(np.arange(n)[:, None], A.diagonal()[:, None, None], np.arange(n))]
     blocks = []  # per star size: indices (m, s) and inverse blocks (m, s, s)
     for D, S, which in stars:
-        try:
-            blocks.append((D, np.linalg.inv(S)[which]))
+        try:  # intp indices: numpy would cast int32 ones at every gather and bincount
+            blocks.append((D.astype(np.intp), np.linalg.inv(S)[which]))
         except np.linalg.LinAlgError:
             raise RuntimeError("cg breakdown at iteration 1: preconditioner is singular") from None
     at = np.concatenate([D.ravel() for D, _ in blocks])
@@ -658,7 +648,8 @@ class _FineSide:
     coordinates ``pat`` (N, 2), and per shape the macro map's inverse
     Jacobians, (E, 1, 2, 2) on parallelogram quads (``jacobian_points``),
     else (E, P, 2, 2), w det and, from ``_at_points``, the field's values
-    and physical gradients, c w det and A (None without a diffusion field).
+    and physical gradients, c w det (c itself for a constant c) and A (None
+    without a diffusion field).
     Physical points and element Jacobians are dropped once used.
 
     Elements are numbered quad by quad, so a shape's points of a quad are
@@ -682,7 +673,7 @@ class _FineSide:
             pts, w = _tables(shape, q, q + 2)[:2]
             _, pat, phys, det, invJ = element_geometry(mesh, shape, pts)
             wdet = w * det
-            vals, grads, cwdet, A = _at_points(field, shape, q + 2, phys, wdet, invJ, c, diffusion)
+            vals, grads, cw, A = _at_points(field, shape, q + 2, phys, wdet, invJ, c, diffusion)
             del phys, invJ
             bil = mesh.quad_map(mesh.macro_id[shape][:, None])
             _, jinv = inverse_2x2(bil.jacobian(jacobian_points(mesh, shape, pat)))
@@ -690,17 +681,17 @@ class _FineSide:
             self.qids[sl] = np.repeat(mesh.macro_id[shape], len(w))
             self.pat[sl] = pat.reshape(n, 2)
             self.count[i] = len(w) * np.bincount(mesh.macro_id[shape], minlength=len(mesh.patterns))
-            self.parts.append((sl, jinv, wdet, cwdet, A, vals, grads))
+            self.parts.append((sl, jinv, wdet, cw, A, vals, grads))
             end = sl.stop
         self.start = np.cumsum(self.count).reshape(self.count.shape) - self.count
 
     def norms(self, coarse: DiscreteField, eps: float) -> dict:
         cvals, cgrads = coarse.at_pattern(self.qids, self.pat, self._same(coarse.mesh))
         sums = np.zeros(4)
-        for sl, jinv, wdet, cwdet, A, vals, grads in self.parts:
+        for sl, jinv, wdet, cw, A, vals, grads in self.parts:
             v = vals - cvals[sl].reshape(vals.shape)
             g = grads - _times(cgrads[sl].reshape(*vals.shape, 1, 2), jinv)[..., 0, :]
-            sums += _integrals(wdet, cwdet, A, v, g)
+            sums += _integrals(wdet, cw, A, v, g)
         return _norm_dict(eps, *sums)
 
     def _same(self, coarse: Mesh):
@@ -746,7 +737,7 @@ class _PatternLocator:
         lo, hi = np.empty((n, 2)), np.empty((n, 2))  # corner boxes, of the quads qids only
         located = np.isin(np.arange(len(mesh.oriented)), qids)
         for shape, corners in REF_CORNERS.items():
-            ids, place = element_placements(mesh, shape)
+            ids, place = mesh.eid[shape], placement_for(shape, mesh.ref[shape])
             self.tri[ids] = shape == "t"
             macro_of[ids] = mesh.macro_id[shape]
             self.frame[ids] = np.column_stack([place.origin, place.inv.reshape(-1, 4)])
@@ -846,8 +837,9 @@ def _at_points(field: DiscreteField, shape: str, m: int, phys, wdet, invJ, c, di
     """A field and the problem data at one shape's points, m per direction,
     given their physical points (E, P, 2), w det (E, P) and inverse
     Jacobians (``element_geometry``): the field's values (E, P) and
-    physical gradients (E, P, 2), c w det (E, P), and A's entries a00,
-    a01, a10, a11 as (E, P) planes, or None without a diffusion field."""
+    physical gradients (E, P, 2), c w det (E, P) for a callable c, else c
+    as a float, and A's entries a00, a01, a10, a11 as (E, P) planes, or
+    None without a diffusion field."""
     _, _, B, G = _tables(shape, field.q, m)
     co = field.coeffs[field.dofmap.dofs[shape]]
     ne, (npts, nb) = len(co), B.shape
@@ -857,19 +849,23 @@ def _at_points(field: DiscreteField, shape: str, m: int, phys, wdet, invJ, c, di
     A = None
     if diffusion is not None:
         A = np.moveaxis(np.asarray(diffusion(flat), dtype=float).reshape(ne, npts, 4), -1, 0)
-    return co @ B.T, grads, wdet * _field_at(c, flat).reshape(ne, npts), A
+    cw = wdet * _field_at(c, flat).reshape(ne, npts) if callable(c) else float(c)
+    return co @ B.T, grads, cw, A
 
 
-def _integrals(wdet, cwdet, A, v, g) -> np.ndarray:
+def _integrals(wdet, cw, A, v, g) -> np.ndarray:
     """The integrals of v^2, |g|^2, A g . g and c v^2 over one shape's elements,
-    from values v (E, P), gradients g (E, P, 2) and ``_at_points``' data."""
+    from values v (E, P), gradients g (E, P, 2) and ``_at_points``' data; a
+    constant c scales the integral of v^2."""
     gx, gy = g[..., 0], g[..., 1]
     h1 = float(np.sum(wdet * (gx * gx + gy * gy)))
     flux = h1
     if A is not None:
         a00, a01, a10, a11 = A
         flux = float(np.sum(wdet * ((gx * a00 + gy * a10) * gx + (gx * a01 + gy * a11) * gy)))
-    return np.array([float(np.sum(wdet * v * v)), h1, flux, float(np.sum(cwdet * v * v))])
+    l2 = float(np.sum(wdet * v * v))
+    mass = cw * l2 if isinstance(cw, float) else float(np.sum(cw * v * v))
+    return np.array([l2, h1, flux, mass])
 
 
 def _norm_dict(eps, l2, h1, flux_sq, mass) -> dict:
@@ -900,11 +896,10 @@ def error_norms(
     sums = np.zeros(4)
     for shape in ("r", "t"):
         phys, wdet, invJ = field.dofmap.norm_geometry(shape)
-        vals, grads, cwdet, A = _at_points(field, shape, field.q + 3, phys, wdet, invJ, c,
-                                           diffusion)
+        vals, grads, cw, A = _at_points(field, shape, field.q + 3, phys, wdet, invJ, c, diffusion)
         if exact is not None:
             flat = phys.reshape(-1, 2)
             vals = vals - _field_at(exact, flat).reshape(vals.shape)
             grads = grads - np.broadcast_to(exact_grad(*flat.T), flat.shape).reshape(phys.shape)
-        sums += _integrals(wdet, cwdet, A, vals, grads)
+        sums += _integrals(wdet, cw, A, vals, grads)
     return _norm_dict(eps, *sums)

@@ -2,6 +2,8 @@
 
 The Gauss-Lobatto (GL) points of degree q are the q+1 roots of
 (1 - x^2) P_q'(x) on [-1, 1], where P_q is the Legendre polynomial.
+The interior points come from one symmetric tridiagonal eigenvalue solve
+(Golub-Welsch), so no iterative root finder can stop on a wrong root.
 Interpolation at these points is the workhorse of the whole package:
 every element operator (tensorized on quadrilaterals, trace-matched on
 triangles) reduces to univariate GL interpolation along edges, which is
@@ -14,83 +16,9 @@ import numpy as np
 
 __all__ = [
     "gauss_lobatto_rule",
-    "legendre_pair",
     "LagrangeBasis1D",
     "gauss_legendre_rule",
 ]
-
-_NEWTON_TOL = 1e-15
-_NEWTON_MAXIT = 100
-
-
-def legendre_pair(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (P_q, P_q') at x via the three-term recurrence.
-
-    The recurrence k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2} is stable on
-    [-1, 1]; the derivative follows from the standard identity
-    (1-x^2) P_q'(x) = q (P_{q-1}(x) - x P_q(x)) away from the endpoints,
-    but we carry the derivative through the recurrence instead so the
-    formula also holds at x = +-1.
-    """
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    dp_prev = np.zeros_like(x)
-    if q == 0:
-        return p_prev, dp_prev
-    p = x.copy()
-    dp = np.ones_like(x)
-    for k in range(2, q + 1):
-        p_next = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp_next = ((2 * k - 1) * (p + x * dp) - (k - 1) * dp_prev) / k
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp
-
-
-def _interior_gl_nodes(q: int) -> np.ndarray:
-    """Roots of P_q' in (-1, 1) by safeguarded Newton iteration.
-
-    Starting guesses are the Chebyshev-Gauss-Lobatto points; each root is
-    kept inside a monotonically shrinking bracket formed by the midpoints
-    to the neighbouring guesses, with a bisection step whenever Newton
-    would leave the bracket.
-    """
-    if q < 2:
-        return np.empty(0)
-    guesses = -np.cos(np.pi * np.arange(q + 1) / q)
-
-    def dp_and_ddp(x: float) -> tuple[float, float]:
-        p, dp = legendre_pair(q, np.asarray(x))
-        # Legendre ODE: (1-x^2) P'' = 2x P' - q(q+1) P
-        ddp = (2.0 * x * dp - q * (q + 1) * p) / (1.0 - x * x)
-        return float(dp), float(ddp)
-
-    roots = []
-    for i in range(1, q):
-        lo = 0.5 * (guesses[i - 1] + guesses[i])
-        hi = 0.5 * (guesses[i] + guesses[i + 1])
-        f_lo, _ = dp_and_ddp(lo)
-        f_hi, _ = dp_and_ddp(hi)
-        bracketed = f_lo * f_hi < 0.0
-        x = float(guesses[i])
-        for _ in range(_NEWTON_MAXIT):
-            f, fp = dp_and_ddp(x)
-            if bracketed:
-                if f * f_lo < 0.0:
-                    hi = x
-                else:
-                    lo, f_lo = x, f
-            step = f / fp
-            x_new = x - step
-            if bracketed and not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= _NEWTON_TOL:
-                x = x_new
-                break
-            x = x_new
-        roots.append(x)
-    return np.array(roots)
-
 
 _GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -98,20 +26,27 @@ _GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the (q+1)-point Gauss-Lobatto rule on [-1, 1].
 
-    The rule integrates polynomials up to degree 2q-1 exactly.  Weights
-    are w_i = 2 / (q (q+1) P_q(x_i)^2).  Nodes are returned ascending and
-    are exactly antisymmetric about 0.  Each degree is computed once; the
-    arrays are cached and read-only.
+    The rule integrates polynomials up to degree 2q-1 exactly.  The
+    interior nodes, the roots of P_q', are the Gauss-Jacobi(1, 1) nodes:
+    the eigenvalues of the (q-1)x(q-1) symmetric tridiagonal Jacobi
+    matrix with zero diagonal and off-diagonal
+    sqrt(k (k+2) / ((2k+1) (2k+3))), k = 1..q-2 (Golub & Welsch, Math.
+    Comp. 23, 1969).  Weights are w_i = 2 / (q (q+1) P_q(x_i)^2).  Nodes
+    are returned ascending and are exactly antisymmetric about 0.  Each
+    degree is computed once; the arrays are cached and read-only.
     """
     if q < 1:
         raise ValueError(f"Gauss-Lobatto rule needs degree q >= 1, got {q}")
     if q in _GL_RULES:
         return _GL_RULES[q]
-    interior = _interior_gl_nodes(q)
+    k = np.arange(1, q - 1)
+    jacobi = np.zeros((q - 1, q - 1))
+    jacobi[k, k - 1] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    interior = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
     nodes = np.concatenate(([-1.0], interior, [1.0]))
-    # enforce exact symmetry (the interior Newton solves are independent)
+    # enforce exact symmetry (the eigenvalues carry independent rounding)
     nodes = 0.5 * (nodes - nodes[::-1])
-    p, _ = legendre_pair(q, nodes)
+    p = np.polynomial.legendre.legval(nodes, np.eye(q + 1)[q])
     weights = 2.0 / (q * (q + 1) * p * p)
     weights = 0.5 * (weights + weights[::-1])
     nodes.flags.writeable = weights.flags.writeable = False

@@ -39,7 +39,6 @@ __all__ = [
     "BilinearMap",
     "ElementPlacement",
     "placement_for",
-    "element_placements",
     "element_points",
     "jacobian_points",
     "element_geometry",
@@ -458,12 +457,6 @@ def placement_for(shape: str, xy: np.ndarray) -> ElementPlacement:
         mat[..., :, 0] = xy[..., 1, :] - xy[..., 0, :]
         mat[..., :, 1] = xy[..., 2, :] - xy[..., 1, :]
     return ElementPlacement(xy[..., 0, :].copy(), mat, inverse_2x2(mat)[1])
-
-
-def element_placements(mesh: Mesh, shape: str):
-    """Element ids (E,) of one shape and their stacked affine placements
-    from the reference element onto the pattern frame."""
-    return mesh.eid[shape], placement_for(shape, mesh.ref[shape])
 
 
 def element_points(mesh: Mesh, shape: str, ref_pts: np.ndarray):

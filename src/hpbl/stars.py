@@ -42,12 +42,12 @@ def layout(dofmap, pairs: np.ndarray):
     element corner lies in them.
 
     Returns ``stars``, per star size s the (stars, s) free skeleton
-    indices, and ``corners``, per shape (E, corners, 6): the corner's star
-    (numbered size by size; -1 if it holds none of the corner's dofs), the
-    node dof's position in it, then for edge k, which starts at the
-    corner, and edge k - 1, which ends there, the position of the edge's
-    first dof in element order and the step to the next; -1, with step 0,
-    where constrained.
+    indices (int32), and ``corners``, per shape (E, corners, 6): the
+    corner's star (numbered size by size; -1 if it holds none of the
+    corner's dofs), the node dof's position in it, then for edge k, which
+    starts at the corner, and edge k - 1, which ends there, the position
+    of the edge's first dof in element order and the step to the next;
+    -1, with step 0, where constrained.
     """
     q, nv, nf = dofmap.q, len(dofmap.mesh.nodes), len(pairs)
     # star entries: each node's dof, then each facet's dofs for its lower and its upper node
@@ -62,7 +62,7 @@ def layout(dofmap, pairs: np.ndarray):
     by_size = np.argsort(size, kind="stable")[np.count_nonzero(size == 0) :]
     sid = np.full(nv, -1)
     sid[by_size] = np.arange(len(by_size))
-    dof = dof[order]
+    dof = dof[order].astype(np.int32)  # int32 holds every index
     stars = {int(s): dof[start[size == s][:, None] + np.arange(s)] for s in np.unique(size[by_size])}
 
     corners = {}
@@ -114,7 +114,7 @@ def classes(dofmap, cls: dict):
     order = np.lexsort(table.T[::-1])
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any(table[order[1:]] != table[order[:-1]], axis=1)
-    which = np.empty(len(order), dtype=np.int64)
+    which = np.empty(len(order), dtype=np.int32)
     which[order] = np.cumsum(new) - 1
     first = order[new]  # each class's first star, classes size by size
 
@@ -123,14 +123,14 @@ def classes(dofmap, cls: dict):
         w = which[lo : lo + len(D)]
         groups.append((D, w - w.min(), int(np.ptp(w)) + 1))
         lo += len(D)
-    rep = at[_ranges(start[first], count[first])]
-    star_class = np.repeat(np.arange(len(first)), count[first])
+    rep = at[_ranges(start[first], count[first])].astype(np.int32)
+    star_class = np.repeat(np.arange(len(first), dtype=np.int32), count[first])
     parts, lo = {}, 0
     for shape, place in corners.items():
         e, k = np.divmod(rep - lo, place.shape[1])
         mine = (e >= 0) & (e < len(place))
         e, k = e[mine], k[mine]
-        parts[shape] = star_class[mine], cls[shape][e], k, place[e, k, 1:]
+        parts[shape] = star_class[mine], cls[shape][e].astype(np.int32), k, place[e, k, 1:]
         lo += place.shape[0] * place.shape[1]
     return groups, table[first, 0], parts
 

@@ -375,26 +375,28 @@ def test_study_and_solve_refuse_an_invalid_layout(tmp_path, capsys, override):
         assert "invalid mesh of" in capsys.readouterr().err
 
 
-_NO_SCIPY_SCRIPT = """
+_LAZY_IMPORTS_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():  # and hpbl.stars, which only a DofMap needs
-    return sorted(m for m in sys.modules if m in ("scipy", "hpbl.stars") or m.startswith("scipy."))
+LAZY = ("scipy", "numpy.polynomial", "hpbl.stars")  # hpbl.stars: only a DofMap needs it
+
+def lazy_modules():
+    return sorted(m for m in sys.modules if any(m == k or m.startswith(k + ".") for k in LAZY))
 
 out_dir, csv = sys.argv[1], sys.argv[2]
 import hpbl.cli
-seen = {"import": [0, scipy_modules()]}
+seen = {"import": [0, lazy_modules()]}
 with contextlib.redirect_stdout(io.StringIO()):
     rc = hpbl.cli.main(["mesh", "--domain", "lshape", "-L", "2", "--out", out_dir])
-    seen["mesh"] = [rc, scipy_modules()]
+    seen["mesh"] = [rc, lazy_modules()]
     rc = hpbl.cli.main(["fit", "--csv", csv])
-    seen["fit"] = [rc, scipy_modules()]
+    seen["fit"] = [rc, lazy_modules()]
     try:
         hpbl.cli.main(["--help"])
     except SystemExit as exc:
-        seen["help"] = [exc.code, scipy_modules()]
+        seen["help"] = [exc.code, lazy_modules()]
     rc = hpbl.cli.main(["solve", "-p", "2", "--eps", "1e-2"])
-    seen["solve"] = [rc, scipy_modules()]
+    seen["solve"] = [rc, lazy_modules()]
 print(json.dumps(seen))
 """
 
@@ -410,7 +412,7 @@ def test_mesh_fit_and_help_load_no_scipy(tmp_path):
     src = str(Path(hpbl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out"), str(csv)],
+        [sys.executable, "-c", _LAZY_IMPORTS_SCRIPT, str(tmp_path / "out"), str(csv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -420,3 +422,4 @@ def test_mesh_fit_and_help_load_no_scipy(tmp_path):
         assert rc == 0, step
         assert modules == [] or step == "solve", (step, modules)
     assert "hpbl.stars" in seen["solve"][1]  # with the solve's DofMap
+    assert "numpy.polynomial" in seen["solve"][1]  # with its Gauss-Lobatto rules

@@ -24,7 +24,7 @@ from hpbl.macro import (
     MacroTriangulation,
     PatternAssignment,
     build_geo_bl_mesh,
-    element_placements,
+    placement_for,
     validate_mesh,
 )
 from hpbl.oracles import ManufacturedSolution
@@ -509,7 +509,7 @@ def _locate_by_scan(mesh, qids, pat):
     origin = np.empty((len(tri), 2))
     inv = np.empty((len(tri), 2, 2))
     for shape in ("r", "t"):
-        ids, place = element_placements(mesh, shape)
+        ids, place = mesh.eid[shape], placement_for(shape, mesh.ref[shape])
         origin[ids], inv[ids] = place.origin, place.inv
     eids = np.empty(len(pat), dtype=np.int64)
     ref = np.empty((len(pat), 2))
@@ -584,7 +584,7 @@ def test_pattern_locator_matches_scan(name, L, extra, q, seed):
     vals, grads = fld.at_pattern(qids, pat)
     want_v, want_g = np.empty(len(pat)), np.empty((len(pat), 2))
     for shape, basis in (("r", rect_basis(q)), ("t", tri_basis(q))):
-        ids, _ = element_placements(mesh, shape)  # ascending; row k of dm.dofs[shape]
+        ids = mesh.eid[shape]  # ascending; row k of dm.dofs[shape]
         sel = np.flatnonzero(np.isin(want_e, ids))
         co = fld.coeffs[dm.dofs[shape][np.searchsorted(ids, want_e[sel])]]
         want_v[sel] = np.einsum("pn,pn->p", basis.eval(want_ref[sel]), co)

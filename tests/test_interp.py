@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpbl.fem import interpolate
-from hpbl.macro import element_placements, placement_for
+from hpbl.macro import placement_for
 from hpbl.meshcheck import facet_incidence
 from hpbl.patches import PatchKind, PatchParams, build_pattern
 from hpbl.reference import rect_basis, tri_basis
@@ -95,7 +95,7 @@ def _traces(fld, elems, pts):
     """Values at pattern points pts[u] (U, T, 2) of element elems[u], from its own dof row."""
     out = np.empty(pts.shape[:2])
     for shape in ("r", "t"):
-        ids, place = element_placements(fld.mesh, shape)
+        ids, place = fld.mesh.eid[shape], placement_for(shape, fld.mesh.ref[shape])
         u = np.flatnonzero(np.isin(elems, ids))
         if not u.size:
             continue
@@ -110,7 +110,7 @@ def _traces(fld, elems, pts):
 def _eval_at(fld, idx, pattern_pts):
     """Values at pattern points of element idx, from its own dof row."""
     shape = element_rows(fld.mesh)[idx].shape
-    ids, place = element_placements(fld.mesh, shape)
+    ids, place = fld.mesh.eid[shape], placement_for(shape, fld.mesh.ref[shape])
     k = int(np.searchsorted(ids, idx))
     ref = (pattern_pts - place.origin[k]) @ place.inv[k].T
     basis = rect_basis(fld.q) if shape == "r" else tri_basis(fld.q)

@@ -79,6 +79,10 @@ def test_tri_basis_nodal_identity_and_vertices():
         np.testing.assert_allclose(b.eval(b.nodes), np.eye(b.ndofs), atol=1e-11)
     b = tri_basis(3)
     np.testing.assert_allclose(b.nodes[:3], [[0, 0], [1, 0], [1, 1]], atol=1e-15)
+    # the modal Vandermonde stays well conditioned through q = 16 (it reads
+    # 204.7 there); a wrong edge GL rule shows as a spike
+    for q in range(1, 17):
+        assert tri_basis(q).vandermonde_cond <= 250.0, q
 
 
 def test_projection_reproduction():
