@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .gausslobatto import read_only
 from .macro import (REF_CORNERS, Mesh, element_geometry, element_points, inverse_2x2,
                     jacobian_points, placement_for)
 from .meshcheck import facet_incidence
@@ -64,10 +65,11 @@ def _basis_for(shape: str, q: int):
 
 @lru_cache(maxsize=64)
 def _tables(shape: str, q: int, m: int):
-    """Quadrature points/weights and basis value/gradient tables."""
-    basis = _basis_for(shape, q)
+    """Quadrature points (P, 2) and weights (P,), m per direction, and the
+    basis values (P, nbasis) and gradients (P, nbasis, 2) there from one
+    ``tabulate`` pass; every array is shared and read-only."""
     pts, w = rect_quadrature(m) if shape == "r" else tri_quadrature(m)
-    return pts, w, basis.eval(pts), basis.grad(pts)
+    return pts, w, *read_only(*_basis_for(shape, q).tabulate(pts))
 
 
 @lru_cache(maxsize=64)
@@ -82,14 +84,16 @@ def _ref_blocks(shape: str, q: int):
     _, w, B, G = _tables(shape, q, q + 2)
     Ga = np.moveaxis(G, 2, 0)  # (2, P, nb)
     R = (np.swapaxes(Ga, 1, 2) * w)[:, None] @ Ga[None]  # (2, 2, nb, nb)
-    return R.reshape(4, -1), (B.T * w) @ B
+    return read_only(R.reshape(4, -1), (B.T * w) @ B)
 
 
 @lru_cache(maxsize=64)
 def _split(shape: str, q: int):
-    """The interior (bubble) basis ids and the interface ids, sorted."""
-    ii = _basis_for(shape, q).interior_ids
-    return ii, np.setdiff1d(np.arange(_basis_for(shape, q).ndofs), ii)
+    """The interior (bubble) basis ids and the interface ids, sorted; read-only."""
+    basis = _basis_for(shape, q)
+    interface = np.ones(basis.ndofs, dtype=bool)
+    interface[basis.interior_ids] = False
+    return read_only(basis.interior_ids, np.flatnonzero(interface))
 
 
 _POINTS = 4096  # points located and evaluated together
@@ -881,13 +885,13 @@ def _norm_dict(eps, l2, h1, flux_sq, mass) -> dict:
 def error_norms(
     field: DiscreteField,
     exact,
-    exact_grad,
     eps: float,
     c,
     diffusion=None,
 ) -> dict:
     """Norms of u_h - u for a smooth exact solution u, or for u = 0 when
     ``exact`` is None, at q + 3 points per direction (``norm_geometry``).
+    ``exact(x, y)`` returns u (N,) and grad u (N, 2) from one evaluation.
 
     Returns l2, h1 seminorm, the energy norm
     sqrt(eps^2 |A^(1/2) grad e|^2 + |c^(1/2) e|^2), and the balanced norm
@@ -899,7 +903,8 @@ def error_norms(
         vals, grads, cw, A = _at_points(field, shape, field.q + 3, phys, wdet, invJ, c, diffusion)
         if exact is not None:
             flat = phys.reshape(-1, 2)
-            vals = vals - _field_at(exact, flat).reshape(vals.shape)
-            grads = grads - np.broadcast_to(exact_grad(*flat.T), flat.shape).reshape(phys.shape)
+            u, du = exact(*flat.T)
+            vals = vals - np.broadcast_to(u, len(flat)).reshape(vals.shape)
+            grads = grads - np.broadcast_to(du, flat.shape).reshape(phys.shape)
         sums += _integrals(wdet, cw, A, vals, grads)
     return _norm_dict(eps, *sums)

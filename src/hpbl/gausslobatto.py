@@ -12,6 +12,8 @@ what makes the elementwise interpolants glue together continuously.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -20,9 +22,16 @@ __all__ = [
     "gauss_legendre_rule",
 ]
 
-_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place, as every cached table is: it is
+    shared by every caller, so a write would corrupt every later use."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
+@lru_cache(maxsize=64)
 def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the (q+1)-point Gauss-Lobatto rule on [-1, 1].
 
@@ -37,8 +46,6 @@ def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if q < 1:
         raise ValueError(f"Gauss-Lobatto rule needs degree q >= 1, got {q}")
-    if q in _GL_RULES:
-        return _GL_RULES[q]
     k = np.arange(1, q - 1)
     jacobi = np.zeros((q - 1, q - 1))
     jacobi[k, k - 1] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
@@ -49,9 +56,7 @@ def gauss_lobatto_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     p = np.polynomial.legendre.legval(nodes, np.eye(q + 1)[q])
     weights = 2.0 / (q * (q + 1) * p * p)
     weights = 0.5 * (weights + weights[::-1])
-    nodes.flags.writeable = weights.flags.writeable = False
-    _GL_RULES[q] = nodes, weights
-    return nodes, weights
+    return read_only(nodes, weights)
 
 
 class LagrangeBasis1D:
@@ -76,10 +81,6 @@ class LagrangeBasis1D:
         signs = np.prod(np.sign(diff), axis=1)
         self.bary = signs * np.exp(-(logs - logs.mean()))
         self._dmat: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         """Basis values; shape (npts, nnodes)."""
@@ -106,12 +107,10 @@ class LagrangeBasis1D:
             self._dmat = d
         return self._dmat
 
-    def eval_deriv(self, x: np.ndarray) -> np.ndarray:
-        """Derivatives of the basis functions; shape (npts, nnodes)."""
-        return self.eval(x) @ self.diff_matrix()
 
-
+@lru_cache(maxsize=64)
 def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre rule on [0, 1] (exact through degree 2m-1)."""
+    """m-point Gauss-Legendre rule on [0, 1] (exact through degree 2m-1),
+    cached and read-only like the Gauss-Lobatto rules."""
     x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return read_only(0.5 * (x + 1.0), 0.5 * w)

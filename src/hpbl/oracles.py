@@ -44,12 +44,10 @@ class ManufacturedSolution:
     def X(self, t):
         return self._X_dX(t)[0]
 
-    def value(self, x, y):
-        return self.X(x) * self.X(y)
-
-    def grad(self, x, y):
+    def value_grad(self, x, y):
+        """u (N,) and grad u (N, 2), from one ``_X_dX`` pass per coordinate."""
         (xx, dx), (yy, dy) = self._X_dX(x), self._X_dX(y)
-        return np.stack([dx * yy, xx * dy], axis=-1)
+        return xx * yy, np.stack([dx * yy, xx * dy], axis=-1)
 
     def f(self, x, y):
         xx, yy = self.X(x), self.X(y)

@@ -19,6 +19,9 @@ distribution), and the nodal basis is realized through a generalized
 Vandermonde matrix in an orthonormal Dubiner-type modal basis, which
 keeps the Vandermonde solve well conditioned: its 2-norm condition number
 grows smoothly with q and reads 204.7 at q = 16.
+
+Each basis tabulates values and gradients in one pass (``tabulate``);
+the quadrature rules are cached per point count and read-only.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-from .gausslobatto import LagrangeBasis1D, gauss_lobatto_rule, gauss_legendre_rule
+from .gausslobatto import LagrangeBasis1D, gauss_legendre_rule, gauss_lobatto_rule, read_only
 
 __all__ = [
     "RectBasis",
@@ -110,10 +113,7 @@ class RectBasis:
         self.q = q
         self.nodes_1d = shifted_gl(q)
         self.basis_1d = LagrangeBasis1D(self.nodes_1d)
-        ii, jj = np.meshgrid(range(q + 1), range(q + 1), indexing="xy")
-        self.nodes = np.column_stack(
-            [self.nodes_1d[ii.ravel()], self.nodes_1d[jj.ravel()]]
-        )
+        self.nodes = np.column_stack([a.ravel() for a in np.meshgrid(self.nodes_1d, self.nodes_1d)])
         self.ndofs = (q + 1) ** 2
         n = q + 1
         self.corner_ids = (0, q, n * n - 1, q * n)
@@ -127,21 +127,20 @@ class RectBasis:
             [j * n + i for j in range(1, q) for i in range(1, q)], dtype=int
         )
 
-    def eval(self, pts: np.ndarray) -> np.ndarray:
+    def tabulate(self, pts: np.ndarray):
+        """Values (P, nbasis) and gradients (P, nbasis, 2) at pts (P, 2): the
+        1-D values are evaluated once per distinct coordinate (m of them on
+        an m x m tensor rule), gathered per point into bx and by, and
+        multiplied out with their derivatives bx D and by D (``diff_matrix``)."""
         pts = np.atleast_2d(pts)
-        bx = self.basis_1d.eval(pts[:, 0])
-        by = self.basis_1d.eval(pts[:, 1])
-        return np.einsum("ni,nj->nji", bx, by).reshape(len(pts), self.ndofs)
+        coords, at = np.unique(pts.ravel(), return_inverse=True)
+        bx, by = self.basis_1d.eval(coords)[at.reshape(pts.shape).T]
+        d = self.basis_1d.diff_matrix()
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        bx = self.basis_1d.eval(pts[:, 0])
-        by = self.basis_1d.eval(pts[:, 1])
-        dbx = self.basis_1d.eval_deriv(pts[:, 0])
-        dby = self.basis_1d.eval_deriv(pts[:, 1])
-        gx = np.einsum("ni,nj->nji", dbx, by).reshape(len(pts), self.ndofs)
-        gy = np.einsum("ni,nj->nji", bx, dby).reshape(len(pts), self.ndofs)
-        return np.stack([gx, gy], axis=-1)
+        def outer(fx, fy):
+            return np.einsum("ni,nj->nji", fx, fy).reshape(len(pts), self.ndofs)
+
+        return outer(bx, by), np.stack([outer(bx @ d, by), outer(bx, by @ d)], axis=-1)
 
     def factors(self, pts: np.ndarray):
         """The point factors of ``contract`` at pts (P, 2): the 1-D values
@@ -180,17 +179,6 @@ _ALPHA_OPT = (
 )
 
 
-def _warp_factor(q: int, r: np.ndarray) -> np.ndarray:
-    """Displacement warping equispaced points toward GL positions."""
-    gl, _ = gauss_lobatto_rule(q)
-    req = np.linspace(-1.0, 1.0, q + 1)
-    lag = LagrangeBasis1D(req)
-    warp = lag.eval(r) @ (gl - req)
-    interior = np.abs(r) < 1.0 - 1e-10
-    sf = 1.0 - np.where(interior, r, 0.0) ** 2
-    return np.where(interior, warp / sf, 0.0)
-
-
 def _warp_blend_barycentric(q: int) -> np.ndarray:
     """Interior warp-and-blend lattice in barycentric coordinates."""
     alpha = _ALPHA_OPT[q - 1] if q <= len(_ALPHA_OPT) else 5.0 / 3.0
@@ -201,6 +189,10 @@ def _warp_blend_barycentric(q: int) -> np.ndarray:
     if not lam:
         return np.empty((0, 3))
     lam = np.array(lam)  # columns: l0, l1, l2
+    # the warp factor at r: the displacement of q + 1 equispaced points on
+    # [-1, 1] to the GL points, interpolated at r and divided by 1 - r^2
+    req = np.linspace(-1.0, 1.0, q + 1)
+    lag, shift = LagrangeBasis1D(req), gauss_lobatto_rule(q)[0] - req
     l0, l1, l2 = lam[:, 0], lam[:, 1], lam[:, 2]
     # equilateral frame, vertices at angles 90/210/330 degrees
     verts = np.array(
@@ -213,7 +205,11 @@ def _warp_blend_barycentric(q: int) -> np.ndarray:
     dirs = (verts[2] - verts[1], verts[0] - verts[2], verts[1] - verts[0])
     pairs = ((l1, l2, l0), (l2, l0, l1), (l0, l1, l2))
     for (a, b, c), d in zip(pairs, dirs):
-        w = 4.0 * a * b * _warp_factor(q, b - a) * (1.0 + (alpha * c) ** 2)
+        r = b - a
+        interior = np.abs(r) < 1.0 - 1e-10
+        sf = 1.0 - np.where(interior, r, 0.0) ** 2
+        warp = np.where(interior, (lag.eval(r) @ shift) / sf, 0.0)
+        w = 4.0 * a * b * warp * (1.0 + (alpha * c) ** 2)
         xy = xy + w[:, None] * (d / np.linalg.norm(d))[None, :]
     # back to barycentric by solving the affine system
     mat = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
@@ -251,9 +247,12 @@ class TriBasis:
             np.concatenate(([2], 3 + 2 * ne + np.arange(ne), [0])),
         )
         self.interior_ids = np.arange(3 + 3 * ne, self.ndofs)
-        vand = self._modal(self.nodes)
-        self._vinv = np.linalg.inv(vand)
-        self.vandermonde_cond = float(np.linalg.cond(vand))
+        self._vinv = np.linalg.inv(self._modal(self.nodes))
+
+    @functools.cached_property
+    def vandermonde_cond(self) -> float:
+        """2-norm condition number of the Vandermonde matrix, on first read."""
+        return float(np.linalg.cond(self._modal(self.nodes)))
 
     def _collapsed(self, pts: np.ndarray):
         """Collapsed (a, b) coordinates of points in the reference triangle.
@@ -310,12 +309,11 @@ class TriBasis:
             grads[:, cols, 1] = (scale * (-2.0 * dr + 2.0 * ds)).T
         return (vals, grads) if grad else vals
 
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        return self._modal(pts) @ self._vinv
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        _, g = self._modal(pts, grad=True)  # (P, M, 2); matmul runs on BLAS, einsum here does not
-        return np.swapaxes(np.swapaxes(g, 1, 2) @ self._vinv, 1, 2)
+    def tabulate(self, pts: np.ndarray):
+        """Values (P, nbasis) and gradients (P, nbasis, 2) at pts (P, 2),
+        from one ``_modal`` pass: modal tables times V^-1."""
+        v, g = self._modal(pts, grad=True)  # (P, M, 2); matmul runs on BLAS, einsum here does not
+        return v @ self._vinv, np.swapaxes(np.swapaxes(g, 1, 2) @ self._vinv, 1, 2)
 
     def factors(self, pts: np.ndarray):
         """The point factors of ``contract`` at pts (P, 2): the modal values
@@ -357,7 +355,7 @@ def rect_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_legendre_rule(m)
     xx, yy = np.meshgrid(x, x, indexing="xy")
     ww = np.outer(w, w)
-    return np.column_stack([xx.ravel(), yy.ravel()]), ww.ravel()
+    return read_only(np.column_stack([xx.ravel(), yy.ravel()]), ww.ravel())
 
 
 @functools.lru_cache(maxsize=64)
@@ -367,4 +365,4 @@ def tri_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
     u, v = np.meshgrid(x, x, indexing="xy")
     pts = np.column_stack([u.ravel(), (u * v).ravel()])
     ww = (np.outer(w, w) * u).ravel()
-    return pts, ww
+    return read_only(pts, ww)

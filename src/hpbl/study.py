@@ -224,7 +224,7 @@ def _solve_cell(config: ExperimentConfig, mesh: Mesh, q: int, eps: float,
 
 def _cell_norms(config: ExperimentConfig, fld: DiscreteField, ms, eps: float, ref) -> dict:
     if config.mode == "manufactured":
-        return error_norms(fld, ms.value, ms.grad, eps, 1.0)
+        return error_norms(fld, ms.value_grad, eps, 1.0)
     return field_difference_norms(ref, fld, eps, 1.0)
 
 

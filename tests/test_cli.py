@@ -423,3 +423,31 @@ def test_mesh_fit_and_help_load_no_scipy(tmp_path):
         assert modules == [] or step == "solve", (step, modules)
     assert "hpbl.stars" in seen["solve"][1]  # with the solve's DofMap
     assert "numpy.polynomial" in seen["solve"][1]  # with its Gauss-Lobatto rules
+
+
+_CACHE_SCRIPT = """
+import contextlib, io, json, sys
+
+from hpbl import cli, fem, gausslobatto
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["study", "--domain", "square", "--eps", "1e-2", "--pmax", "4",
+                   "--out", sys.argv[1]])
+print(json.dumps([rc, fem._tables.cache_info(), gausslobatto.gauss_legendre_rule.cache_info()]))
+"""
+
+
+def test_study_builds_each_table_once(tmp_path):
+    # a fresh process: p = 1..4 asks for q + 2 and q + 3 points per direction
+    # on both shapes (16 tables, from the Gauss-Legendre rules m = 3..7),
+    # and each of them is built exactly once however often it is read
+    src = str(Path(hpbl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _CACHE_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, tables, rules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    (hits, misses, _, size), (rule_hits, rule_misses, _, rule_size) = tables, rules
+    assert misses == size == 16 and hits > 0
+    assert rule_misses == rule_size == 5 and rule_hits > 0

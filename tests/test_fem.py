@@ -173,9 +173,9 @@ def test_galerkin_solution_is_energy_best():
     poly, macro = builtin_layout("square")
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=3, n=3))
     fld, _ = assemble(mesh, 3, eps, 1.0, ms.f).solve()
-    itp = interpolate(mesh, 3, ms.value)
-    e_fem = error_norms(fld, ms.value, ms.grad, eps, 1.0)["energy"]
-    e_itp = error_norms(itp, ms.value, ms.grad, eps, 1.0)["energy"]
+    itp = interpolate(mesh, 3, lambda x, y: ms.value_grad(x, y)[0])
+    e_fem = error_norms(fld, ms.value_grad, eps, 1.0)["energy"]
+    e_itp = error_norms(itp, ms.value_grad, eps, 1.0)["energy"]
     assert e_fem <= e_itp * (1.0 + 1e-10)
 
 
@@ -186,7 +186,7 @@ def test_energy_norm_of_interpolated_constant():
     one = interpolate(mesh, 2, lambda x, y: np.ones_like(x))
     assert energy_norm(one, 0.1, 1.0) == pytest.approx(1.0, rel=1e-12)
     # an exact solution given as constants broadcasts over the points
-    err = error_norms(one, lambda x, y: 1.0, lambda x, y: np.zeros(2), 0.1, 1.0)
+    err = error_norms(one, lambda x, y: (1.0, np.zeros(2)), 0.1, 1.0)
     assert max(err.values()) < 1e-12
 
 
@@ -199,7 +199,7 @@ def test_manufactured_convergence_snapshot():
     errs = []
     for q in (1, 2, 4, 6):
         fld, _ = assemble(mesh, q, eps, 1.0, ms.f).solve()
-        errs.append(error_norms(fld, ms.value, ms.grad, eps, 1.0)["energy"])
+        errs.append(error_norms(fld, ms.value_grad, eps, 1.0)["energy"])
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-2 * errs[0]
 
@@ -587,8 +587,9 @@ def test_pattern_locator_matches_scan(name, L, extra, q, seed):
         ids = mesh.eid[shape]  # ascending; row k of dm.dofs[shape]
         sel = np.flatnonzero(np.isin(want_e, ids))
         co = fld.coeffs[dm.dofs[shape][np.searchsorted(ids, want_e[sel])]]
-        want_v[sel] = np.einsum("pn,pn->p", basis.eval(want_ref[sel]), co)
-        gpat = np.einsum("pnd,pn->pd", basis.grad(want_ref[sel]), co)[:, None, :] @ inv[want_e[sel]]
+        B, G = basis.tabulate(want_ref[sel])
+        want_v[sel] = np.einsum("pn,pn->p", B, co)
+        gpat = np.einsum("pnd,pn->pd", G, co)[:, None, :] @ inv[want_e[sel]]
         want_g[sel] = gpat[:, 0, :]  # at_pattern's gradients are pattern-frame ones
     assert np.abs(vals - want_v).max() <= 1e-13 * np.abs(want_v).max()
     assert np.abs(grads - want_g).max() <= 1e-13 * np.abs(want_g).max()
@@ -639,7 +640,7 @@ def _jacobian_consumers(name):
                          (1.0, lambda p: D * (2.0 + p[:, :1, None]))):
         system = assemble(mesh, 3, eps, c, ms.f, diffusion=diffusion)
         fld, _ = system.solve()
-        norms = np.array(list(error_norms(fld, ms.value, ms.grad, eps, c, diffusion).values()))
+        norms = np.array(list(error_norms(fld, ms.value_grad, eps, c, diffusion).values()))
         constant = not callable(c) and diffusion is None
         out += [(a, constant) for a in [*_system_arrays(system), fld.coeffs, norms]]
         fields.append(fld)
@@ -687,8 +688,8 @@ def test_plane_flux_matches_the_matmul_flux(name):
 
     fld, _ = assemble(mesh, 3, eps, 1.0, ms.f, diffusion=diffusion).solve()
     for c in (1.0, lambda x, y: 1.0 + x * x):
-        got = error_norms(fld, ms.value, ms.grad, eps, c, diffusion)
-        want = error_norms_matmul_flux(fld, ms.value, ms.grad, eps, c, diffusion)
+        got = error_norms(fld, ms.value_grad, eps, c, diffusion)
+        want = error_norms_matmul_flux(fld, ms.value_grad, eps, c, diffusion)
         assert got["energy"] == pytest.approx(want["energy"], rel=1e-14, abs=0.0)
         assert all(got[k] == want[k] for k in ("l2", "h1", "balanced"))
 
@@ -709,7 +710,7 @@ def test_error_and_difference_norms_agree_where_both_rules_are_exact(name):
     for q in (1, 3, 5):
         fld = interpolate(mesh, q, lambda x, y: np.sin(2.0 * x + y) * np.exp(y))
         zero = DiscreteField(fld.dofmap, np.zeros(fld.dofmap.ndofs))
-        want = error_norms(fld, None, None, 0.5, 2.5, diffusion)
+        want = error_norms(fld, None, 0.5, 2.5, diffusion)
         got = field_difference_norms(fld, zero, 0.5, 2.5, diffusion)
         for k, v in want.items():
             assert got[k] == pytest.approx(v, rel=1e-13, abs=0.0), (q, k)
@@ -742,6 +743,22 @@ def test_corner_only_study_runs_without_rectangles(monkeypatch):
     for r, s in zip(table.rows, per_point.rows):
         assert abs(r.error - s.error) <= 1e-12 * s.error
         assert r.iters > 0 and s.iters > 0
+
+
+def test_cached_tables_reject_writes():
+    # every lru-cached table is shared by all elements of its degree, so a
+    # write into one must fail instead of corrupting the later ones
+    from hpbl.gausslobatto import gauss_legendre_rule, gauss_lobatto_rule
+    from hpbl.reference import rect_quadrature, tri_quadrature
+
+    for shape in ("r", "t"):
+        cached = [*fem._tables(shape, 3, 5), *fem._ref_blocks(shape, 3), *fem._split(shape, 3)]
+        cached += [*rect_quadrature(4), *tri_quadrature(4), *gauss_legendre_rule(4),
+                   *gauss_lobatto_rule(4)]
+        for a in cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 @pytest.mark.parametrize("shape", ["r", "t"])

@@ -64,7 +64,7 @@ def test_interp_reproduces_polynomials():
     x = np.linspace(-1, 1, 101)
     np.testing.assert_allclose(basis.eval(x) @ f(nodes), f(x), atol=1e-12)
     np.testing.assert_allclose(
-        basis.eval_deriv(x) @ f(nodes),
+        basis.eval(x) @ basis.diff_matrix() @ f(nodes),
         sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k),
         atol=1e-11,
     )

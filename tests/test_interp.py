@@ -102,7 +102,7 @@ def _traces(fld, elems, pts):
         k = np.searchsorted(ids, elems[u])
         ref = np.einsum("utd,ued->ute", pts[u] - place.origin[k][:, None], place.inv[k])
         basis = rect_basis(fld.q) if shape == "r" else tri_basis(fld.q)
-        B = basis.eval(ref.reshape(-1, 2)).reshape(len(u), pts.shape[1], -1)
+        B = basis.tabulate(ref.reshape(-1, 2))[0].reshape(len(u), pts.shape[1], -1)
         out[u] = np.einsum("utn,un->ut", B, fld.coeffs[fld.dofmap.dofs[shape][k]])
     return out
 
@@ -114,7 +114,7 @@ def _eval_at(fld, idx, pattern_pts):
     k = int(np.searchsorted(ids, idx))
     ref = (pattern_pts - place.origin[k]) @ place.inv[k].T
     basis = rect_basis(fld.q) if shape == "r" else tri_basis(fld.q)
-    return basis.eval(ref) @ fld.coeffs[fld.dofmap.dofs[shape][k]]
+    return basis.tabulate(ref)[0] @ fld.coeffs[fld.dofmap.dofs[shape][k]]
 
 
 def test_interpolation_reproduces_polynomials():

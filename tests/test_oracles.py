@@ -26,7 +26,7 @@ def test_manufactured_1d_profile():
     assert ms.X(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-15)
     assert ms.X(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
     # tensor structure u = X(x) X(y)
-    assert ms.value(np.array([0.5]), np.array([0.5]))[0] == pytest.approx(
+    assert ms.value_grad(np.array([0.5]), np.array([0.5]))[0][0] == pytest.approx(
         mid * mid, abs=1e-14
     )
 
@@ -56,11 +56,27 @@ def test_manufactured_exponentials_skip_only_exact_zeros():
         [False, True], [False, True]]
 
 
+def test_value_grad_is_the_separate_formulas_bit_for_bit():
+    # u = X(x) X(y) and grad u = (X'(x) X(y), X(x) X'(y)), as the separate
+    # value and gradient formed them, from one _X_dX pass per coordinate
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(0.0, 1.0, size=(2, 500))
+    x[:3], y[:3] = [0.0, 1.0, 0.5], [1.0, 0.0, 1e-300]
+    for eps in (0.3, 1e-2, 1e-5, 1e-9):
+        ms = ManufacturedSolution(eps)
+        (xx, dx), (yy, dy) = ms._X_dX(x), ms._X_dX(y)
+        u, du = ms.value_grad(x, y)
+        assert u.tobytes() == (ms.X(x) * ms.X(y)).tobytes(), eps
+        assert du.shape == (500, 2)
+        assert du.tobytes() == np.stack([dx * yy, xx * dy], axis=-1).tobytes(), eps
+
+
 def test_manufactured_grad_consistent():
     ms = ManufacturedSolution(0.05)
     rng = np.random.default_rng(5)
     x, y = rng.uniform(0.05, 0.95, size=(2, 200))
-    np.testing.assert_allclose(ms.grad(x, y), _fd_grad(ms.value, x, y), atol=1e-6)
+    fd = _fd_grad(lambda x, y: ms.value_grad(x, y)[0], x, y)
+    np.testing.assert_allclose(ms.value_grad(x, y)[1], fd, atol=1e-6)
 
 
 def test_boundary_layer_fn():

@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
+from hpbl import fem
 from hpbl.reference import (
+    TriBasis,
     _jacobi_norm,
     _jacobi_table,
     rect_basis,
@@ -47,7 +50,7 @@ def test_rect_basis_nodal_identity():
     for q in (1, 3, 6):
         b = rect_basis(q)
         assert b.ndofs == (q + 1) ** 2
-        np.testing.assert_allclose(b.eval(b.nodes), np.eye(b.ndofs), atol=1e-12)
+        np.testing.assert_allclose(b.tabulate(b.nodes)[0], np.eye(b.ndofs), atol=1e-12)
         # corners counterclockwise from the origin
         np.testing.assert_allclose(
             b.nodes[list(b.corner_ids)], [[0, 0], [1, 0], [1, 1], [0, 1]], atol=1e-15
@@ -64,7 +67,7 @@ def test_rect_edge_traces_are_1d_gl():
         3: np.column_stack([np.zeros(5), t[::-1]]),
     }
     for k, pts in edges.items():
-        vals = b.eval(pts)
+        vals = b.tabulate(pts)[0]
         # along edge k only its own edge dofs are active, forming the identity
         np.testing.assert_allclose(vals[:, list(b.edge_ids[k])], np.eye(5), atol=1e-12)
         mask = np.ones(b.ndofs, dtype=bool)
@@ -76,13 +79,57 @@ def test_tri_basis_nodal_identity_and_vertices():
     for q in (1, 2, 5):
         b = tri_basis(q)
         assert b.ndofs == (q + 1) * (q + 2) // 2
-        np.testing.assert_allclose(b.eval(b.nodes), np.eye(b.ndofs), atol=1e-11)
+        np.testing.assert_allclose(b.tabulate(b.nodes)[0], np.eye(b.ndofs), atol=1e-11)
     b = tri_basis(3)
     np.testing.assert_allclose(b.nodes[:3], [[0, 0], [1, 0], [1, 1]], atol=1e-15)
     # the modal Vandermonde stays well conditioned through q = 16 (it reads
     # 204.7 there); a wrong edge GL rule shows as a spike
     for q in range(1, 17):
         assert tri_basis(q).vandermonde_cond <= 250.0, q
+    assert tri_basis(16).vandermonde_cond == pytest.approx(204.7, abs=0.05)
+
+
+def test_vandermonde_cond_is_computed_on_first_read():
+    b = TriBasis(6)
+    assert "vandermonde_cond" not in vars(b)  # no SVD at construction
+    cond = b.vandermonde_cond
+    assert cond == float(np.linalg.cond(b._modal(b.nodes)))
+    assert vars(b)["vandermonde_cond"] == cond
+
+
+def _per_point_tables(basis, pts):
+    """Values and gradients as ``eval`` and ``grad`` formed them before
+    ``tabulate``: the square's 1-D factors evaluated afresh at every point,
+    four barycentric passes; the triangle's modal tables once per output."""
+    if basis.shape == "r":
+        b1 = basis.basis_1d
+        bx, by = b1.eval(pts[:, 0]), b1.eval(pts[:, 1])
+        dbx, dby = (b1.eval(p) @ b1.diff_matrix() for p in pts.T)
+
+        def outer(fx, fy):
+            return np.einsum("ni,nj->nji", fx, fy).reshape(len(pts), basis.ndofs)
+
+        return outer(bx, by), np.stack([outer(dbx, by), outer(bx, dby)], axis=-1)
+    _, g = basis._modal(pts, grad=True)
+    return basis._modal(pts) @ basis._vinv, np.swapaxes(np.swapaxes(g, 1, 2) @ basis._vinv, 1, 2)
+
+
+@pytest.mark.parametrize("shape", ["r", "t"])
+def test_one_pass_tables_match_the_per_point_formulas(shape):
+    # fem._tables from one tabulate pass, and tabulate at scattered points
+    # that share some coordinates, against the per-point formulas: bit for
+    # bit, -0.0 against 0.0 included
+    rng = np.random.default_rng(11)
+    for q in range(1, 11):
+        basis = rect_basis(q) if shape == "r" else tri_basis(q)
+        scattered = rng.uniform(0.0, 1.0, (40, 2))
+        scattered[::4, 0] = scattered[1::4, 1]
+        scattered[:, 1] *= scattered[:, 0] if shape == "t" else 1.0
+        for m in (q + 2, q + 3):
+            pts, _, B, G = fem._tables(shape, q, m)
+            for got, pts in (((B, G), pts), (basis.tabulate(scattered), scattered)):
+                for a, b in zip(got, _per_point_tables(basis, pts)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (q, m)
 
 
 def test_projection_reproduction():
@@ -90,14 +137,14 @@ def test_projection_reproduction():
     grid = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
     f = _random_poly2(rng, 4)
     basis = rect_basis(4)
-    vals = basis.eval(grid) @ f(*basis.nodes.T)
+    vals = basis.tabulate(grid)[0] @ f(*basis.nodes.T)
     np.testing.assert_allclose(vals, f(grid[:, 0], grid[:, 1]), atol=1e-11)
 
     tgrid = grid.copy()
     tgrid[:, 1] *= tgrid[:, 0]  # put the samples inside y <= x
     g = _random_poly_total(rng, 5)
     basis = tri_basis(5)
-    vals = basis.eval(tgrid) @ g(*basis.nodes.T)
+    vals = basis.tabulate(tgrid)[0] @ g(*basis.nodes.T)
     np.testing.assert_allclose(vals, g(tgrid[:, 0], tgrid[:, 1]), atol=1e-10)
 
 
@@ -113,7 +160,7 @@ def test_poly_gradients():
 
     pts = np.column_stack([np.linspace(0.1, 0.9, 7), np.linspace(0.05, 0.8, 7)])
     basis = rect_basis(4)
-    g = np.einsum("pnd,n->pd", basis.grad(pts), f(*basis.nodes.T))
+    g = np.einsum("pnd,n->pd", basis.tabulate(pts)[1], f(*basis.nodes.T))
     np.testing.assert_allclose(g[:, 0], fx(pts[:, 0], pts[:, 1]), atol=1e-11)
     np.testing.assert_allclose(g[:, 1], fy(pts[:, 0], pts[:, 1]), atol=1e-11)
 
@@ -195,5 +242,5 @@ def test_tri_basis_matches_scipy_tables():
         pts, _ = tri_quadrature(q + 2)
         ref_vals, ref_grads = _scipy_tri_tables(basis, pts)
         tol = 1e-14 if q <= 10 else 1e-13
-        for got, ref in ((basis.eval(pts), ref_vals), (basis.grad(pts), ref_grads)):
+        for got, ref in zip(basis.tabulate(pts), (ref_vals, ref_grads)):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), q
