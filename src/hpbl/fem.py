@@ -24,10 +24,11 @@ once per class of equal elements, and the skeleton CG is preconditioned
 by vertex-star blocks (``hpbl.stars``), one per class of equal stars
 (237 for the 562 stars of the slit's q = 6 reference mesh).  A
 ``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
-cells of a study that share a mesh form it once.  ``hpbl.stars`` loads
-with the first ``DofMap`` and scipy with the first matrix, so commands
-that build neither (``hpbl mesh``, ``fit``, ``--help``) start on numpy
-alone.
+cells of a study that share a mesh form it once.  The skeleton matrix
+is never formed: CG applies it element by element from copies of the
+class Schur complements (``_Skeleton``), so solves need numpy alone.
+``hpbl.stars`` loads with the first ``DofMap``, so commands that build
+none (``hpbl mesh``, ``fit``, ``--help``) do not load it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from .macro import (REF_CORNERS, Mesh, element_geometry, element_points, inverse
                     jacobian_points, placement_for)
 from .meshcheck import facet_incidence
 from .reference import rect_basis, rect_quadrature, tri_basis, tri_quadrature
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "DofMap",
@@ -224,19 +221,20 @@ def _field_at(fn, pts: np.ndarray) -> np.ndarray:
 class LinearSystem:
     """The assembled system, condensed onto the skeleton.
 
-    ``matrix`` and ``rhs`` are the Schur complement and condensed load on
-    the free skeleton dofs, which lead the free numbering; the system on
-    all free dofs is never formed.  ``classes`` holds per shape each
-    element's class (E,) and the classes' Schur complements on the
-    interface dofs (classes, nb - ni, nb - ni).  ``bubbles`` holds per
-    shape the bubble dofs (E, ni), the free index of each interface dof
-    (E, nb - ni; -1 where constrained), each element's class, X_b =
-    S_ii^-1 S_ib per class and X_l = S_ii^-1 l_i per element (E, ni), so
-    that u_i = X_l - X_b u_b.  ``stars`` holds their ``stars.classes``.
+    ``matrix`` and ``rhs`` are the Schur complement, as a ``_Skeleton``,
+    and the condensed load on the free skeleton dofs, which lead the free
+    numbering; the system on all free dofs is never formed.  ``classes``
+    holds per shape each element's class (E,) and the classes' Schur
+    complements on the interface dofs (classes, nb - ni, nb - ni).
+    ``bubbles`` holds per shape the bubble dofs (E, ni), the free index of
+    each interface dof (E, nb - ni; the skeleton size where constrained),
+    each element's class, X_b = S_ii^-1 S_ib per class and X_l = S_ii^-1
+    l_i per element (E, ni), so that u_i = X_l - X_b u_b.  ``stars``
+    holds their ``stars.classes``.
     """
 
     dofmap: DofMap
-    matrix: sp.csr_matrix  # free skeleton x free skeleton, symmetric positive definite
+    matrix: _Skeleton  # free skeleton x free skeleton, symmetric positive definite
     rhs: np.ndarray
     classes: dict
     bubbles: list
@@ -258,40 +256,41 @@ class LinearSystem:
         """The field whose free skeleton dofs hold ``x``, bubbles back-substituted."""
         coeffs = np.zeros(self.dofmap.ndofs)
         coeffs[self.dofmap.free[: len(x)]] = x
-        xb = np.append(x, 0.0)  # free index -1 (constrained) reads the trailing 0
+        xb = np.append(x, 0.0)  # a constrained dof's free index reads the trailing 0
         for dofs, fb, cls, Xb, Xl in self.bubbles:
             for e in _chunks(len(dofs), max(2, _ENTRIES // (Xb.shape[1] * Xb.shape[2]))):
                 coeffs[dofs[e]] = Xl[e] - (Xb[cls[e]] @ xb[fb[e]][..., None])[..., 0]
         return DiscreteField(self.dofmap, coeffs)
 
 
-class _Triplets:
-    """Preallocated COO triplets of element blocks, filled in element order.
+class _Skeleton:
+    """The skeleton matrix, applied element by element (Hughes, Levit &
+    Winget, Comput. Methods Appl. Mech. Engrg. 36, 1983).
 
-    ``tables`` are the free-index tables fg (E, n) of the blocks, -1 where
-    a dof is constrained; an element with k free dofs takes k^2 entries.
+    ``blocks`` holds per shape the free indices (E, k) of the interface
+    dofs, constrained ones sent to the padding slot n, and each element's
+    copy of its class Schur complement (E, k, k).  ``A @ x`` gathers x,
+    with a 0 in the padding slot, per element, multiplies once per shape
+    and sums by one ``np.bincount``; ``nnz`` is the number of block
+    entries one product multiplies.
     """
 
-    def __init__(self, tables):
-        size = sum(int(np.sum(np.count_nonzero(fg >= 0, axis=1) ** 2)) for fg in tables)
-        self.rows = np.empty(size, dtype=np.int32)
-        self.cols = np.empty(size, dtype=np.int32)
-        self.vals = np.empty(size)
-        self.end = 0
+    def __init__(self, n: int, blocks):
+        self.shape = (n, n)
+        self.blocks = blocks
+        self.at = np.concatenate([fb.ravel() for fb, _ in blocks])
+        self.nnz = sum(S.size for _, S in blocks)
 
-    def put(self, fg: np.ndarray, S: np.ndarray):
-        """Write blocks S (E, n, n) on free indices fg (E, n) next, -1 dropped."""
-        pair = (fg[:, :, None] >= 0) & (fg[:, None, :] >= 0)
-        at = slice(self.end, self.end + int(np.count_nonzero(pair)))
-        self.rows[at] = np.broadcast_to(fg[:, :, None], S.shape)[pair]
-        self.cols[at] = np.broadcast_to(fg[:, None, :], S.shape)[pair]
-        self.vals[at] = S[pair]
-        self.end = at.stop
+    def _sum(self, per_element) -> np.ndarray:
+        y = np.bincount(self.at, weights=np.concatenate(per_element), minlength=self.shape[0] + 1)
+        return y[:-1]
 
-    def csr(self, n: int) -> sp.csr_matrix:
-        import scipy.sparse as sp
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.append(x, 0.0)
+        return self._sum([(S @ x[fb][..., None]).ravel() for fb, S in self.blocks])
 
-        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
+    def diagonal(self) -> np.ndarray:
+        return self._sum([np.diagonal(S, axis1=1, axis2=2).ravel() for _, S in self.blocks])
 
 
 def _not_positive_definite(S: np.ndarray) -> bool:
@@ -404,16 +403,14 @@ def assemble(
     entries and a positive definite bubble block, and condensed once; its
     Schur complement and X_b = S_ii^-1 S_ib go on the system.  What stays
     per element is the load, X_l = S_ii^-1 l_i, the condensed load l_b -
-    X_b^T l_i (S is symmetric) and the skeleton triplets.  Classes run in
-    chunks of about ``_ENTRIES`` block entries (and at least two blocks),
-    and the elements of each chunk of classes, class by class, again in
-    such chunks; each writes the free entries of its Schur complements
-    into one set of triplets preallocated for the skeleton.  Peak memory
-    is the returned system, those triplets (16 bytes per free skeleton
-    block entry) and their CSR conversion, the element classes, and one
-    chunk's blocks, a few times ``_ENTRIES`` doubles.  The CSR conversion
-    runs once over the triplets in class order, so the system does not
-    depend on the chunk size.
+    X_b^T l_i (S is symmetric) and the element's copy of its class's Schur
+    complement, which the skeleton matrix (``_Skeleton``) multiplies.
+    Classes run in chunks of about ``_ENTRIES`` block entries (and at
+    least two blocks), and the elements of each chunk of classes, class by
+    class, again in such chunks.  Peak memory is the returned system (8
+    bytes per element Schur complement entry in the skeleton matrix), the
+    element classes, and one chunk's blocks, a few times ``_ENTRIES``
+    doubles.  No entry depends on the chunk size.
     """
     if dofmap is None:
         dofmap = DofMap(mesh, q)
@@ -424,12 +421,11 @@ def assemble(
         raise ValueError("dofmap belongs to another mesh or degree")
     eps2 = eps * eps
 
-    # per shape: free indices of the interface dofs
-    fbs = {s: dofmap.free_index[dofmap.dofs[s][:, _split(s, q)[1]]].astype(np.int32) for s in classes}
-    skel = _Triplets(fbs.values())
-
+    # per shape: free indices of the interface dofs, nskel where constrained
     nskel = int(np.searchsorted(dofmap.free, dofmap.nskeleton))
-    bs = np.zeros(nskel)
+    slot = np.where(dofmap.free_index >= 0, dofmap.free_index, nskel)
+    fbs = {s: slot[dofmap.dofs[s][:, _split(s, q)[1]]] for s in classes}
+    bs = np.zeros(nskel + 1)
     schurs, bubbles, bad = {}, [], []
     for shape, cl in classes.items():
         _, _, B, G = _tables(shape, q, q + 2)
@@ -477,38 +473,37 @@ def assemble(
                 schur = 0.5 * (schur + np.swapaxes(schur, 1, 2))
             schurs[shape][1][k] = schur
 
+            if not ni:
+                continue
             members = cl.order[cl.start[k.start] : cl.start[k.stop]]
             for e in _chunks(len(members), step):
                 el = members[e]
-                j = cls[el] - k.start
-                if ni:
-                    li = load[el][:, ii]
-                    Xl[el] = (Y[j, :, ib.size :] @ li[..., None])[..., 0]
-                    cload[el] -= (li[:, None, :] @ Xb[cls[el]])[:, 0]
-                skel.put(fb[el], schur[j])
+                li = load[el][:, ii]
+                Xl[el] = (Y[cls[el] - k.start, :, ib.size :] @ li[..., None])[..., 0]
+                cload[el] -= (li[:, None, :] @ Xb[cls[el]])[:, 0]
         if ni:
             bubbles.append((dofmap.dofs[shape][:, ii], fb, cls, Xb, Xl))
-        bs += np.bincount(fb[fb >= 0], weights=cload[fb >= 0], minlength=nskel)
+        bs += np.bincount(fb.ravel(), weights=cload.ravel(), minlength=nskel + 1)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    return LinearSystem(dofmap, skel.csr(nskel), bs, schurs, bubbles, stars)
+    skeleton = _Skeleton(nskel, [(fbs[s], S[cls]) for s, (cls, S) in schurs.items()])
+    return LinearSystem(dofmap, skeleton, bs[:nskel], schurs, bubbles, stars)
 
 
-def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, stars=None):
+def solve_cg(A, b: np.ndarray, stars, tol: float = 1e-12, maxiter=None):
     """Conjugate gradients, preconditioned by additive Schwarz on stars.
 
-    ``stars`` holds per star size s the indices of the stars (m, s), the
-    distinct blocks (k, s, s) and the block of each star (m,); the
-    preconditioner is z = sum_v R_v^T A_v^-1 R_v r over the stars v, with
-    A_v the dense block of A on a star's indices (overlapping vertex stars:
-    Pavarino, Numer. Math. 66, 1994).  Without stars every index is its own
-    star, with its diagonal entry as block, which is point Jacobi.  Each
-    distinct block is inverted once per call, batched, and the inverses
-    are gathered per star for the apply.  The stopping rule is the unpreconditioned
-    ||r|| / ||b|| <= tol.  Returns (x, iterations, relative residual);
-    raises if the tolerance is not reached within the iteration cap, and
-    at once on breakdown (a non-finite residual, a singular star block,
-    r.z <= 0 or p.Ap <= 0).
+    ``A`` needs ``A @ x`` and ``A.diagonal()``.  ``stars`` holds per star
+    size s the indices of the stars (m, s), the distinct blocks (k, s, s)
+    and the block of each star (m,); the preconditioner is z = sum_v R_v^T
+    A_v^-1 R_v r over the stars v, with A_v the dense block of A on a
+    star's indices (overlapping vertex stars: Pavarino, Numer. Math. 66,
+    1994).  Each distinct block is inverted once per call, batched, and
+    the inverses are gathered per star for the apply.  The stopping rule
+    is the unpreconditioned ||r|| / ||b|| <= tol.  Returns (x, iterations,
+    relative residual); raises if the tolerance is not reached within the
+    iteration cap, and at once on breakdown (a non-finite residual, a
+    singular star block, r.z <= 0 or p.Ap <= 0).
     """
     n = len(b)
     if maxiter is None:
@@ -520,8 +515,6 @@ def solve_cg(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, maxiter=None, 
         raise ValueError("matrix diagonal must be positive")
     if not math.isfinite(bnorm):
         raise RuntimeError("cg breakdown at iteration 1: residual is not finite")
-    if stars is None:
-        stars = [(np.arange(n)[:, None], A.diagonal()[:, None, None], np.arange(n))]
     blocks = []  # per star size: indices (m, s) and inverse blocks (m, s, s)
     for D, S, which in stars:
         try:  # intp indices: numpy would cast int32 ones at every gather and bincount

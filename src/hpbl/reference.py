@@ -51,8 +51,10 @@ def shifted_gl(q: int) -> np.ndarray:
 # orthonormal Jacobi polynomials
 
 
+@functools.lru_cache(maxsize=None)
 def _jacobi_norm(n: int, alpha: float, beta: float) -> float:
-    """L2([-1,1], (1-x)^a (1+x)^b) norm^2 of the classical Jacobi P_n."""
+    """L2([-1,1], (1-x)^a (1+x)^b) norm^2 of the classical Jacobi P_n;
+    cached, since each degree's tables ask for the same few."""
     num = (
         (alpha + beta + 1.0) * math.log(2.0)
         + math.lgamma(n + alpha + 1.0)

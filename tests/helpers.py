@@ -675,13 +675,30 @@ def full_system(mesh, q, eps, c, f, diffusion=None):
     return full[dofmap.free][:, dofmap.free], load[dofmap.free]
 
 
+def skeleton_csr(system):
+    """The skeleton matrix of a ``LinearSystem`` as a scipy CSR matrix: the
+    element blocks ``system.matrix`` applies, summed on their free indices
+    (the padding slot of constrained dofs cut off)."""
+    import scipy.sparse as sp
+
+    n = system.matrix.shape[0]
+    rows, cols, vals = [], [], []
+    for fb, S in system.matrix.blocks:
+        rows.append(np.broadcast_to(fb[:, :, None], S.shape).ravel())
+        cols.append(np.broadcast_to(fb[:, None, :], S.shape).ravel())
+        vals.append(S.ravel())
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n + 1, n + 1)).tocsr()
+    return A[:n, :n]
+
+
 def direct_solve(system):
     """``LinearSystem.solve`` with a sparse direct solve of the skeleton in
     place of CG: (field, stats), the stats reading 0 iterations."""
     import scipy.sparse.linalg as spla
 
-    b = system.rhs
-    x = spla.spsolve(system.matrix.tocsc(), b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
+    A, b = skeleton_csr(system).tocsc(), system.rhs
+    x = spla.spsolve(A, b) if len(b) else np.zeros(0)  # spsolve rejects 0x0
     return system.field(x), {"iterations": 0, "relres": 0.0}
 
 
@@ -809,12 +826,19 @@ def field_difference_oracle(ref, fld, eps, c, diffusion=None):
     }
 
 
+def jacobi_stars(A):
+    """``solve_cg``'s stars for point Jacobi: every index its own star, with
+    its diagonal entry of A as block."""
+    n = A.shape[0]
+    return [(np.arange(n)[:, None], A.diagonal()[:, None, None], np.arange(n))]
+
+
 def star_blocks(A, stars):
     """``solve_cg``'s stars with every star's dense block read from the CSR
-    matrix A by point indexing, ``A[rows, cols]``: per star size the
-    indices (m, s) of ``stars`` (as ``DofMap.stars``), the blocks (m, s, s)
-    and each star's block index.  The oracle for the blocks that
-    ``LinearSystem`` forms from the element classes."""
+    matrix A (a ``skeleton_csr``) by point indexing, ``A[rows, cols]``: per
+    star size the indices (m, s) of ``stars`` (as ``DofMap.stars``), the
+    blocks (m, s, s) and each star's block index.  The oracle for the
+    blocks that ``LinearSystem`` forms from the element classes."""
     out = []
     for D in stars.values():
         m, s = D.shape

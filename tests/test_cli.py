@@ -397,6 +397,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         seen["help"] = [exc.code, lazy_modules()]
     rc = hpbl.cli.main(["solve", "-p", "2", "--eps", "1e-2"])
     seen["solve"] = [rc, lazy_modules()]
+    rc = hpbl.cli.main(["study", "--pmax", "3", "--eps", "1e-2", "--out", out_dir])
+    seen["study"] = [rc, lazy_modules()]
 print(json.dumps(seen))
 """
 
@@ -417,12 +419,14 @@ def test_mesh_fit_and_help_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert list(seen) == ["import", "mesh", "fit", "help", "solve"]
+    assert list(seen) == ["import", "mesh", "fit", "help", "solve", "study"]
     for step, (rc, modules) in seen.items():
         assert rc == 0, step
-        assert modules == [] or step == "solve", (step, modules)
-    assert "hpbl.stars" in seen["solve"][1]  # with the solve's DofMap
-    assert "numpy.polynomial" in seen["solve"][1]  # with its Gauss-Lobatto rules
+        assert modules == [] or step in ("solve", "study"), (step, modules)
+    for step in ("solve", "study"):
+        assert "hpbl.stars" in seen[step][1]  # with the first DofMap
+        assert "numpy.polynomial" in seen[step][1]  # with its Gauss-Lobatto rules
+        assert not [m for m in seen[step][1] if m.split(".")[0] == "scipy"], step  # numpy CG
 
 
 _CACHE_SCRIPT = """

@@ -126,7 +126,7 @@ def test_sharing_a_mesh_across_eps_holds_little_memory():
             tracemalloc.stop()
 
     cfg = ExperimentConfig(domain="square", eps=(1e-2, 1e-4), p_max=5)
-    run_experiment(cfg)  # warm: basis tables, the layout and the scipy import
+    run_experiment(cfg)  # warm: basis tables and the layout
     both = peak(cfg)
     alone = max(peak(dataclasses.replace(cfg, eps=(eps,))) for eps in cfg.eps)
     assert both <= 1.1 * alone
