@@ -9,11 +9,6 @@ eps once the mesh carries enough geometric layers.
 """
 
 from .gausslobatto import gauss_lobatto_rule
-from .patches import (
-    PatchKind,
-    PatchParams,
-    build_pattern,
-    build_half_patch,
-)
+from .patches import PatchKind, PatchParams, build_pattern
 
 __version__ = "0.1.0"

@@ -77,19 +77,26 @@ class Polygon:
         d = np.hypot(*(self.vertices - p).T)
         return [int(j) for j in np.nonzero(d <= tol)[0]]
 
-    def point_on_boundary(self, p, tol: float = TOL) -> bool:
-        p = np.asarray(p, dtype=float)
-        for j in range(self.m):
-            a, b = self.edge(j)
-            d = b - a
-            length = math.hypot(*d)
-            off = abs((p[0] - a[0]) * d[1] - (p[1] - a[1]) * d[0]) / length
-            if off > tol * max(1.0, length):
-                continue
-            t = float(np.dot(p - a, d)) / (length * length)
-            if -tol <= t <= 1.0 + tol:
-                return True
-        return False
+    def _edge_terms(self, p):
+        """Per point p (..., 2) and boundary edge j, (..., m) each: the cross
+        product d_j x (p - v_j), positive right of the directed edge, and the
+        parameter of p's projection onto the edge; and the edge lengths (m,)."""
+        rel = np.asarray(p, dtype=float)[..., None, :] - self.vertices
+        d = np.roll(self.vertices, -1, axis=0) - self.vertices
+        length = np.hypot(d[:, 0], d[:, 1])
+        cross = rel[..., 0] * d[:, 1] - rel[..., 1] * d[:, 0]
+        along = (rel[..., 0] * d[:, 0] + rel[..., 1] * d[:, 1]) / (length * length)
+        return cross, along, length
+
+    def _on_edges(self, p, tol: float) -> np.ndarray:
+        """(..., m): whether each point p (..., 2) lies on each boundary edge."""
+        cross, along, length = self._edge_terms(p)
+        return ((np.abs(cross) / length <= tol * np.maximum(1.0, length))
+                & (along >= -tol) & (along <= 1.0 + tol))
+
+    def point_on_boundary(self, p, tol: float = TOL) -> np.ndarray:
+        """(...,): whether each point p (..., 2) lies on the boundary."""
+        return self._on_edges(p, tol).any(axis=-1)
 
     def supporting_edges(self, a, b, interior_pt, tol: float = TOL) -> np.ndarray:
         """Boundary edges (S,) containing the segments [a, b] (S, 2) with the
@@ -98,24 +105,6 @@ class Polygon:
         ``interior_pt`` (S, 2) must be a point inside the element claiming
         each segment; it disambiguates the two coincident sides of a slit.
         """
-        a, b, c = (np.asarray(p, dtype=float)[:, None, :] for p in (a, b, interior_pt))
-        va, d = self.vertices, np.roll(self.vertices, -1, axis=0) - self.vertices
-        length = np.hypot(d[:, 0], d[:, 1])
-        len2 = length * length
-        scale = tol * np.maximum(1.0, length)
-
-        def cross(p):  # (S, m): d x (p - va), positive right of the directed edge
-            return (p[..., 0] - va[:, 0]) * d[:, 1] - (p[..., 1] - va[:, 1]) * d[:, 0]
-
-        def along(p):  # (S, m): parameter of p's projection onto the edge
-            return ((p[..., 0] - va[:, 0]) * d[:, 0] + (p[..., 1] - va[:, 1]) * d[:, 1]) / len2
-
-        ta, tb = along(a), along(b)
-        hold = (
-            (np.abs(cross(a)) / length <= scale)
-            & (np.abs(cross(b)) / length <= scale)
-            & (np.minimum(ta, tb) >= -tol)
-            & (np.maximum(ta, tb) <= 1.0 + tol)
-            & (cross(c) < 0.0)  # interior point strictly left of the directed edge
-        )
+        hold = self._on_edges(a, tol) & self._on_edges(b, tol)
+        hold &= self._edge_terms(interior_pt)[0] < 0.0  # interior point strictly left of the edge
         return np.where(hold.any(axis=1), hold.argmax(axis=1), -1)

@@ -273,10 +273,10 @@ def assign_refinement_patterns(
         quad_xy.reshape(-1, 2), np.roll(quad_xy, -1, axis=1).reshape(-1, 2),
         np.repeat(centroids, 4, axis=0),
     ).reshape(-1, 4)
-    for qid, quad in enumerate(macro.quads):
-        xy = quad_xy[qid]
+    on_boundary = polygon.point_on_boundary(quad_xy)  # (Q, 4), every corner at once
+    for qid, xy in enumerate(quad_xy):
         on_edge = (edges[qid] >= 0).tolist()
-        corner_on = [polygon.point_on_boundary(xy[k]) for k in range(4)]
+        corner_on = on_boundary[qid].tolist()
         corner_vertex = [bool(polygon.vertex_candidates(xy[k])) for k in range(4)]
         n_edges = sum(on_edge)
 
@@ -662,14 +662,12 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
     """
     rep = ValidationReport()
 
-    # quads share few distinct patterns; the key holds all the check reads
+    # quads carrying equal patterns share one pattern object (build_geo_bl_mesh)
     checked = {}
     for qid, pattern in enumerate(mesh.patterns):
-        key = (pattern.nodes.tobytes(),
-               *(a.tobytes() for s in pattern.conn for a in (pattern.eid[s], pattern.conn[s])))
-        if key not in checked:
-            checked[key] = conformity_violations(pattern.nodes, pattern)
-        rep.violations.extend(f"quad {qid}: {msg}" for msg in checked[key])
+        if id(pattern) not in checked:
+            checked[id(pattern)] = conformity_violations(pattern.nodes, pattern)
+        rep.violations.extend(f"quad {qid}: {msg}" for msg in checked[id(pattern)])
 
     if mesh.merge_discrepancy > 1e-12:
         rep.violations.append(

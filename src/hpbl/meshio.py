@@ -34,9 +34,6 @@ _FILL = {
     "corner": "#f7d9cf",
     "tensor": "#d6f0d0",
     "mixed": "#f3e6c2",
-    "mixed_half": "#f3e6c2",
-    "corner_half": "#f7d9cf",
-    "corner_half_flip": "#f7d9cf",
 }
 _SAMPLES = 8  # outline points per edge of a bent Mesh element, the first at its corner
 _PLOT_WIDTH, _PLOT_HEIGHT = 560, 420  # convergence plot size in pixels

@@ -13,11 +13,9 @@ how the macro element touches the domain boundary:
   the diagonal, with a scaled corner pattern at the origin (used when
   only one of the two edges at a corner lies on the boundary).
 
-Three half patterns (restrictions to the triangle T = {0 < y < x < 1}
-or its mirror) let patterns be transplanted onto triangular macro
-elements.  The part of the closure of S that is mapped onto the domain
-boundary is recorded per pattern (attribute ``gamma``): the bottom edge,
-the left edge and/or the origin.
+The part of the closure of S that is mapped onto the domain boundary is
+recorded per pattern (attribute ``gamma``): the bottom edge, the left
+edge and/or the origin.
 
 All geometric-scale coordinates are powers of the grading factor sigma,
 computed by repeated multiplication so that identical parameters give
@@ -26,7 +24,7 @@ bit-identical patterns and shared traces merge exactly.
 A pattern keeps its elements in the layout of the glued ``macro.Mesh``:
 per shape s ('r', 't'), ``conn[s]`` (E_s, 4 or 3) node ids and ``eid[s]``
 (E_s,) element indices in pattern order.  The builders emit (shape, node
-ids) rows, which ``_patch`` turns into these arrays.
+ids) rows, which ``build_pattern`` turns into these arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "PatchParams",
     "PatchMesh",
     "build_pattern",
-    "build_half_patch",
     "sigma_powers",
 ]
 
@@ -57,14 +54,7 @@ class PatchKind(enum.Enum):
     CORNER = "corner"
     TENSOR = "tensor"
     MIXED = "mixed"
-    MIXED_HALF = "mixed_half"
-    CORNER_HALF = "corner_half"
-    CORNER_HALF_FLIP = "corner_half_flip"
 
-
-# each half kind and the full pattern it restricts
-_HALF_OF = {PatchKind.MIXED_HALF: PatchKind.MIXED, PatchKind.CORNER_HALF: PatchKind.CORNER,
-            PatchKind.CORNER_HALF_FLIP: PatchKind.CORNER}
 
 _GAMMA = {
     PatchKind.TRIVIAL: frozenset(),
@@ -72,9 +62,6 @@ _GAMMA = {
     PatchKind.CORNER: frozenset({GAMMA_ORIGIN}),
     PatchKind.TENSOR: frozenset({GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_ORIGIN}),
     PatchKind.MIXED: frozenset({GAMMA_BOTTOM}),
-    PatchKind.MIXED_HALF: frozenset({GAMMA_BOTTOM}),
-    PatchKind.CORNER_HALF: frozenset({GAMMA_ORIGIN}),
-    PatchKind.CORNER_HALF_FLIP: frozenset({GAMMA_ORIGIN}),
 }
 
 
@@ -135,7 +122,6 @@ class PatchMesh:
     conn: dict[str, np.ndarray]
     eid: dict[str, np.ndarray]
     gamma: frozenset[str]
-    area: float  # area of the patterned region (1.0, or 0.5 for halves)
 
     def element_count(self) -> int:
         return sum(len(ids) for ids in self.eid.values())
@@ -242,46 +228,14 @@ _BUILDERS = {
 }
 
 
-def _patch(kind: PatchKind, params: PatchParams, pool: _NodePool, rows, area: float) -> PatchMesh:
-    """The PatchMesh of (shape, node ids) rows listed in pattern order."""
+def build_pattern(kind: PatchKind, params: PatchParams) -> PatchMesh:
+    """Construct the refinement pattern ``kind`` on the unit square."""
+    pool = _NodePool()
+    rows: list[tuple[str, tuple[int, ...]]] = []
+    _BUILDERS[kind](pool, rows, params)
     conn, eid = {}, {}
     for shape, k in (("r", 4), ("t", 3)):
         ids = [i for i, (s, _) in enumerate(rows) if s == shape]
         eid[shape] = np.array(ids, dtype=np.int64)
         conn[shape] = np.array([rows[i][1] for i in ids], dtype=np.int64).reshape(len(ids), k)
-    return PatchMesh(kind, params, pool.array(), conn, eid, _GAMMA[kind], area)
-
-
-def build_pattern(kind: PatchKind, params: PatchParams) -> PatchMesh:
-    """Construct the refinement pattern ``kind`` on the unit square."""
-    if kind in _HALF_OF:
-        return build_half_patch(kind, params)
-    pool = _NodePool()
-    rows: list[tuple[str, tuple[int, ...]]] = []
-    _BUILDERS[kind](pool, rows, params)
-    return _patch(kind, params, pool, rows, 1.0)
-
-
-def build_half_patch(kind: PatchKind, params: PatchParams) -> PatchMesh:
-    """Restriction of a pattern to the triangle below the diagonal.
-
-    ``MIXED_HALF`` and ``CORNER_HALF`` keep the elements of the mixed and
-    corner patterns with barycenter below y = x (the diagonal is a mesh
-    line of both, so this is a clean cut); ``CORNER_HALF_FLIP`` is the
-    corner half mirrored across the diagonal, with vertex order reversed
-    to stay counterclockwise.
-    """
-    if kind not in _HALF_OF:
-        raise ValueError(f"not a half-patch kind: {kind}")
-    full, rows = _NodePool(), []
-    _BUILDERS[_HALF_OF[kind]](full, rows, params)
-    xy = full.array()
-    pool, kept = _NodePool(), []
-    for shape, ids in rows:
-        pts = xy[list(ids)]
-        bx, by = pts.mean(axis=0)
-        if by < bx:
-            if kind is PatchKind.CORNER_HALF_FLIP:  # mirror, reversed to stay counterclockwise
-                pts = pts[::-1, ::-1]
-            kept.append((shape, tuple(pool.add(x, y) for x, y in pts)))
-    return _patch(kind, params, pool, kept, 0.5)
+    return PatchMesh(kind, params, pool.array(), conn, eid, _GAMMA[kind])

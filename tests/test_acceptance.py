@@ -21,7 +21,6 @@ from hpbl.oracles import ManufacturedSolution
 from hpbl.patches import (
     PatchKind,
     PatchParams,
-    build_half_patch,
     build_pattern,
 )
 from hpbl.reference import rect_basis, tri_basis
@@ -48,15 +47,7 @@ from helpers import (
 SIGMAS = (0.1, 0.25, 0.5)
 EPS4 = (1e-1, 1e-2, 1e-3, 1e-4)
 
-FULL_KINDS = (
-    PatchKind.TRIVIAL,
-    PatchKind.BOUNDARY_LAYER,
-    PatchKind.CORNER,
-    PatchKind.TENSOR,
-    PatchKind.MIXED,
-)
-HALF_KINDS = (PatchKind.MIXED_HALF, PatchKind.CORNER_HALF, PatchKind.CORNER_HALF_FLIP)
-ORIGIN_RULE_KINDS = (PatchKind.TENSOR, PatchKind.MIXED, PatchKind.MIXED_HALF)
+ORIGIN_RULE_KINDS = (PatchKind.TENSOR, PatchKind.MIXED)
 
 
 def _tiled_area(patch):
@@ -90,11 +81,10 @@ def test_01_patch_catalog_invariants():
             for n in range(L, 13):
                 params = PatchParams(sigma=sigma, L=L, n=n)
                 key = L + n
-                for kind in FULL_KINDS + HALF_KINDS:
-                    build = build_half_patch if kind in HALF_KINDS else build_pattern
-                    patch = build(kind, params)
+                for kind in PatchKind:
+                    patch = build_pattern(kind, params)
                     built += 1
-                    defect = abs(_tiled_area(patch) - patch.area)
+                    defect = abs(_tiled_area(patch) - 1.0)
                     worst_defect = max(worst_defect, defect)
                     assert defect < 1e-12
                     assert conformity_violations(patch.nodes, patch) == []

@@ -333,6 +333,8 @@ _MALFORMED = {
         [0, 1, 4, 3], [1, 2, 5], [3, 4, 7, 6], [4, 5, 8, 7]]}}, "quad 1"),
     "assignment past the last quad": ({**_SQUARE_2X2, "assignments": [{"quad": 7}]}, "quad 7"),
     "unknown kind": ({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": "bogus"}]}, "'bogus'"),
+    "retired half kind": ({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": "corner_half"}]},
+                          "'corner_half'"),
     "top-level list": ([_SQUARE_2X2], '"vertices"'),
     "macro without nodes": ({**_SQUARE_2X2, "macro": {"quads": _SQUARE_2X2["macro"]["quads"]}},
                             'section "macro" has no "nodes"'),
@@ -358,10 +360,22 @@ def test_malformed_layout_file_exits_2(tmp_path, capsys, case):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", [{"rotation": 2}, {"kind": "corner_half"}])
+@pytest.mark.parametrize("kind", ["mixed_half", "corner_half", "corner_half_flip"])
+def test_retired_half_kinds_fail_at_load(tmp_path, capsys, kind):
+    # half-cell kinds fit no quad and are no pattern kind: every command names one at load
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": kind}]}))
+    solver_args = ["--mode", "reference", "--eps", "1e-2"]
+    for command in (["mesh"], ["study", "--pmax", "3", *solver_args], ["solve", "-p", "2", *solver_args]):
+        capsys.readouterr()
+        assert cli.main([*command, "--domain", str(path)]) == 2
+        assert f"'{kind}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"rotation": 2}, {"kind": "trivial"}])
 def test_study_and_solve_refuse_an_invalid_layout(tmp_path, capsys, override):
-    # a clean layout solves; one quad turned or given a half pattern leaves
-    # hanging nodes and exposed facets, which mesh reports and study and
+    # a clean layout solves; one quad turned or left unrefined leaves
+    # hanging nodes or exposed facets, which mesh reports and study and
     # solve must refuse rather than solve on
     args = ["--mode", "reference", "--eps", "1e-2"]
     path = tmp_path / "dom.json"

@@ -72,8 +72,7 @@ def test_dirichlet_on_all_boundary():
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=2))
     dm = DofMap(mesh, 3)
     pts = dm.dof_points()
-    on_b = np.array([poly.point_on_boundary(p) for p in pts])
-    np.testing.assert_array_equal(dm.dirichlet, on_b)
+    np.testing.assert_array_equal(dm.dirichlet, poly.point_on_boundary(pts))
 
 
 def test_solve_cg_oracles():

@@ -50,3 +50,14 @@ def test_point_on_boundary():
     assert poly.point_on_boundary(np.array([0.4, 0.0]))
     assert poly.point_on_boundary(np.array([1.0, 0.3]))
     assert not poly.point_on_boundary(np.array([0.5, 0.5]))
+
+
+def test_point_on_boundary_takes_point_arrays():
+    # edge 0 has length 4: the distance tolerance scales with it, the
+    # parameter tolerance does not
+    poly = Polygon(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 1.0]]))
+    pts = np.array([[[2.0, 3e-12], [2.0, 5e-12], [2.0, -3e-12]],
+                    [[4.0 + 3e-12, 0.0], [4.0 + 6e-12, 0.0], [2.0, 0.5]]])
+    want = [[True, False, True], [True, False, False]]
+    assert poly.point_on_boundary(pts).tolist() == want
+    assert [[bool(poly.point_on_boundary(p)) for p in row] for row in pts] == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hpbl.layouts import builtin_layout
 from hpbl.macro import build_geo_bl_mesh, validate_mesh
 from hpbl.meshio import _outlines, convergence_svg, mesh_svg, mesh_text
-from hpbl.patches import PatchKind, PatchParams, build_half_patch, build_pattern
+from hpbl.patches import PatchKind, PatchParams, build_pattern
 
 from helpers import element_rows, fan_macro, nonaffine_meshes, reference_mesh_svg
 
@@ -169,8 +169,7 @@ def test_random_convex_triangulations_validate_or_raise(gaps, axes, sigma, L):
 def test_pattern_svg_matches_per_point_renderer():
     params = PatchParams(sigma=0.25, L=2, n=3)
     for kind in PatchKind:
-        build = build_half_patch if "half" in kind.value else build_pattern
-        patch = build(kind, params)
+        patch = build_pattern(kind, params)
         for width in (640, 317):  # pattern outlines are their nodes on both sides
             assert _assert_same_picture(patch, width, label=kind)[0] == 0
 
@@ -217,7 +216,7 @@ def test_mesh_dumps_keep_their_bytes(name, L):
 
 
 # sha256 of mesh_text and mesh_svg of every pattern kind, as the element-object
-# patterns wrote them: they pin pattern node and element order, half kinds included
+# patterns wrote them: they pin pattern node and element order
 _PATTERN_GOLDEN = {
     (PatchKind.TRIVIAL, 0.25, 2, 3): (
         "b22e9c8c68ed2e0a7569912b38653e5c250ed3665d863774dc70f57ea659a82c",
@@ -239,18 +238,6 @@ _PATTERN_GOLDEN = {
         "523d445e90d0f600dfc58096dbfcb2561fe251cd607921e01c4881e6d2f6eb0c",
         "73480c6d0dc2a48fdd3080157dd0ec9b382b020229a9866c1c7fc12c0e8a82ad",
     ),
-    (PatchKind.MIXED_HALF, 0.25, 2, 3): (
-        "3215b8fb590bfdae2a20a83579e9dfd2cdd7255254adfd3824d750d3774011dc",
-        "14aa875e17b9c4a0a00488f4fc5cb4beeeac36179fbee198785a39e2a22731b8",
-    ),
-    (PatchKind.CORNER_HALF, 0.25, 2, 3): (
-        "0cb246ba3826252826838a519ae455ecd2e774aff19e6a3624c0c1d80709cabe",
-        "0f5d72a3683d082c0b2cdd61299dbc6aabc10cc69abeccf54ffca7cc04d85614",
-    ),
-    (PatchKind.CORNER_HALF_FLIP, 0.25, 2, 3): (
-        "9bd1452670676fba083c135b3d8e34cbaeb36c67815a3d620e63a50cdb6608bd",
-        "d8034837baf98c15607d3544ef7d833dddbca689f53ca4f4e24afc0e9b4c3adf",
-    ),
     (PatchKind.TRIVIAL, 0.1, 4, 6): (
         "b22e9c8c68ed2e0a7569912b38653e5c250ed3665d863774dc70f57ea659a82c",
         "472ecc6f2b103be8f168a1d1701f9519670a453b469983df750b5a6cbda2bf5f",
@@ -270,18 +257,6 @@ _PATTERN_GOLDEN = {
     (PatchKind.MIXED, 0.1, 4, 6): (
         "453dd6c465c27a70a3fdc1e10774824914c405e3590030c1964d4f20f5d79bc2",
         "c2e2e02c70dde229271f5a3ccc65d1a48fd80652255e5a665ca1b4f134963cd1",
-    ),
-    (PatchKind.MIXED_HALF, 0.1, 4, 6): (
-        "bd0c14fc16171015af4ea685d749a23e9d3f46219b368ede91dc72a0b1baa91e",
-        "0f21f1feeb6b23af3ac8a57f3910a0a433ae1eee18ad459f2cf05cab23d64da4",
-    ),
-    (PatchKind.CORNER_HALF, 0.1, 4, 6): (
-        "1d4899dcd74c6155371b16afca8a01534508b410f2b741236665ca564bed54df",
-        "284177b73dd2846bd8e5a08e6499914af09d200ff302326636ac345b07004fa3",
-    ),
-    (PatchKind.CORNER_HALF_FLIP, 0.1, 4, 6): (
-        "2517e06f8167612863a52bc3ae17f6c387116b932eb6e8eadbc35732833e72ee",
-        "1015080a7555206afd939c37bd2d78cc7bee6058d9c71fb4e1661b1d61cf13e2",
     ),
 }
 

@@ -9,7 +9,6 @@ from hpbl.meshcheck import conformity_violations
 from hpbl.patches import (
     PatchKind,
     PatchParams,
-    build_half_patch,
     build_pattern,
     sigma_powers,
 )
@@ -30,7 +29,7 @@ def _diagonal_edge_cover(patch) -> float:
     return sum(hi - lo for lo, hi in spans)
 
 
-def _assert_tiles(patch, area):
+def _assert_tiles(patch):
     total = 0.0
     for e in pattern_rows(patch):
         xy = patch.nodes[list(e.nodes)]
@@ -39,16 +38,13 @@ def _assert_tiles(patch, area):
         else:
             a, b, c = xy
             total += 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    assert abs(total - area) < 1e-12
+    assert abs(total - 1.0) < 1e-12
     assert conformity_violations(patch.nodes, patch) == []
-
-
-_FULL_KINDS = [k for k in PatchKind if "half" not in k.value]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(_FULL_KINDS),
+    kind=st.sampled_from(list(PatchKind)),
     sigma=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
     counts=st.tuples(st.integers(0, 12), st.integers(0, 12)).map(sorted),
 )
@@ -58,7 +54,7 @@ def test_full_patterns_conform_and_tile(kind, sigma, counts):
         with pytest.raises(ValueError, match="2\\^-50"):
             PatchParams(sigma=sigma, L=L, n=n)
         return
-    _assert_tiles(build_pattern(kind, PatchParams(sigma=sigma, L=L, n=n)), 1.0)
+    _assert_tiles(build_pattern(kind, PatchParams(sigma=sigma, L=L, n=n)))
 
 
 def test_sigma_powers_repeated_multiplication():
@@ -95,7 +91,7 @@ def test_trivial_patch():
     (m,) = patch_metrics(patch)
     assert m.h == pytest.approx(np.sqrt(2.0))
     assert m.dist_gamma is None  # no boundary part on a trivial patch
-    _assert_tiles(patch, 1.0)
+    _assert_tiles(patch)
 
 
 def test_boundary_layer_metrics():
@@ -105,7 +101,7 @@ def test_boundary_layer_metrics():
     bottom, top = mets
     assert bottom.h_min == 0.25 and bottom.h_max == 1.0 and bottom.dist_gamma == 0.0
     assert top.h_min == 0.75 and top.h_max == 1.0 and top.dist_gamma == 0.25
-    _assert_tiles(patch, 1.0)
+    _assert_tiles(patch)
 
 
 def test_boundary_layer_heights_telescope():
@@ -127,7 +123,7 @@ def test_corner_patch_rings():
         assert patch.element_count() == 2 + 4 * n
         assert all(e.shape == "t" for e in pattern_rows(patch))
         assert patch.gamma == frozenset({"origin"})
-        _assert_tiles(patch, 1.0)
+        _assert_tiles(patch)
     # the diagonal stays a meshline: segments of {x=y} between element
     # nodes cover all of [0,1] without being cut by any element interior
     patch = build_pattern(PatchKind.CORNER, PatchParams(sigma=0.5, L=0, n=3))
@@ -138,11 +134,11 @@ def test_tensor_and_mixed_structure():
     params = PatchParams(sigma=0.5, L=2, n=3)
     tensor = build_pattern(PatchKind.TENSOR, params)
     assert tensor.gamma == frozenset({"y=0", "x=0", "origin"})
-    _assert_tiles(tensor, 1.0)
+    _assert_tiles(tensor)
 
     mixed = build_pattern(PatchKind.MIXED, params)
     assert mixed.gamma == frozenset({"y=0"})
-    _assert_tiles(mixed, 1.0)
+    _assert_tiles(mixed)
     shapes = {e.shape for e in pattern_rows(mixed)}
     assert shapes == {"r", "t"}
     # only the triangles abut the diagonal; rectangles at most touch a corner
@@ -154,40 +150,6 @@ def test_tensor_and_mixed_structure():
         else:
             assert ondiag <= 1
     assert _diagonal_edge_cover(mixed) == pytest.approx(1.0)
-
-
-def test_half_patches():
-    params = PatchParams(sigma=0.5, L=0, n=1)
-    full = build_pattern(PatchKind.CORNER, params)
-    half = build_half_patch(PatchKind.CORNER_HALF, params)
-    # exactly the elements of the full corner patch below the diagonal
-    below = [
-        e
-        for e in pattern_rows(full)
-        if full.nodes[list(e.nodes)].mean(axis=0)[1] < full.nodes[list(e.nodes)].mean(axis=0)[0]
-    ]
-    assert half.element_count() == len(below)
-    _assert_tiles(half, 0.5)
-
-    flip = build_half_patch(PatchKind.CORNER_HALF_FLIP, params)
-    # mirror image under (x, y) -> (y, x): same multiset of element footprints
-    foot = lambda patch: sorted(
-        tuple(sorted(map(tuple, np.round(patch.nodes[list(e.nodes)], 12))))
-        for e in pattern_rows(patch)
-    )
-    mirrored = sorted(
-        tuple(sorted((y, x) for x, y in fp)) for fp in foot(half)
-    )
-    assert foot(flip) == mirrored
-
-    mh = build_half_patch(PatchKind.MIXED_HALF, PatchParams(sigma=0.25, L=2, n=3))
-    assert {e.shape for e in pattern_rows(mh)} == {"r", "t"}
-    for e in pattern_rows(mh):
-        xy = mh.nodes[list(e.nodes)]
-        assert all(p[1] <= p[0] + 1e-15 for p in xy)  # restricted to y <= x
-        if e.shape == "t":
-            assert sum(1 for p in xy if p[0] == p[1]) >= 1
-    _assert_tiles(mh, 0.5)
 
 
 def test_dichotomies_bl():
@@ -255,11 +217,8 @@ def test_batch_metrics_match_scalar_reference():
     # is the one-element-at-a-time version it must agree with
     from helpers import element_metrics
 
-    for kind, build in (
-        (PatchKind.TENSOR, build_pattern),
-        (PatchKind.MIXED_HALF, build_half_patch),
-    ):
-        patch = build(kind, PatchParams(sigma=0.3, L=2, n=4))
+    for kind in (PatchKind.TENSOR, PatchKind.MIXED):
+        patch = build_pattern(kind, PatchParams(sigma=0.3, L=2, n=4))
         for e, got in zip(pattern_rows(patch), patch_metrics(patch)):
             ref = element_metrics(patch, e)
             assert got.shape == ref.shape
