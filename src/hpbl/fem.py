@@ -25,8 +25,9 @@ by vertex-star blocks (``hpbl.stars``), one per class of equal stars
 (237 for the 562 stars of the slit's q = 6 reference mesh).  A
 ``DofMap`` keeps what of its (mesh, q) does not depend on eps, so the
 cells of a study that share a mesh form it once.  The skeleton matrix
-is never formed: CG applies it element by element from copies of the
-class Schur complements (``_Skeleton``), so solves need numpy alone.
+is never formed: CG applies it, and the inverse star blocks, class by
+class from one block per class (``_ClassBlocks``), so solves need numpy
+alone.
 ``hpbl.stars`` loads with the first ``DofMap``, so commands that build
 none (``hpbl mesh``, ``fit``, ``--help``) do not load it.
 """
@@ -221,11 +222,12 @@ def _field_at(fn, pts: np.ndarray) -> np.ndarray:
 class LinearSystem:
     """The assembled system, condensed onto the skeleton.
 
-    ``matrix`` and ``rhs`` are the Schur complement, as a ``_Skeleton``,
-    and the condensed load on the free skeleton dofs, which lead the free
-    numbering; the system on all free dofs is never formed.  ``classes``
-    holds per shape each element's class (E,) and the classes' Schur
-    complements on the interface dofs (classes, nb - ni, nb - ni).
+    ``matrix`` and ``rhs`` are the Schur complement, as ``_ClassBlocks``
+    over the elements, and the condensed load on the free skeleton dofs,
+    which lead the free numbering; the system on all free dofs is never
+    formed.  ``classes`` holds per shape each element's class (E,) and the
+    classes' Schur complements on the interface dofs (classes, nb - ni,
+    nb - ni).
     ``bubbles`` holds per shape the bubble dofs (E, ni), the free index of
     each interface dof (E, nb - ni; the skeleton size where constrained),
     each element's class, X_b = S_ii^-1 S_ib per class and X_l = S_ii^-1
@@ -234,7 +236,7 @@ class LinearSystem:
     """
 
     dofmap: DofMap
-    matrix: _Skeleton  # free skeleton x free skeleton, symmetric positive definite
+    matrix: _ClassBlocks  # free skeleton x free skeleton, symmetric positive definite
     rhs: np.ndarray
     classes: dict
     bubbles: list
@@ -263,34 +265,54 @@ class LinearSystem:
         return DiscreteField(self.dofmap, coeffs)
 
 
-class _Skeleton:
-    """The skeleton matrix, applied element by element (Hughes, Levit &
-    Winget, Comput. Methods Appl. Mech. Engrg. 36, 1983).
+class _ClassBlocks:
+    """A sum of small dense blocks that repeat by class, applied class by
+    class: the skeleton matrix element by element (Hughes, Levit & Winget,
+    Comput. Methods Appl. Mech. Engrg. 36, 1983) and the star
+    preconditioner star by star.
 
-    ``blocks`` holds per shape the free indices (E, k) of the interface
-    dofs, constrained ones sent to the padding slot n, and each element's
-    copy of its class Schur complement (E, k, k).  ``A @ x`` gathers x,
-    with a 0 in the padding slot, per element, multiplies once per shape
-    and sums by one ``np.bincount``; ``nnz`` is the number of block
-    entries one product multiplies.
+    ``parts`` holds per block size k the items' indices (items, k), index
+    n being a padding slot that reads 0, each item's class (items,) and
+    the class matrices (classes, k, k).  The items are sorted once, by the
+    member count of their class and then by class, into ``at``, their
+    indices in that order; ``buckets`` holds per run of classes with m
+    members each the run's slice of ``at``, its shape (classes, m, k) and
+    its classes' matrices transposed.  ``A @ x`` gathers x at ``at`` once,
+    multiplies each bucket by one batched ``@`` and sums by one
+    ``np.bincount``; ``nnz`` is the number of block entries one product
+    multiplies.
     """
 
-    def __init__(self, n: int, blocks):
+    def __init__(self, n: int, parts):
         self.shape = (n, n)
-        self.blocks = blocks
-        self.at = np.concatenate([fb.ravel() for fb, _ in blocks])
-        self.nnz = sum(S.size for _, S in blocks)
+        self.at = np.empty(sum(idx.size for idx, _, _ in parts), dtype=np.intp)
+        self.buckets, lo = [], 0
+        for idx, cls, M in parts:
+            count = np.bincount(cls, minlength=len(M))
+            self.at[lo : lo + idx.size] = idx[np.lexsort((cls, count[cls]))].ravel()
+            for m in np.unique(count[count > 0]).tolist():
+                c = np.flatnonzero(count == m)
+                shape = (len(c), m, idx.shape[1])
+                self.buckets.append((slice(lo, lo + math.prod(shape)), shape,
+                                     np.swapaxes(M[c], 1, 2).copy()))
+                lo += math.prod(shape)
+        self.nnz = sum(idx.size * idx.shape[1] for idx, _, _ in parts)
 
-    def _sum(self, per_element) -> np.ndarray:
-        y = np.bincount(self.at, weights=np.concatenate(per_element), minlength=self.shape[0] + 1)
-        return y[:-1]
+    def _sum(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.at, weights=y, minlength=self.shape[0] + 1)[:-1]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.append(x, 0.0)
-        return self._sum([(S @ x[fb][..., None]).ravel() for fb, S in self.blocks])
+        xa = np.append(x, 0.0)[self.at]
+        y = np.empty(len(self.at))
+        for span, shape, Mt in self.buckets:
+            np.matmul(xa[span].reshape(shape), Mt, out=y[span].reshape(shape))
+        return self._sum(y)
 
     def diagonal(self) -> np.ndarray:
-        return self._sum([np.diagonal(S, axis1=1, axis2=2).ravel() for _, S in self.blocks])
+        y = np.empty(len(self.at))
+        for span, shape, Mt in self.buckets:
+            y[span].reshape(shape)[...] = np.diagonal(Mt, axis1=1, axis2=2)[:, None]
+        return self._sum(y)
 
 
 def _not_positive_definite(S: np.ndarray) -> bool:
@@ -402,15 +424,17 @@ def assemble(
     field, else by quadrature.  A class's block is formed, checked for finite
     entries and a positive definite bubble block, and condensed once; its
     Schur complement and X_b = S_ii^-1 S_ib go on the system.  What stays
-    per element is the load, X_l = S_ii^-1 l_i, the condensed load l_b -
-    X_b^T l_i (S is symmetric) and the element's copy of its class's Schur
-    complement, which the skeleton matrix (``_Skeleton``) multiplies.
-    Classes run in chunks of about ``_ENTRIES`` block entries (and at
-    least two blocks), and the elements of each chunk of classes, class by
-    class, again in such chunks.  Peak memory is the returned system (8
-    bytes per element Schur complement entry in the skeleton matrix), the
-    element classes, and one chunk's blocks, a few times ``_ENTRIES``
-    doubles.  No entry depends on the chunk size.
+    per element is the load, X_l = S_ii^-1 l_i and the condensed load l_b
+    - X_b^T l_i (S is symmetric); the skeleton matrix (``_ClassBlocks``)
+    multiplies each class's Schur complement with its elements'
+    interface values.  Classes run in chunks of about ``_ENTRIES`` block
+    entries (and at least two blocks), and the elements of each chunk of
+    classes, class by class, again in such chunks; a chunk's blocks go
+    before the next chunk's are formed.  Peak memory is the returned
+    system (8 bytes per class Schur complement entry and per element
+    interface index in the skeleton matrix), the element classes, and one
+    chunk's blocks, a few times ``_ENTRIES`` doubles.  No entry depends
+    on the chunk size.
     """
     if dofmap is None:
         dofmap = DofMap(mesh, q)
@@ -439,6 +463,7 @@ def assemble(
         per_element = key.shape[1] == 5
         if per_element:
             R, M = _ref_blocks(shape, q)
+            RM, weight = np.concatenate([R, M.reshape(1, -1)]), np.array([eps2] * 4 + [1.0])
         else:
             Gs = np.swapaxes(G, 1, 2)
             Gt = Gs.reshape(2 * npts, nb).T
@@ -447,8 +472,8 @@ def assemble(
         cload = load[:, ib]
         step = max(2, _ENTRIES // (nb * nb))
         for k in _chunks(len(first), step):
-            if per_element:  # stiffness sum_ab (det J^-1 J^-T)_ab R_ab, mass c det M_ref
-                S = eps2 * (key[k, :4] @ R).reshape(-1, nb, nb) + key[k, 4, None, None] * M
+            if per_element:  # eps^2 sum_ab (det J^-1 J^-T)_ab R_ab + c det M_ref, one matmul
+                S = ((key[k] * weight) @ RM).reshape(-1, nb, nb)
             else:
                 # stiffness G^T (w det J^-1 A J^-T) G, with G stacked as (points x 2, nbasis)
                 K = Gt @ (key[k, : 4 * npts].reshape(-1, npts, 2, 2) @ Gs).reshape(-1, 2 * npts, nb)
@@ -481,13 +506,24 @@ def assemble(
                 li = load[el][:, ii]
                 Xl[el] = (Y[cls[el] - k.start, :, ib.size :] @ li[..., None])[..., 0]
                 cload[el] -= (li[:, None, :] @ Xb[cls[el]])[:, 0]
+            del S, schur, Sii, Sbi, Y  # before the next chunk forms its blocks
         if ni:
             bubbles.append((dofmap.dofs[shape][:, ii], fb, cls, Xb, Xl))
         bs += np.bincount(fb.ravel(), weights=cload.ravel(), minlength=nskel + 1)
     if bad:
         raise RuntimeError(f"element {min(bad)} has a bubble block that is not positive definite")
-    skeleton = _Skeleton(nskel, [(fbs[s], S[cls]) for s, (cls, S) in schurs.items()])
+    skeleton = _ClassBlocks(nskel, [(fbs[s], cls, S) for s, (cls, S) in schurs.items()])
     return LinearSystem(dofmap, skeleton, bs[:nskel], schurs, bubbles, stars)
+
+
+def _star_apply(stars, n: int) -> _ClassBlocks:
+    """``solve_cg``'s preconditioner z = sum_v R_v^T A_v^-1 R_v r on n
+    unknowns, from ``stars`` as ``solve_cg`` takes them: each distinct
+    block inverted once, batched, and applied class by class."""
+    try:
+        return _ClassBlocks(n, [(D, which, np.linalg.inv(S)) for D, S, which in stars])
+    except np.linalg.LinAlgError:
+        raise RuntimeError("cg breakdown at iteration 1: preconditioner is singular") from None
 
 
 def solve_cg(A, b: np.ndarray, stars, tol: float = 1e-12, maxiter=None):
@@ -499,7 +535,7 @@ def solve_cg(A, b: np.ndarray, stars, tol: float = 1e-12, maxiter=None):
     A_v^-1 R_v r over the stars v, with A_v the dense block of A on a
     star's indices (overlapping vertex stars: Pavarino, Numer. Math. 66,
     1994).  Each distinct block is inverted once per call, batched, and
-    the inverses are gathered per star for the apply.  The stopping rule
+    applied to its stars class by class (``_star_apply``).  The stopping rule
     is the unpreconditioned ||r|| / ||b|| <= tol.  Returns (x, iterations,
     relative residual); raises if the tolerance is not reached within the
     iteration cap, and at once on breakdown (a non-finite residual, a
@@ -515,23 +551,12 @@ def solve_cg(A, b: np.ndarray, stars, tol: float = 1e-12, maxiter=None):
         raise ValueError("matrix diagonal must be positive")
     if not math.isfinite(bnorm):
         raise RuntimeError("cg breakdown at iteration 1: residual is not finite")
-    blocks = []  # per star size: indices (m, s) and inverse blocks (m, s, s)
-    for D, S, which in stars:
-        try:  # intp indices: numpy would cast int32 ones at every gather and bincount
-            blocks.append((D.astype(np.intp), np.linalg.inv(S)[which]))
-        except np.linalg.LinAlgError:
-            raise RuntimeError("cg breakdown at iteration 1: preconditioner is singular") from None
-    at = np.concatenate([D.ravel() for D, _ in blocks])
-
-    def precondition(r):
-        y = [(inv @ r[D][..., None]).ravel() for D, inv in blocks]
-        return np.bincount(at, weights=np.concatenate(y), minlength=n)
-
+    Minv = _star_apply(stars, n)
     x = np.zeros(n)
     r = b.copy()
     relres = 1.0
     for it in range(1, maxiter + 1):
-        z = precondition(r)
+        z = Minv @ r
         rz_new = float(r @ z)
         if not rz_new > 0.0:
             raise RuntimeError(
@@ -611,7 +636,8 @@ class DiscreteField:
                 co = self.coeffs[self.dofmap.dofs[shape][loc.slot[e]]]
                 r = row[src[k]]
                 vals[k], gref = basis.contract([t[r] for t in table], co)
-                grads[k] = (gref[:, None, :] @ loc.inv[e])[:, 0, :]  # reference -> pattern
+                inv = loc.inv[e]  # reference -> pattern: gref @ inv, by its x and y planes
+                grads[k] = gref[:, :1] * inv[:, 0] + gref[:, 1:] * inv[:, 1]
         return vals, grads
 
     def difference_norms(self, coarse: DiscreteField, eps: float, c, diffusion=None) -> dict:

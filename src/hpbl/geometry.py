@@ -34,6 +34,11 @@ class Polygon:
         self.vertices = np.asarray(self.vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2 or len(self.vertices) < 3:
             raise ValueError("polygon needs an (m, 2) array of at least 3 vertices")
+        repeats = np.all(self.vertices == np.roll(self.vertices, 1, axis=0), axis=1)
+        if repeats.any():
+            j = int(np.argmax(repeats))
+            raise ValueError(f"polygon vertex {j} repeats vertex {(j - 1) % self.m}: "
+                             "a zero-length edge")
         if self.area() <= 0.0:
             raise ValueError("polygon boundary walk must be counterclockwise")
 

@@ -677,15 +677,19 @@ def full_system(mesh, q, eps, c, f, diffusion=None):
 
 def skeleton_csr(system):
     """The skeleton matrix of a ``LinearSystem`` as a scipy CSR matrix: the
-    element blocks ``system.matrix`` applies, summed on their free indices
-    (the padding slot of constrained dofs cut off)."""
+    blocks ``system.matrix`` applies, bucket by bucket, each class's matrix
+    at each of its members' free indices, summed (the padding slot of
+    constrained dofs cut off)."""
     import scipy.sparse as sp
 
-    n = system.matrix.shape[0]
+    A = system.matrix
+    n = A.shape[0]
     rows, cols, vals = [], [], []
-    for fb, S in system.matrix.blocks:
-        rows.append(np.broadcast_to(fb[:, :, None], S.shape).ravel())
-        cols.append(np.broadcast_to(fb[:, None, :], S.shape).ravel())
+    for span, shape, Mt in A.buckets:
+        fb = A.at[span].reshape(shape)  # (classes, members, k)
+        S = np.broadcast_to(np.swapaxes(Mt, 1, 2)[:, None], shape + shape[-1:])
+        rows.append(np.broadcast_to(fb[..., :, None], S.shape).ravel())
+        cols.append(np.broadcast_to(fb[..., None, :], S.shape).ravel())
         vals.append(S.ravel())
     A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n + 1, n + 1)).tocsr()

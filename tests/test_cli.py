@@ -319,6 +319,14 @@ _SQUARE_2X2 = {
 }
 
 
+# the square [0, 2]^2 as 2 x 2 quads, its boundary walk listing (1, 0) twice
+_SQUARE_2X2_REPEATED = {
+    "vertices": [[0, 0], [1, 0], [1, 0], [2, 0], [2, 2], [0, 2]],
+    "macro": {"nodes": [[2 * x, 2 * y] for x, y in _SQUARE_2X2["macro"]["nodes"]],
+              "quads": _SQUARE_2X2["macro"]["quads"]},
+}
+
+
 def test_custom_domain_config(tmp_path):
     path = tmp_path / "dom.json"
     path.write_text(json.dumps(_SQUARE_2X2))
@@ -348,6 +356,7 @@ _MALFORMED = {
                                         'section "triangulation" has no "triangles"'),
     "assignment without quad": ({**_SQUARE_2X2, "assignments": [{"quad": 0}, {"kind": "trivial"}]},
                                 'section "assignments" item 1 has no "quad"'),
+    "zero-length edge": (_SQUARE_2X2_REPEATED, "polygon vertex 2 repeats vertex 1"),
 }
 
 
@@ -360,16 +369,28 @@ def test_malformed_layout_file_exits_2(tmp_path, capsys, case):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["mixed_half", "corner_half", "corner_half_flip"])
-def test_retired_half_kinds_fail_at_load(tmp_path, capsys, kind):
-    # half-cell kinds fit no quad and are no pattern kind: every command names one at load
+def _every_command_exits_2(tmp_path, capsys, cfg, named):
     path = tmp_path / "dom.json"
-    path.write_text(json.dumps({**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": kind}]}))
+    path.write_text(json.dumps(cfg))
     solver_args = ["--mode", "reference", "--eps", "1e-2"]
     for command in (["mesh"], ["study", "--pmax", "3", *solver_args], ["solve", "-p", "2", *solver_args]):
         capsys.readouterr()
         assert cli.main([*command, "--domain", str(path)]) == 2
-        assert f"'{kind}'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["mixed_half", "corner_half", "corner_half_flip"])
+def test_retired_half_kinds_fail_at_load(tmp_path, capsys, kind):
+    # half-cell kinds fit no quad and are no pattern kind: every command names one at load
+    _every_command_exits_2(tmp_path, capsys, {**_SQUARE_2X2, "assignments": [{"quad": 0, "kind": kind}]},
+                           f"'{kind}'")
+
+
+def test_zero_length_edge_fails_at_load(tmp_path, capsys):
+    # a repeated boundary vertex once meshed and solved, with two angle-2pi
+    # warnings; every command now names it at load
+    _every_command_exits_2(tmp_path, capsys, _SQUARE_2X2_REPEATED,
+                           "polygon vertex 2 repeats vertex 1: a zero-length edge")
 
 
 @pytest.mark.parametrize("override", [{"rotation": 2}, {"kind": "trivial"}])

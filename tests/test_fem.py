@@ -410,9 +410,30 @@ def test_assembly_memory_is_bounded_by_the_matrix():
     finally:
         tracemalloc.stop()
     A = system.matrix
-    size = A.at.nbytes + sum(S.nbytes for _, S in A.blocks)
+    size = A.at.nbytes + sum(Mt.nbytes for _, _, Mt in A.buckets)
     size += sum(a.nbytes for block in system.bubbles for a in block)
     assert peak <= 3.5 * size
+
+
+def _float_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.dtype.kind == "f" else 0
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_float_bytes, obj))
+    return 0
+
+
+def test_skeleton_matrix_holds_one_block_per_class():
+    # the square at L = n = q = 4 has 96 rectangles in 24 classes and 8
+    # triangles in 2; the operator keeps the 26 class Schur complements
+    # (k = 16 and 12 interface dofs), not a copy per element
+    poly, macro = builtin_layout("square")
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=4, n=4))
+    system = assemble(mesh, 4, 1e-2, 1.0, 1.0)
+    assert {s: len(ids) for s, ids in mesh.eid.items()} == {"r": 96, "t": 8}
+    assert {s: len(S) for s, (_, S) in system.classes.items()} == {"r": 24, "t": 2}
+    assert _float_bytes(list(vars(system.matrix).values())) == (24 * 16**2 + 2 * 12**2) * 8
+    assert system.matrix.nnz == 96 * 16**2 + 8 * 12**2
 
 
 def test_field_point_evaluation():
@@ -900,6 +921,23 @@ def test_star_blocks_match_the_matrix(name, q, data):
     for (D, S, which), (D_want, S_want, _) in zip(got, want):
         assert np.array_equal(D, D_want) and len(which) == len(D) and len(S) <= len(D)
         assert np.abs(S[which] - S_want).max() <= 1e-14 * np.abs(S_want).max()
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_star_apply_matches_the_matrix_blocks(q):
+    # solve_cg's preconditioner, applied class by class, is sum_v R_v^T
+    # A_v^-1 R_v r with A_v the skeleton matrix's dense block on star v; on
+    # the slit the star classes have unequal member counts (measured within
+    # 3.8e-16 of the largest entry)
+    system = assemble(_builtin_mesh("slit"), q, 1e-2, 1.0, 1.0)
+    n = system.matrix.shape[0]
+    got = fem._star_apply(stars.blocks(system), n)
+    assert len({shape[1] for _, shape, _ in got.buckets}) > 2
+    r = np.random.default_rng(q).standard_normal(n)
+    want = np.zeros(n)
+    for D, S, _ in star_blocks(skeleton_csr(system), system.dofmap.stars):
+        np.add.at(want, D, np.linalg.solve(S, r[D][..., None])[..., 0])
+    assert np.abs(got @ r - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_star_blocks_are_inverted_once_per_class(monkeypatch):

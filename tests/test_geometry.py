@@ -30,6 +30,17 @@ def test_ccw_required():
         Polygon(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("vertices, named", [
+    ([[0, 0], [1, 0], [1, 0], [2, 0], [2, 2], [0, 2]], "vertex 2 repeats vertex 1"),
+    ([[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]], "vertex 0 repeats vertex 4"),  # the wrap
+])
+def test_zero_length_edge_rejected(vertices, named):
+    # a vertex equal to its predecessor leaves an edge of length 0, on which
+    # the on-edge test would divide by zero
+    with pytest.raises(ValueError, match=named):
+        Polygon(np.array(vertices, dtype=float))
+
+
 def test_duplicated_slit_vertex_resolution():
     poly, _ = builtin_layout("slit")
     # (-1, 0) appears twice on the boundary walk
