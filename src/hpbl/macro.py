@@ -98,100 +98,52 @@ class MacroTriangulation:
                     raise ValueError(f"quad {quad} is not convex and counterclockwise")
 
 
-def _split_edge(tri: tuple[int, int, int], u: int, v: int, p: int):
-    """Split a triangle along edge (u, v) at node p, keeping orientation."""
-    a, b, c = tri
-    order = (a, b, c, a)
-    for k in range(3):
-        if order[k] == u and order[k + 1] == v:
-            w = tri[(k + 2) % 3]
-            return (u, p, w), (p, v, w)
-    raise ValueError("edge not part of triangle")
+def _table(rows, width: int, ok, message: str) -> np.ndarray:
+    """(len, width) floats; ValueError naming the rows not ``width`` numbers passing ``ok``."""
+    table = []
+    for row in rows if isinstance(rows, (list, tuple, np.ndarray)) else ():
+        try:
+            table.append(np.asarray(row, dtype=float).reshape(width))
+        except (TypeError, ValueError):  # ragged, not numbers, or not width of them
+            table.append(np.full(width, np.nan))
+    bad = [i for i, row in enumerate(table) if not ok(row).all()]
+    if bad or not table:
+        raise ValueError(message.format(bad))
+    return np.array(table)
 
 
 def macro_from_triangulation(points, triangles, polygon: Polygon) -> MacroTriangulation:
     """Build the macro quad mesh from a coarse triangulation of the polygon.
 
-    Each triangle becomes three quads by connecting its barycenter to the
-    edge midpoints, so macro edges always meet the boundary through a
-    triangle vertex or edge midpoint.  Before splitting, any vertex of the
-    polygon with interior angle >= pi that is not already cut by a mesh
-    line into sectors of angle < pi gets the enclosing triangle bisected
-    (a slit tip, with angle exactly 2*pi, cannot be fixed this way and is
-    left to the validator to report).
-
-    For slit domains the input triangulation must already carry
-    duplicated nodes along the slit, one per side.
+    ``points`` lists coordinate pairs and ``triangles`` point-index triples
+    in either orientation (ValueError naming the rows otherwise).  Each
+    triangle becomes three quads joining its barycenter to its edge
+    midpoints.  At a polygon vertex of angle in [pi, 2*pi) the triangle
+    edges must cut the angle into parts below pi, else a ValueError names
+    the vertex (a slit tip is left to the validator).  On a slit the
+    triangulation must carry duplicated nodes, one per side.
     """
-    pts = [np.asarray(p, dtype=float) for p in np.asarray(points, dtype=float)]
-    tris: list[tuple[int, int, int]] = []
-    for t in triangles:
-        a, b, c = (int(i) for i in t)
-        u, v = pts[b] - pts[a], pts[c] - pts[a]
-        if u[0] * v[1] - u[1] * v[0] < 0.0:
-            a, b, c = a, c, b
-        tris.append((a, b, c))
+    pts = _table(points, 2, np.isfinite, "triangulation points {} need 2 finite coordinates")
+    tris = _table(triangles, 3, lambda t: (t == np.floor(t)) & (t >= 0) & (t < len(pts)),
+                  f"triangulation triangles {{}} need 3 point indices below {len(pts)}").astype(int)
+    u, v = pts[tris[:, 1]] - pts[tris[:, 0]], pts[tris[:, 2]] - pts[tris[:, 0]]
+    clockwise = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] < 0.0
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
 
-    # Cut re-entrant corners so every interior sector at a polygon vertex
-    # is split by mesh lines into angles below pi.
+    # triangle angles are below pi: this fails only where a triangle around the corner lacks it
+    xy = pts[tris]
     for j in range(polygon.m):
-        omega = polygon.interior_angle(j)
+        omega, corner = polygon.interior_angle(j), polygon.vertices[j]
         if omega < math.pi - 1e-9 or omega > 2.0 * math.pi - 1e-9:
             continue
-        corner = polygon.vertices[j]
-
-        def _incident():
-            for ti, tri in enumerate(tris):
-                for k in range(3):
-                    if np.hypot(*(pts[tri[k]] - corner)) <= TOL:
-                        centroid = (pts[tri[0]] + pts[tri[1]] + pts[tri[2]]) / 3.0
-                        if polygon.sector_contains(j, centroid - corner):
-                            yield ti, tri, k
-
-        def _split_ok() -> bool:
-            offs = []
-            for _, tri, k in _incident():
-                for other in (tri[(k + 1) % 3], tri[(k + 2) % 3]):
-                    offs.append(polygon.sector_offset(j, pts[other] - corner))
-            offs = sorted(o for o in offs if 1e-9 < o < omega - 1e-9)
-            cuts = [0.0] + offs + [omega]
-            return all(b - a < math.pi - 1e-9 for a, b in zip(cuts, cuts[1:]))
-
-        while not _split_ok():
-            # bisect the incident triangle whose sector straddles an angle >= pi
-            target = None
-            for ti, tri, k in _incident():
-                d1 = pts[tri[(k + 1) % 3]] - corner
-                d2 = pts[tri[(k + 2) % 3]] - corner
-                lo = min(polygon.sector_offset(j, d1), polygon.sector_offset(j, d2))
-                hi = max(polygon.sector_offset(j, d1), polygon.sector_offset(j, d2))
-                if hi - lo > math.pi - 1e-9:
-                    target = (ti, tri, k, 0.5 * (lo + hi))
-                    break
-            if target is None:
-                raise ValueError(f"cannot satisfy the corner condition at vertex {j}")
-            ti, tri, k, mid = target
-            u, v = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            # point on the opposite edge hit by the bisecting ray
-            theta = polygon.outgoing_angle(j) + mid
-            ray = np.array([math.cos(theta), math.sin(theta)])
-            a, d = pts[u], pts[v] - pts[u]
-            denom = ray[0] * d[1] - ray[1] * d[0]
-            s = ((a[0] - corner[0]) * ray[1] - (a[1] - corner[1]) * ray[0]) / denom
-            pnew = a + s * d
-            pid = len(pts)
-            pts.append(pnew)
-            new_tris = []
-            for tj, other in enumerate(tris):
-                edge = set(other) & {u, v}
-                if len(edge) == 2:
-                    first, second = _split_edge(other, u, v, pid) if (
-                        _has_directed(other, u, v)
-                    ) else _split_edge(other, v, u, pid)
-                    new_tris.extend([first, second])
-                else:
-                    new_tris.append(other)
-            tris = new_tris
+        at_corner = np.argwhere(np.hypot(*np.moveaxis(xy - corner, -1, 0)) <= TOL)
+        offs = [polygon.sector_offset(j, xy[t, (k + s) % 3] - corner)
+                for t, k in at_corner.tolist()
+                if polygon.sector_contains(j, xy[t].sum(axis=0) / 3.0 - corner)
+                for s in (1, 2)]
+        cuts = [0.0, *sorted(o for o in offs if 1e-9 < o < omega - 1e-9), omega]
+        if any(b - a >= math.pi - 1e-9 for a, b in zip(cuts, cuts[1:])):
+            raise ValueError(f"cannot satisfy the corner condition at vertex {j}")
 
     # Split every triangle into three quads: vertex, two edge midpoints,
     # barycenter.  Shared midpoints dedup to the same node because both
@@ -207,7 +159,7 @@ def macro_from_triangulation(points, triangles, polygon: Polygon) -> MacroTriang
         return pool[key]
 
     quads: list[tuple[int, int, int, int]] = []
-    for a, b, c in tris:
+    for a, b, c in tris.tolist():
         pa, pb, pc = pts[a], pts[b], pts[c]
         g = nid((pa + pb + pc) / 3.0)
         mab = nid((pa + pb) / 2.0)
@@ -218,11 +170,6 @@ def macro_from_triangulation(points, triangles, polygon: Polygon) -> MacroTriang
         quads.append((vb, mbc, g, mab))
         quads.append((vc, mca, g, mbc))
     return MacroTriangulation(np.asarray(nodes), quads)
-
-
-def _has_directed(tri: tuple[int, int, int], u: int, v: int) -> bool:
-    order = (tri[0], tri[1], tri[2], tri[0])
-    return any(order[k] == u and order[k + 1] == v for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +594,7 @@ _TRI_SAMPLES = np.array(
 )
 
 
-def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> ValidationReport:
+def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check mesh admissibility.
 
     Violations: per-quad pattern non-conformity (checked exactly in
@@ -715,8 +662,7 @@ def validate_mesh(mesh: Mesh, check_corner_condition: bool = True) -> Validation
         bad.extend(ids[np.any(det <= 0.0, axis=1)].tolist())
     rep.violations.extend(f"element {ei} has a non-positive Jacobian" for ei in sorted(bad))
 
-    if check_corner_condition:
-        _check_corner_splits(mesh, rep)
+    _check_corner_splits(mesh, rep)
     return rep
 
 

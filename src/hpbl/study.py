@@ -204,7 +204,7 @@ def mesh_for(config: ExperimentConfig, p: int, eps: float) -> Mesh:
     params = PatchParams(sigma=config.sigma, L=L, n=n)
     mesh = build_geo_bl_mesh(macro, polygon, params, assignments)
     if config.domain not in layout_names():
-        bad = validate_mesh(mesh, check_corner_condition=False).violations
+        bad = validate_mesh(mesh).violations
         if bad:
             raise ValueError(f"invalid mesh of {config.domain} at L={L}, n={n}: {bad[0]} "
                              f"(and {len(bad) - 1} more violations)")

@@ -327,6 +327,26 @@ _SQUARE_2X2_REPEATED = {
 }
 
 
+# the unit square, triangulated
+_SQUARE_TRIANGLES = {"vertices": _SQUARE_2X2["vertices"],
+                     "triangulation": {"points": _SQUARE_2X2["vertices"],
+                                       "triangles": [[0, 1, 2], [0, 2, 3]]}}
+
+# the L-shape of the built-in layout as a fan of 45-degree triangles about
+# its re-entrant corner (0, 0), the second listed clockwise
+_LSHAPE_FAN = {
+    "vertices": [[0, 0], [1, 0], [1, 1], [-1, 1], [-1, -1], [0, -1]],
+    "triangulation": {
+        "points": [[0, 0], [1, 0], [1, 1], [-1, 1], [-1, -1], [0, -1], [0, 1], [-1, 0]],
+        "triangles": [[0, 1, 2], [0, 6, 2], [0, 6, 3], [0, 3, 7], [0, 7, 4], [0, 4, 5]],
+    },
+}
+
+
+def _one_quad(vertices, nodes):
+    return {"vertices": vertices, "macro": {"nodes": nodes, "quads": [[0, 1, 2, 3]]}}
+
+
 def test_custom_domain_config(tmp_path):
     path = tmp_path / "dom.json"
     path.write_text(json.dumps(_SQUARE_2X2))
@@ -357,6 +377,36 @@ _MALFORMED = {
     "assignment without quad": ({**_SQUARE_2X2, "assignments": [{"quad": 0}, {"kind": "trivial"}]},
                                 'section "assignments" item 1 has no "quad"'),
     "zero-length edge": (_SQUARE_2X2_REPEATED, "polygon vertex 2 repeats vertex 1"),
+    "triangle past the last point": (
+        {**_SQUARE_TRIANGLES, "triangulation": {**_SQUARE_TRIANGLES["triangulation"],
+                                                "triangles": [[0, 1, 2], [0, 2, 7]]}},
+        "triangulation triangles [1] need 3 point indices below 4"),
+    "triangle of 4 indices": (
+        {**_SQUARE_TRIANGLES, "triangulation": {**_SQUARE_TRIANGLES["triangulation"],
+                                                "triangles": [[0, 1, 2], [0, 2, 3, 1]]}},
+        "triangulation triangles [1] need 3 point indices below 4"),
+    # quads that assign_refinement_patterns rejects, one per message
+    "quad on 4 boundary edges": (_one_quad(_SQUARE_2X2["vertices"], _SQUARE_2X2["vertices"]),
+                                 "macro quad 0 has 4 boundary edges"),
+    "quad on 3 boundary edges": ({"vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "macro": {
+        "nodes": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
+        "quads": [[0, 1, 4, 3], [1, 2, 5, 4]]}}, "macro quad 0 has 3 boundary edges"),
+    "quad on 2 opposite boundary edges": (
+        _one_quad([[0, 0], [2, 0], [2, 1], [0, 1]], [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]),
+        "macro quad 0 touches the boundary along two opposite edges"),
+    # within the boundary tolerance, 1e-13 outside the bottom edge
+    "quad on 2 boundary edges off a vertex": (
+        _one_quad(_SQUARE_2X2["vertices"], [[0.25, 0], [0.5, -1e-13], [0.75, 0], [0.5, 0.5]]),
+        "macro quad 0 has two boundary edges whose common corner is not a polygon vertex"),
+    "quad on a whole polygon edge": (
+        _one_quad(_SQUARE_2X2["vertices"], [[0, 0], [1, 0], [0.75, 0.5], [0.25, 0.5]]),
+        "macro quad 0 has one boundary edge with polygon vertices at both ends"),
+    "quad on an edge and a corner": (
+        _one_quad(_SQUARE_2X2["vertices"], [[0.25, 0], [0.75, 0], [1, 0.5], [0.5, 1]]),
+        "macro quad 0 has a boundary edge plus extra boundary contact"),
+    "quad at 4 isolated corners": (
+        _one_quad(_SQUARE_2X2["vertices"], [[0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5]]),
+        "macro quad 0 touches the boundary at 4 isolated corners"),
 }
 
 
@@ -391,6 +441,30 @@ def test_zero_length_edge_fails_at_load(tmp_path, capsys):
     # warnings; every command now names it at load
     _every_command_exits_2(tmp_path, capsys, _SQUARE_2X2_REPEATED,
                            "polygon vertex 2 repeats vertex 1: a zero-length edge")
+
+
+@pytest.mark.parametrize("case", ["triangle past the last point", "triangle of 4 indices"])
+def test_malformed_triangle_table_fails_at_load(tmp_path, capsys, case):
+    # an index past the last point once ended in an IndexError traceback
+    _every_command_exits_2(tmp_path, capsys, *_MALFORMED[case])
+
+
+def test_corner_inside_a_triangle_edge_fails_at_load(tmp_path, capsys):
+    # the re-entrant corner (0, 0) lies inside the edge from (-1, 0) to
+    # (1, 0), so a sector there spans pi; the last two triangles are clockwise
+    cfg = {"vertices": _LSHAPE_FAN["vertices"], "triangulation": {
+        "points": [[0, 0], [1, 0], [1, 1], [-1, 1], [-1, -1], [0, -1], [-1, 0]],
+        "triangles": [[6, 1, 2], [6, 2, 3], [0, 4, 6], [0, 5, 4]]}}
+    _every_command_exits_2(tmp_path, capsys, cfg, "cannot satisfy the corner condition at vertex 0")
+
+
+def test_triangulated_layout_runs_every_command(tmp_path):
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps(_LSHAPE_FAN))
+    for command in (["mesh", "-L", "2"],
+                    ["solve", "--mode", "reference", "--eps", "1e-2", "-p", "2"],
+                    ["study", "--mode", "reference", "--eps", "1e-2", "--pmax", "3"]):
+        assert cli.main([*command, "--domain", str(path)]) == 0, command
 
 
 @pytest.mark.parametrize("override", [{"rotation": 2}, {"kind": "trivial"}])

@@ -53,8 +53,8 @@ def test_triangle_split_oracle():
 
 
 def test_triangle_count_rule():
-    # m triangles -> 3m quads when no reentrant split fires (every fan
-    # angle at the reentrant corner is 45 degrees here)
+    # m triangles -> 3m quads (every fan angle at the reentrant corner is
+    # 45 degrees here, so the corner condition holds)
     poly, _ = builtin_layout("lshape")
     pts = [[0, 0], [1, 0], [1, 1], [-1, 1], [-1, -1], [0, -1], [0, 1], [-1, 0]]
     tris = [[0, 1, 2], [0, 2, 6], [0, 6, 3], [0, 3, 7], [0, 7, 4], [0, 4, 5]]
@@ -63,6 +63,24 @@ def test_triangle_count_rule():
     mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=1, n=1))
     report = validate_mesh(mesh)
     assert report.violations == []
+
+
+def test_corner_pattern_off_a_vertex_takes_its_rings_from_L():
+    # the one corner quad touches the boundary at (0.5, 0), no polygon
+    # vertex, so its corner pattern has L rings rather than n
+    poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    pts = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1], [0.25, 0.5], [0.75, 0.5]]
+    tris = [[0, 1, 5], [1, 6, 5], [1, 2, 6], [2, 3, 6], [6, 3, 5], [5, 3, 4], [0, 5, 4]]
+    macro = macro_from_triangulation(pts, tris, poly)
+    mesh = build_geo_bl_mesh(macro, poly, PatchParams(sigma=0.25, L=2, n=4))
+    off_vertex = [q for q, a in enumerate(mesh.assignments) if a.layers_from_L]
+    assert len(off_vertex) == 1
+    (q,) = off_vertex
+    a = mesh.assignments[q]
+    assert a.kind is PatchKind.CORNER
+    assert macro.nodes[macro.quads[q][a.rotation]].tolist() == [0.5, 0.0]
+    assert mesh.patterns[q].params.n == 2
+    assert validate_mesh(mesh).violations == []
 
 
 def test_classification_census():
@@ -175,7 +193,7 @@ def test_unmerged_interface_node_flagged():
     for s, conn in mesh.conn.items():
         in_13 = np.isin(mesh.macro_id[s], (1, 3))[:, None]
         conn[in_13 & (conn == interface)] = dup
-    report = validate_mesh(mesh, check_corner_condition=False)
+    report = validate_mesh(mesh)
     assert any("exposed" in v or "hangs" in v for v in report.violations)
 
 
@@ -253,7 +271,7 @@ def test_pattern_defects_are_reported_under_every_quad_that_carries_them():
     assert {int(v.split()[1][:-1]) for v in want} == {1, 2, 4}
 
     with mock.patch.object(hpbl.macro, "conformity_violations", wraps=conformity_violations) as spy:
-        got = validate_mesh(mesh, check_corner_condition=False).violations
+        got = validate_mesh(mesh).violations
     assert got[: len(want)] == want
     assert not any(v.startswith("quad ") for v in got[len(want):])
     # each distinct pattern object once, plus the glued mesh
@@ -362,7 +380,7 @@ def test_corrupted_connectivity_reports(name):
     for s in mesh.conn:
         rows = mesh.eid[s] == flip
         mesh.conn[s][rows] = mesh.conn[s][rows, ::-1]
-    assert validate_mesh(mesh, check_corner_condition=False).violations == want
+    assert validate_mesh(mesh).violations == want
 
     ref = build_by_dict(macro, poly, params)
     ref.elements.append(ref.elements[dup])
